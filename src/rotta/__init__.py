@@ -49,11 +49,12 @@ from .tta import (
     TTAConfig,
     TTAResult,
     aggregate_mean,
+    augment,
+    augment_chunks,
     numerics_audit,
     pointwise_sd,
     rotate_input,
     run_tta,
-    von_mises_sd,
 )
 from .metrics import (
     AllStepsExcluded,

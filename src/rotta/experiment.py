@@ -34,7 +34,6 @@ from .models import (
     ExternalModelError,
     NoisyOracle,
     OracleParams,
-    predict as model_predict,
 )
 from .rotations import RotationStream, rotation_list
 from .spheremap import (
@@ -46,8 +45,8 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, numerics_audit, rotate_input, run_tta
-from .voigt import inverse_rotate_sym, von_mises_path
+from .tta import TTAConfig, augment_chunks, numerics_audit, run_tta
+from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
 EXTERNAL_PREFIX = "external:"
@@ -309,11 +308,11 @@ def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: Met
         )
 
     if cfg.sphere_map:
-        _write_sphere_map(writer, cfg, report)
+        _write_sphere_map(writer, cfg, report, results[0].rotations)
 
 
-def _write_sphere_map(writer: _OutputWriter, cfg: ExperimentConfig, report: MetricsReport):
-    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+def _write_sphere_map(writer: _OutputWriter, cfg: ExperimentConfig, report: MetricsReport, rotations):
+    """Map of per-rotation error; ``rotations`` is the list the results were computed with."""
     values = [report.mere_per_rotation[i] for i in range(cfg.n_rotations + 1)]
     seeds = project_rotations(rotations, values, radius=cfg.radius)
     raster = voronoi_rasterize(seeds, grid=cfg.grid, radius=cfg.radius)
@@ -389,20 +388,19 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
     vm_by_checkpoint = np.empty((len(samples), len(checkpoints), n_steps))
     try:
         for m, sample in enumerate(samples):
-            inp = sample.model_input()
             total = np.zeros((n_steps, 6))
             carry = np.zeros_like(total)
             next_cp = 0
-            for i, r in enumerate(rotations):
-                out = inverse_rotate_sym(model_predict(model, rotate_input(inp, r)), r)
-                y = out - carry
-                t = total + y
-                carry = (t - total) - y
-                total = t
-                while next_cp < len(checkpoints) and checkpoints[next_cp] == i:
-                    divisor = i + 1 if cfg.divisor_mode == "count" else max(i, 1)
-                    vm_by_checkpoint[m, next_cp] = von_mises_path(total / divisor)
-                    next_cp += 1
+            for lo, block in augment_chunks(model, sample.model_input(), rotations):
+                for i, out in enumerate(block, lo):
+                    y = out - carry
+                    t = total + y
+                    carry = (t - total) - y
+                    total = t
+                    while next_cp < len(checkpoints) and checkpoints[next_cp] == i:
+                        divisor = i + 1 if cfg.divisor_mode == "count" else max(i, 1)
+                        vm_by_checkpoint[m, next_cp] = von_mises_path(total / divisor)
+                        next_cp += 1
     finally:
         _close_model(model)
 
@@ -483,7 +481,7 @@ def run_sphere_map(cfg: ExperimentConfig):
     )
     writer = _OutputWriter(cfg.out_dir)
     try:
-        _write_sphere_map(writer, cfg, report)
+        _write_sphere_map(writer, cfg, report, results[0].rotations)
         manifest_path = writer.manifest(cfg)
     except BaseException:
         writer.cleanup()

@@ -2,7 +2,10 @@
 
 A model maps ``(orientation tensor a, volume fraction vf, strain path
 eps(t))`` to a stress path ``sigma(t)`` of the same length.  Anything with a
-``predict(ModelInput) -> (T, 6) ndarray`` method qualifies.
+``predict(ModelInput) -> (T, 6) ndarray`` method qualifies.  A model may also
+offer ``predict_batch(a (P, 6), vf, strain (P, T, 6)) -> (P, T, 6)``, which
+the augmentation kernel calls once for many rotated copies; its row ``p``
+must have the same bits as ``predict`` on input ``p``.
 
 Two built-in analytic oracles stand in for a trained sequence model:
 
@@ -127,21 +130,25 @@ class EquivariantOracle:
         self.params = params or OracleParams()
 
     def predict(self, inp: ModelInput):
+        return self.predict_batch(inp.a, inp.vf, inp.strain)
+
+    def predict_batch(self, a, vf, strain):
+        """Stress paths ``(..., T, 6)`` for orientation tensors ``a (..., 6)`` and strain paths ``(..., T, 6)``."""
         p = self.params
-        eps_m = to_matrix(inp.strain)  # (T, 3, 3)
-        a_m = to_matrix(inp.a)
-        coupling = np.einsum("ij,tjk->tik", a_m, eps_m) + np.einsum("tij,jk->tik", eps_m, a_m)
-        tr_eps = trace(inp.strain)
+        eps_m = to_matrix(strain)  # (..., T, 3, 3)
+        a_m = to_matrix(a)[..., None, :, :]  # broadcast over steps
+        coupling = np.einsum("...ij,...jk->...ik", a_m, eps_m) + np.einsum("...ij,...jk->...ik", eps_m, a_m)
+        tr_eps = trace(strain)
         s_m = (
-            p.lam * tr_eps[:, None, None] * np.eye(3)
+            p.lam * tr_eps[..., None, None] * np.eye(3)
             + 2.0 * p.mu * eps_m
-            + inp.vf * p.kappa * coupling
+            + vf * p.kappa * coupling
         )
         s = from_matrix(s_m)
         dev, mean = deviatoric_split(s)
         vm = von_mises(s)
         scale = np.where(vm > p.sigma_y, p.sigma_y / np.where(vm > 0, vm, 1.0), 1.0)
-        return dev * scale[:, None] + mean[:, None] * _IDENTITY6
+        return dev * scale[..., None] + mean[..., None] * _IDENTITY6
 
 
 class NoisyOracle(EquivariantOracle):
@@ -161,16 +168,15 @@ class NoisyOracle(EquivariantOracle):
             raise ValueError("NoisyOracle requires noise_amp > 0")
         super().__init__(params)
 
-    def predict(self, inp: ModelInput):
-        base = super().predict(inp)
-        noise = _frame_noise(self.params.noise_seed, inp) * self.params.noise_amp
-        return base + noise
+    def predict_batch(self, a, vf, strain):
+        base = super().predict_batch(a, vf, strain)
+        return base + _frame_noise(self.params.noise_seed, a, vf, strain) * self.params.noise_amp
 
 
 # -- frame-noise hashing ------------------------------------------------------
 #
 # splitmix64 finalizer, vectorized on uint64 arrays.  Chosen over hashlib for
-# speed: noise generation is fully vectorized over steps and components.
+# speed: noise generation is fully vectorized over inputs, steps and components.
 
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -195,20 +201,21 @@ def _quantize(values):
     return q.astype(np.int64).astype(np.uint64)
 
 
-def _frame_noise(seed, inp: ModelInput):
-    """Deterministic noise field in [-1, 1), shape ``(T, 6)``."""
-    # 0-d arrays throughout: numpy array arithmetic wraps modulo 2**64 silently
-    h = _mix(np.array(int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
-    for word in _quantize(inp.a):
-        h = _mix(h ^ word)
-    h = _mix(h ^ _quantize(inp.vf))
-    # fold the per-step strain words into per-step hashes
-    t_hash = np.full(inp.n_steps, h, dtype=np.uint64)
-    eps_words = _quantize(inp.strain)  # (T, 6) uint64
+def _frame_noise(seed, a, vf, strain):
+    """Deterministic noise field in [-1, 1) of ``strain``'s shape ``(..., T, 6)``; ``a`` is ``(..., 6)``."""
+    # uint64 arrays throughout: numpy array arithmetic wraps modulo 2**64 silently
+    a_words = _quantize(a)  # (..., 6)
+    h = _mix(np.full(a_words.shape[:-1], int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
     for c in range(6):
-        t_hash = _mix(t_hash ^ eps_words[:, c])
-    t_hash = _mix(t_hash ^ np.arange(1, inp.n_steps + 1, dtype=np.uint64))
-    comp_hash = _mix(t_hash[:, None] ^ np.arange(1, 7, dtype=np.uint64)[None, :])
+        h = _mix(h ^ a_words[..., c])
+    h = _mix(h ^ _quantize(vf))
+    # fold the per-step strain words into per-step hashes
+    eps_words = _quantize(strain)  # (..., T, 6)
+    t_hash = h[..., None]
+    for c in range(6):
+        t_hash = _mix(t_hash ^ eps_words[..., c])
+    t_hash = _mix(t_hash ^ np.arange(1, eps_words.shape[-2] + 1, dtype=np.uint64))
+    comp_hash = _mix(t_hash[..., None] ^ np.arange(1, 7, dtype=np.uint64))
     u = (comp_hash >> np.uint64(11)) * 2.0**-53  # uniform [0, 1)
     return 2.0 * u - 1.0
 
@@ -243,7 +250,8 @@ class ExternalModel:
 
     One request is in flight at a time.  Usable as a context manager; the
     subprocess is spawned lazily on first prediction and terminated by
-    :meth:`close`.
+    :meth:`close`.  A subprocess that exits before :meth:`close` is not
+    restarted: the next prediction raises :class:`ExternalModelError`.
     """
 
     def __init__(self, command, timeout=30.0):
@@ -261,8 +269,11 @@ class ExternalModel:
         self.close()
 
     def _ensure_started(self):
-        if self._proc is not None and self._proc.poll() is None:
-            return
+        if self._proc is not None:  # a child that died is a failure, never respawned
+            code = self._proc.poll()
+            if code is None:
+                return
+            raise ExternalModelError(f"external model exited (exit status {code})")
         try:
             self._proc = subprocess.Popen(
                 self.config.command,

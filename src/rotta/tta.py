@@ -7,6 +7,7 @@ frame, and reduces the back-rotated paths into a mean path with a per-step
 spread.  For an exactly rotation-equivariant predictor the whole procedure
 is a no-op up to float round-off, which the test suite exploits.
 
+:func:`augment` is the one rotate -> predict -> back-rotate kernel.
 Aggregation is performed in ascending rotation index with compensated
 (Kahan) summation, so results do not depend on how predictions were
 scheduled.  All result arrays are plain float64 ndarrays.
@@ -20,11 +21,15 @@ import numpy as np
 
 from .models import ExternalModelError, ModelInput, predict
 from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
-from .voigt import inverse_rotate_sym, rotate_sym, von_mises, von_mises_path
+from .voigt import from_matrix, inverse_rotate_sym, rotate_sym, to_matrix, von_mises, von_mises_path
 
 DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
 _DIVISOR_ALIASES = {"count": DIVISOR_COUNT, "paper": DIVISOR_PAPER, "paper_verbatim": DIVISOR_PAPER}
+
+# Rotations x steps per predict_batch call (16 rotations of a 100-step path):
+# bounds the kernel's temporary arrays so peak memory does not grow with N.
+_CHUNK_STEPS = 1600
 
 
 class EmptyInput(ValueError):
@@ -140,7 +145,7 @@ def aggregate_mean(predictions, mode=DIVISOR_COUNT):
 
 
 def pointwise_sd(predictions, aggregated, include_first=False):
-    """Per-step, per-component spread of the back-rotated paths about the mean path.
+    """Elementwise spread of P rows (``(P, T, 6)`` paths or ``(P, T)`` von Mises) about their aggregate.
 
     By default rows 1..P-1 enter the sum with divisor P-1, matching the
     printed formula that sums over the random rotations only; with
@@ -154,40 +159,75 @@ def pointwise_sd(predictions, aggregated, include_first=False):
     return np.sqrt(_kahan_sum(dev) / rows.shape[0])
 
 
-def von_mises_sd(vm_individual, vm_aggregated, include_first=False):
-    """Per-step spread of individual von Mises paths about the aggregated one.
+def augment_chunks(model, inp: ModelInput, rotations):
+    """Yield ``(lo, block)`` in index order: rows ``lo..lo+len(block)-1`` of :func:`augment`.
 
-    Same index convention as :func:`pointwise_sd`.
+    Row ``i`` is the prediction on ``inp`` rotated by ``rotations[i]``,
+    rotated back.  A model with ``predict_batch`` is called once per chunk of
+    rotations, each chunk rotated and back-rotated in one einsum; any other
+    model once per rotation, in blocks of one row.  Rows have the same bits
+    either way, for any chunk size: ``optimize=False`` keeps the per-rotation
+    contraction order (an optimized one differs in the last bits, which the
+    noise hash sees).  Non-finite rotated inputs raise ``ValueError``; a
+    wrong output shape and external-model failures raise
+    :class:`ExternalModelError` naming the rows.
     """
-    stack = np.asarray(vm_individual, dtype=float)
-    if stack.shape[0] < 2:
-        raise ValueError("spread needs at least 2 sequences")
-    rows = stack if include_first else stack[1:]
-    dev = (rows - np.asarray(vm_aggregated, dtype=float)) ** 2
-    return np.sqrt(_kahan_sum(dev) / rows.shape[0])
+    inp.validate()
+    rotations = np.asarray(rotations, dtype=float)
+    predict_batch = getattr(model, "predict_batch", None)
+    if predict_batch is None:
+        for i, r in enumerate(rotations):
+            try:
+                row = inverse_rotate_sym(predict(model, rotate_input(inp, r)), r)
+            except ExternalModelError as exc:
+                raise ExternalModelError(f"rotation index {i}: {exc}") from exc
+            yield i, row[None]
+        return
+
+    a_m, eps_m = to_matrix(inp.a), to_matrix(inp.strain)
+    chunk = max(1, _CHUNK_STEPS // inp.n_steps)
+    for lo in range(0, rotations.shape[0], chunk):
+        rs = rotations[lo:lo + chunk]
+        a = from_matrix(np.einsum("pij,jk,plk->pil", rs, a_m, rs, optimize=False))
+        strain = from_matrix(np.einsum("pij,tjk,plk->ptil", rs, eps_m, rs, optimize=False))
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(strain))):
+            raise ValueError("model input contains non-finite values")
+        pred = np.asarray(predict_batch(a, inp.vf, strain), dtype=float)
+        if pred.shape != strain.shape:
+            raise ExternalModelError(
+                f"rotation indices {lo}-{lo + len(rs) - 1}: "
+                f"model returned shape {pred.shape}, expected {strain.shape}"
+            )
+        # R^T S R written as the forward contraction of R^T: the same products
+        # in the same order as inverse_rotate_sym, with contiguous operands
+        rts = np.ascontiguousarray(rs.transpose(0, 2, 1))
+        yield lo, from_matrix(np.einsum("pij,ptjk,plk->ptil", rts, to_matrix(pred), rts, optimize=False))
+
+
+def augment(model, inp: ModelInput, rotations) -> np.ndarray:
+    """Back-rotated predictions for every rotated copy of ``inp``, shape ``(P, T, 6)``.
+
+    The rows of :func:`augment_chunks` gathered into one array.
+    """
+    out = np.empty((len(rotations),) + inp.strain.shape)
+    for lo, block in augment_chunks(model, inp, rotations):
+        out[lo:lo + len(block)] = block
+    return out
 
 
 def run_tta(model, inp: ModelInput, cfg: TTAConfig) -> TTAResult:
     """Full augmented-inference pass for one input.
 
-    Builds the rotation list from ``cfg.seed``, predicts on every rotated
-    input, back-rotates, and fills a :class:`TTAResult`.  Predictions are
-    stored in rotation-index order.  External-model failures are re-raised
-    annotated with the offending rotation index.
+    Builds the rotation list from ``cfg.seed``, runs :func:`augment` over
+    it, and fills a :class:`TTAResult`.  Predictions are stored in
+    rotation-index order.  External-model failures are re-raised annotated
+    with the offending row of ``rotations``.
     """
-    inp.validate()
     rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     if not cfg.include_identity:
         rotations = rotations[1:]
 
-    backrotated = np.empty((rotations.shape[0], inp.n_steps, 6))
-    for i, r in enumerate(rotations):
-        try:
-            out = predict(model, rotate_input(inp, r))
-        except ExternalModelError as exc:
-            index = i if cfg.include_identity else i + 1
-            raise ExternalModelError(f"rotation index {index}: {exc}") from exc
-        backrotated[i] = inverse_rotate_sym(out, r)
+    backrotated = augment(model, inp, rotations)
 
     aggregated = aggregate_mean(backrotated, cfg.divisor_mode)
     vm_individual = von_mises(backrotated)
@@ -196,7 +236,7 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig) -> TTAResult:
     if backrotated.shape[0] >= 2:
         include_first = cfg.sd_include_identity or not cfg.include_identity
         sd = pointwise_sd(backrotated, aggregated, include_first=include_first)
-        vm_sd = von_mises_sd(vm_individual, vm_aggregated, include_first=include_first)
+        vm_sd = pointwise_sd(vm_individual, vm_aggregated, include_first=include_first)
     else:
         sd = np.zeros_like(aggregated)
         vm_sd = np.zeros_like(vm_aggregated)

@@ -12,6 +12,7 @@ answers one JSON line per request.  MODE selects the behavior:
   badid    answer with a wrong request id
   silent   read requests but never answer (forces a timeout)
   quit     exit immediately without reading anything
+  once     answer the first request like echo, then exit
 """
 
 import json
@@ -41,6 +42,8 @@ def main():
         else:
             sys.stdout.write(json.dumps(resp) + "\n")
         sys.stdout.flush()
+        if mode == "once":
+            return
 
 
 if __name__ == "__main__":

@@ -149,6 +149,18 @@ def test_failing_external_model_is_external_error(dataset_path, tmp_path, capsys
     assert "sample rve-0000" in err
 
 
+def test_external_model_that_dies_is_external_error(dataset_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--dataset", dataset_path, "--out", str(out),
+                 "--model", f"external:{sys.executable} {FIXTURE} once",
+                 "--rotations", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "external model error" in err
+    assert "sample rve-0000: rotation index 1" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_grid_is_usage_error(dataset_path, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--dataset", dataset_path, "--out", str(tmp_path / "out"),

@@ -18,7 +18,9 @@ from rotta.experiment import (
     run_sweep,
     sha256_file,
 )
-from rotta.rotations import RotationStream
+from rotta.metrics import evaluate_dataset
+from rotta.rotations import RotationStream, rotation_list
+from rotta.spheremap import project_rotations, seeds_csv
 
 RUN_FILES = (
     "metrics.json",
@@ -125,6 +127,25 @@ def test_run_sphere_map_standalone(dataset_path, tmp_path):
     run_sphere_map(cfg)
     names = sorted(p.name for p in (tmp_path / "out").iterdir())
     assert names == ["manifest.json", "map.svg", "map_seeds.csv"]
+
+
+def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
+    cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=9, grid=(40, 20))
+    fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    samples, results = experiment.compute_results(cfg)
+    for res in results:
+        assert np.array_equal(res.rotations, fresh)
+
+    # the map reuses the results' list: no draw of its own
+    def no_second_draw(*args):
+        raise AssertionError("sphere map drew the rotation list again")
+
+    monkeypatch.setattr(experiment, "rotation_list", no_second_draw)
+    run_sphere_map(cfg)
+    report = evaluate_dataset(np.stack([s.target_stress for s in samples]), results)
+    values = [report.mere_per_rotation[i] for i in range(len(fresh))]
+    expected = seeds_csv(project_rotations(fresh, values, radius=cfg.radius))
+    assert (tmp_path / "out" / "map_seeds.csv").read_text() == expected
 
 
 # ---------------------------------------------------------------- audit

@@ -284,6 +284,18 @@ def test_external_early_exit_rejected():
             predict(model, _sample_input())
 
 
+def test_external_dead_child_is_not_respawned():
+    inp = _sample_input(seed=3, n_steps=4)
+    with ExternalModel(_fixture_cmd("once")) as model:
+        assert_allclose(predict(model, inp), inp.strain, rtol=0, atol=0)
+        child = model._proc
+        child.wait(timeout=10.0)
+        for _ in range(2):
+            with pytest.raises(ExternalModelError, match="exit status 0"):
+                predict(model, inp)
+        assert model._proc is child
+
+
 def test_external_timeout():
     with ExternalModel(_fixture_cmd("silent"), timeout=0.3) as model:
         with pytest.raises(ExternalModelError, match="timed out"):

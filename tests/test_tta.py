@@ -22,7 +22,6 @@ from rotta.tta import (
     pointwise_sd,
     rotate_input,
     run_tta,
-    von_mises_sd,
 )
 from rotta.voigt import trace, von_mises_path
 
@@ -134,7 +133,7 @@ def test_sd_hand_case():
     assert pointwise_sd(p, agg)[0, 0] == 1.0
 
     vm = np.array([[5.0], [1.0], [3.0]])
-    assert von_mises_sd(vm, np.array([2.0]))[0] == 1.0
+    assert pointwise_sd(vm, np.array([2.0]))[0] == 1.0
 
 
 def test_sd_include_first():
@@ -162,16 +161,16 @@ def test_sd_homogeneity():
 def test_vm_sd_nonnegative_and_zero_on_identical():
     rng = np.random.default_rng(2)
     vm = rng.uniform(1.0, 5.0, size=(5, 7))
-    assert np.all(von_mises_sd(vm, vm.mean(axis=0)) >= 0.0)
+    assert np.all(pointwise_sd(vm, vm.mean(axis=0)) >= 0.0)
     same = np.tile(vm[:1], (4, 1))
-    assert np.array_equal(von_mises_sd(same, vm[0]), np.zeros(7))
+    assert np.array_equal(pointwise_sd(same, vm[0]), np.zeros(7))
 
 
 def test_sd_needs_two_rows():
     with pytest.raises(ValueError):
         pointwise_sd(np.zeros((1, 2, 6)), np.zeros((2, 6)))
     with pytest.raises(ValueError):
-        von_mises_sd(np.zeros((1, 4)), np.zeros(4))
+        pointwise_sd(np.zeros((1, 4)), np.zeros(4))
 
 
 # ------------------------------------------------------------------ engine
