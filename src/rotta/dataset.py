@@ -172,23 +172,24 @@ def load_dataset(path):
     return samples
 
 
-def _num(value):
+def format_float(value):
+    """Shortest text that round-trips to the same float64: the number format of every artifact."""
     return repr(float(value))
 
 
 def _sample_json(sample: Sample):
     parts = [
         f'"id": {json.dumps(sample.id)}',
-        '"a": [' + ", ".join(_num(v) for v in sample.a) + "]",
-        f'"vf": {_num(sample.vf)}',
+        '"a": [' + ", ".join(format_float(v) for v in sample.a) + "]",
+        f'"vf": {format_float(sample.vf)}',
         '"eps": [' + ", ".join(
-            "[" + ", ".join(_num(v) for v in row) + "]" for row in sample.strain
+            "[" + ", ".join(format_float(v) for v in row) + "]" for row in sample.strain
         ) + "]",
     ]
     if sample.target_stress is not None:
         parts.append(
             '"sigma": [' + ", ".join(
-                "[" + ", ".join(_num(v) for v in row) + "]" for row in sample.target_stress
+                "[" + ", ".join(format_float(v) for v in row) + "]" for row in sample.target_stress
             ) + "]"
         )
     return "{" + ", ".join(parts) + "}"

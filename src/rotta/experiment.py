@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import InvariantViolation, load_dataset
+from .dataset import InvariantViolation, format_float, load_dataset
 from .metrics import (
     DEFAULT_BIN_WIDTH,
     MetricsReport,
@@ -160,13 +159,6 @@ def sha256_file(path):
     return digest.hexdigest()
 
 
-def _num(value):
-    value = float(value)
-    if math.isnan(value):
-        return "nan"
-    return repr(value)
-
-
 class _OutputWriter:
     """Deterministic single-writer for an output directory.
 
@@ -192,7 +184,7 @@ class _OutputWriter:
     def write_csv(self, name, header, rows):
         lines = [header]
         for row in rows:
-            lines.append(",".join(_num(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v) for v in row))
+            lines.append(",".join(format_float(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v) for v in row))
         return self.write_text(name, "\n".join(lines) + "\n")
 
     def cleanup(self):
@@ -246,19 +238,20 @@ def _tta_config(cfg: ExperimentConfig):
 def compute_results(cfg: ExperimentConfig, samples=None):
     """Run augmented inference for every sample; returns (samples, results).
 
-    The same rotation seed is used for every sample, so rotation index i
-    refers to one common rotation across the dataset (a requirement for
-    per-rotation error maps).
+    The rotation list is drawn once and shared by every sample, so rotation
+    index i refers to one common rotation across the dataset (a requirement
+    for per-rotation error maps).
     """
     if samples is None:
         samples = _load_evaluable(cfg)
     model = build_model(cfg)
     tta_cfg = _tta_config(cfg)
+    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     results = []
     try:
         for sample in samples:
             try:
-                results.append(run_tta(model, sample.model_input(), tta_cfg))
+                results.append(run_tta(model, sample.model_input(), tta_cfg, rotations))
             except ExternalModelError as exc:
                 raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
     finally:
@@ -286,11 +279,11 @@ def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: Met
         parts = [f'"id": {json.dumps(sample.id)}']
         for key in ("sigma_tta", "sd"):
             rows = ", ".join(
-                "[" + ", ".join(_num(v) for v in row) + "]" for row in record[key]
+                "[" + ", ".join(format_float(v) for v in row) + "]" for row in record[key]
             )
             parts.append(f'"{key}": [{rows}]')
         for key in ("vm_tta", "vm_sd"):
-            parts.append(f'"{key}": [' + ", ".join(_num(v) for v in record[key]) + "]")
+            parts.append(f'"{key}": [' + ", ".join(format_float(v) for v in record[key]) + "]")
         lines.append("{" + ", ".join(parts) + "}")
     writer.write_text("aggregated.ndjson", "\n".join(lines) + "\n")
 

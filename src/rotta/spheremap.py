@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import format_float
+
 DEFAULT_RADIUS = 2.0
 DEFAULT_GRID = (720, 360)
 THETA_TOL = 1e-12
@@ -25,6 +27,11 @@ MAX_NEWTON = 50
 _POLE_EPS = 1e-9
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
+
+# Cells x seeds per block of the nearest-seed search: bounds the distance
+# table (two float64 buffers of this size), which would otherwise set the
+# peak memory of a map.
+_RASTER_CHUNK_ELEMENTS = 1 << 16
 
 
 class NonConvergence(RuntimeError):
@@ -132,18 +139,32 @@ def mollweide_project(lat, lon, radius=DEFAULT_RADIUS):
 
 
 def project_rotations(rotations, values, radius=DEFAULT_RADIUS):
-    """Projected seeds of a rotation list with one value per rotation."""
+    """Projected seeds of an (N, 3, 3) rotation stack with one value per rotation.
+
+    Each seed has the bits of projecting its rotation alone: directions come
+    from the batched product ``rotations @ [0, 0, 1]`` (a column slice can
+    flip the sign of a zero, which atan2 turns from pi into -pi), and norms,
+    latitudes and longitudes from the scalar ``np.linalg.norm``, ``math.asin``
+    and ``math.atan2`` (their array forms differ in the last bits on some CPUs).
+    """
     rotations = np.asarray(rotations, dtype=float)
     values = np.asarray(values, dtype=float)
-    if rotations.shape[0] != values.shape[0]:
+    if rotations.ndim != 3 or rotations.shape[1:] != (3, 3):
+        raise ValueError(f"expected rotations of shape (N, 3, 3), got {rotations.shape}")
+    if values.shape != rotations.shape[:1]:
         raise ValueError("one value per rotation required")
-    seeds = []
-    for r, v in zip(rotations, values):
-        point = rotation_to_sphere(r, v)
-        lat, lon = cart_to_latlon(point.xyz)
-        x, y = mollweide_project(lat, lon, radius)
-        seeds.append(ProjectedPoint(x=x, y=y, value=float(v)))
-    return seeds
+    xyz = rotations @ _Z_AXIS
+    norms = np.array([np.linalg.norm(v) for v in xyz])
+    if np.any(norms == 0.0):
+        raise ValueError("zero vector has no direction")
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-12))
+    if off.size:
+        raise ValueError(f"rotation {off[0]} does not send +z to a unit vector, |v| = {norms[off[0]]}")
+    lat = np.array(list(map(math.asin, np.clip(xyz[:, 2] / norms, -1.0, 1.0).tolist())))
+    lon = np.array(list(map(math.atan2, xyz[:, 1].tolist(), xyz[:, 0].tolist())))
+    lon[(xyz[:, 0] == 0.0) & (xyz[:, 1] == 0.0)] = 0.0
+    x, y = mollweide_project(lat, lon, radius)
+    return [ProjectedPoint(*p) for p in zip(x.tolist(), y.tolist(), values.tolist())]
 
 
 @dataclass(frozen=True)
@@ -167,7 +188,7 @@ def _cell_centers(n, lo, hi):
     return lo + (np.arange(n) + 0.5) * step
 
 
-def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS, method="bruteforce"):
+def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
     """Fill the projection ellipse with the value of the nearest seed.
 
     Parameters
@@ -175,11 +196,9 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS, method="b
     seeds : sequence of ProjectedPoint
     grid : (width, height)
         Cell counts across the ellipse's bounding box.
-    method : {"bruteforce", "kdtree"}
-        "bruteforce" scans all seeds per cell and breaks exact distance
-        ties toward the lowest seed index.  "kdtree" uses a spatial tree
-        (faster for many seeds) whose tie-breaking on exactly equidistant
-        seeds is unspecified.
+
+    Every cell is compared with every seed; exact distance ties go to the
+    lowest seed index.
     """
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
@@ -200,21 +219,17 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS, method="b
     values = np.full((height, width), np.nan)
     px = gx[inside]
     py = gy[inside]
-    if method == "kdtree":
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(np.column_stack([sx, sy]))
-        _, idx = tree.query(np.column_stack([px, py]))
-    elif method == "bruteforce":
-        idx = np.empty(px.shape[0], dtype=np.intp)
-        # chunked so the (cells x seeds) distance table stays small
-        chunk = max(1, 2_000_000 // max(1, sx.size))
-        for start in range(0, px.shape[0], chunk):
-            stop = start + chunk
-            d2 = (px[start:stop, None] - sx) ** 2 + (py[start:stop, None] - sy) ** 2
-            idx[start:stop] = np.argmin(d2, axis=1)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    idx = np.empty(px.shape[0], dtype=np.intp)
+    chunk = max(1, _RASTER_CHUNK_ELEMENTS // sx.size)
+    d2 = np.empty((min(chunk, px.shape[0]), sx.size))
+    dy2 = np.empty_like(d2)
+    for start in range(0, px.shape[0], chunk):
+        stop = min(start + chunk, px.shape[0])
+        d, e = d2[:stop - start], dy2[:stop - start]
+        # d2 = (px - sx)**2 + (py - sy)**2, computed in place
+        np.square(np.subtract(px[start:stop, None], sx, out=d), out=d)
+        np.square(np.subtract(py[start:stop, None], sy, out=e), out=e)
+        idx[start:stop] = np.argmin(np.add(d, e, out=d), axis=1)
     values[inside] = sv[idx]
     return RasterMap(values=values, inside=inside, x_centers=xc, y_centers=yc, radius=radius)
 
@@ -273,37 +288,32 @@ def _colormap_rgb(name, t):
     return table[lo] * (1.0 - frac) + table[hi] * frac
 
 
-def _hex_color(rgb):
-    r, g, b = (int(round(255 * c)) for c in rgb)
-    return f"#{r:02x}{g:02x}{b:02x}"
+def _rgb_codes(name, t):
+    """Colors of ``t`` as packed 0xRRGGBB ints (``np.rint`` rounds half to even, as ``round`` does)."""
+    q = np.rint(255 * _colormap_rgb(name, t)).astype(np.int64)
+    return (q[..., 0] << 16) | (q[..., 1] << 8) | q[..., 2]
 
 
-def _format_float(v):
-    return repr(float(v))
+def _svg_rows(codes, cell, x0, y0):
+    """One merged <rect> per run of equal-colored inside cells per row.
 
-
-def _svg_rows(raster, colors_hex, cell, x0, y0):
-    """One merged <rect> per run of equal-colored inside cells per row."""
-    height, width = raster.values.shape
-    parts = []
-    for row in range(height):
-        # SVG y grows downward; raster row 0 is the lowest y
-        top = y0 + (height - 1 - row) * cell
-        col = 0
-        while col < width:
-            if not raster.inside[row, col]:
-                col += 1
-                continue
-            color = colors_hex[row][col]
-            run = col
-            while run < width and raster.inside[row, run] and colors_hex[row][run] == color:
-                run += 1
-            parts.append(
-                f'<rect x="{x0 + col * cell}" y="{top}" width="{(run - col) * cell}" '
-                f'height="{cell}" fill="{color}"/>'
-            )
-            col = run
-    return parts
+    ``codes`` holds the packed color of every cell and -1 outside the ellipse.
+    """
+    height, width = codes.shape
+    change = np.ones(codes.shape, dtype=bool)
+    change[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    starts = np.flatnonzero(change)
+    # every row opens with a run, so a run ends where the next one starts
+    lengths = np.diff(starts, append=codes.size)
+    colors = codes.ravel()[starts]
+    keep = colors >= 0
+    rows, cols = np.divmod(starts[keep], width)
+    # SVG y grows downward; raster row 0 is the lowest y
+    tops = y0 + (height - 1 - rows) * cell
+    return [
+        f'<rect x="{x0 + col * cell}" y="{top}" width="{n * cell}" height="{cell}" fill="#{c:06x}"/>'
+        for col, top, n, c in zip(cols.tolist(), tops.tolist(), lengths[keep].tolist(), colors[keep].tolist())
+    ]
 
 
 def render_svg(raster, seeds, colormap="viridis", title=None):
@@ -328,10 +338,7 @@ def render_svg(raster, seeds, colormap="viridis", title=None):
     vmax = float(np.nanmax(raster.values))
     span = vmax - vmin
     norm = np.zeros_like(raster.values) if span == 0.0 else (raster.values - vmin) / span
-    rgb = _colormap_rgb(colormap, np.nan_to_num(norm))
-    colors_hex = [
-        [_hex_color(rgb[row, col]) for col in range(width)] for row in range(height)
-    ]
+    codes = np.where(raster.inside, _rgb_codes(colormap, np.nan_to_num(norm)), -1)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{img_w}" height="{img_h}" '
@@ -343,7 +350,7 @@ def render_svg(raster, seeds, colormap="viridis", title=None):
             f'<text x="{margin}" y="{margin + 12}" font-family="sans-serif" '
             f'font-size="14">{title}</text>'
         )
-    parts.extend(_svg_rows(raster, colors_hex, cell, x0, y0))
+    parts.extend(_svg_rows(codes, cell, x0, y0))
 
     # ellipse outline marks the map boundary; everything beyond it is empty
     cx = x0 + width * cell / 2
@@ -356,13 +363,12 @@ def render_svg(raster, seeds, colormap="viridis", title=None):
     bar_x = x0 + width * cell + bar_gap
     bar_h = height * cell
     n_slices = 64
-    for i in range(n_slices):
-        t = (i + 0.5) / n_slices
-        color = _hex_color(_colormap_rgb(colormap, t))
+    bar_codes = _rgb_codes(colormap, (np.arange(n_slices) + 0.5) / n_slices).tolist()
+    for i, color in enumerate(bar_codes):
         slice_h = bar_h / n_slices
         sy = y0 + bar_h - (i + 1) * slice_h
         parts.append(
-            f'<rect x="{bar_x}" y="{sy}" width="{bar_w}" height="{slice_h}" fill="{color}"/>'
+            f'<rect x="{bar_x}" y="{sy}" width="{bar_w}" height="{slice_h}" fill="#{color:06x}"/>'
         )
     parts.append(
         f'<rect x="{bar_x}" y="{y0}" width="{bar_w}" height="{bar_h}" '
@@ -382,7 +388,7 @@ def seeds_csv(seeds):
     """CSV text of the projected seeds, header ``x,y,mere``."""
     lines = ["x,y,mere"]
     for s in seeds:
-        lines.append(f"{_format_float(s.x)},{_format_float(s.y)},{_format_float(s.value)}")
+        lines.append(f"{format_float(s.x)},{format_float(s.y)},{format_float(s.value)}")
     return "\n".join(lines) + "\n"
 
 

@@ -215,15 +215,21 @@ def augment(model, inp: ModelInput, rotations) -> np.ndarray:
     return out
 
 
-def run_tta(model, inp: ModelInput, cfg: TTAConfig) -> TTAResult:
+def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult:
     """Full augmented-inference pass for one input.
 
-    Builds the rotation list from ``cfg.seed``, runs :func:`augment` over
-    it, and fills a :class:`TTAResult`.  Predictions are stored in
-    rotation-index order.  External-model failures are re-raised annotated
-    with the offending row of ``rotations``.
+    Runs :func:`augment` over ``rotations``, the rotation list of ``cfg``
+    (drawn from ``cfg.seed`` when not given), and fills a :class:`TTAResult`.
+    Predictions are stored in rotation-index order.  External-model
+    failures are re-raised annotated with the offending row of
+    ``rotations``.
     """
-    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    if rotations is None:
+        rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    elif np.shape(rotations) != (cfg.n_rotations + 1, 3, 3):
+        raise ValueError(
+            f"expected the {cfg.n_rotations + 1} rotations of the config, got shape {np.shape(rotations)}"
+        )
     if not cfg.include_identity:
         rotations = rotations[1:]
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -91,6 +92,35 @@ def test_sphere_map(dataset_path, tmp_path, capsys):
     assert "manifest:" in capsys.readouterr().out
     assert (out / "map.svg").is_file()
     assert (out / "map_seeds.csv").is_file()
+
+
+# sha256 of `rotta sphere-map` artifacts on a fixed input (2 samples x 10
+# steps, noisy model, N=40, 90x45 grid), recorded from the per-point
+# projection and per-cell renderer that the array code replaced.
+GOLDEN_DATASET = "3de9974d885ac7b8592de059fe567e9911f57b2704f98bf27771073ea6d62cc2"
+GOLDEN_SEEDS_CSV = "559a4bbf4fc09bc44a8a043b9f094f53ea4d9cc67f3075413707f3658af3371c"
+GOLDEN_SVG = {
+    "viridis": "26baec7af4133cafbea7ed3d89a3be8420d7db454dad53b8c0f4c7292d0d6512",
+    "gray": "9ef8dd751cd25251c701a1fe4c0ad2b6829cb2289a93b7550d5bd44f4d9e8cc8",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("colormap", sorted(GOLDEN_SVG))
+def test_sphere_map_golden_digests(tmp_path, colormap):
+    data = tmp_path / "golden.ndjson"
+    assert main(["generate", "--dataset", str(data), "--seed", "0",
+                 "--samples", "2", "--steps", "10"]) == 0
+    assert _sha256(data) == GOLDEN_DATASET
+    out = tmp_path / "map"
+    assert main(["sphere-map", "--dataset", str(data), "--out", str(out),
+                 "--rotations", "40", "--model", "noisy", "--noise-amp", "50",
+                 "--grid", "90x45", "--colormap", colormap]) == 0
+    assert _sha256(out / "map_seeds.csv") == GOLDEN_SEEDS_CSV
+    assert _sha256(out / "map.svg") == GOLDEN_SVG[colormap]
 
 
 def test_repeats(dataset_path, tmp_path, capsys):

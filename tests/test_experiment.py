@@ -7,6 +7,7 @@ import pytest
 from dataclasses import replace
 
 import rotta.experiment as experiment
+import rotta.tta as tta
 from rotta.dataset import InvariantViolation, generate_synthetic, save_dataset
 from rotta.experiment import (
     ConfigError,
@@ -129,6 +130,29 @@ def test_run_sphere_map_standalone(dataset_path, tmp_path):
     assert names == ["manifest.json", "map.svg", "map_seeds.csv"]
 
 
+def _count_draws(monkeypatch):
+    """Route both lookup sites of ``rotation_list`` through one counter."""
+    draws = []
+
+    def counted(stream, n):
+        draws.append(n)
+        return rotation_list(stream, n)
+
+    monkeypatch.setattr(experiment, "rotation_list", counted)
+    monkeypatch.setattr(tta, "rotation_list", counted)
+    return draws
+
+
+def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
+    cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=7)
+    draws = _count_draws(monkeypatch)
+    samples, results = experiment.compute_results(cfg)
+    assert len(samples) == 4 and draws == [7]
+    fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    for res in results:
+        assert res.rotations.tobytes() == fresh.tobytes()
+
+
 def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=9, grid=(40, 20))
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
@@ -136,12 +160,10 @@ def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     for res in results:
         assert np.array_equal(res.rotations, fresh)
 
-    # the map reuses the results' list: no draw of its own
-    def no_second_draw(*args):
-        raise AssertionError("sphere map drew the rotation list again")
-
-    monkeypatch.setattr(experiment, "rotation_list", no_second_draw)
+    # the map reuses the results' list: the run draws it once, for the results
+    draws = _count_draws(monkeypatch)
     run_sphere_map(cfg)
+    assert draws == [cfg.n_rotations]
     report = evaluate_dataset(np.stack([s.target_stress for s in samples]), results)
     values = [report.mere_per_rotation[i] for i in range(len(fresh))]
     expected = seeds_csv(project_rotations(fresh, values, radius=cfg.radius))

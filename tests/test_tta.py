@@ -13,7 +13,7 @@ from rotta.models import (
     NoisyOracle,
     OracleParams,
 )
-from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotation
+from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor, sample_rotation
 from rotta.tta import (
     EmptyInput,
     TTAConfig,
@@ -255,6 +255,18 @@ def test_external_error_is_annotated_with_rotation_index():
 
     with pytest.raises(ExternalModelError, match="rotation index 2"):
         run_tta(Flaky(), _sample_input(), TTAConfig(n_rotations=5, seed=2))
+
+
+def test_given_rotation_list_matches_own_draw():
+    inp = _sample_input(seed=4)
+    cfg = TTAConfig(n_rotations=6, seed=11)
+    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    given = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), inp, cfg, rotations)
+    own = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), inp, cfg)
+    assert given.predictions.tobytes() == own.predictions.tobytes()
+    assert given.rotations.tobytes() == own.rotations.tobytes()
+    with pytest.raises(ValueError, match="7 rotations"):
+        run_tta(EquivariantOracle(), inp, cfg, rotations[:-1])
 
 
 def test_rejects_invalid_input():
