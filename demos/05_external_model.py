@@ -37,9 +37,10 @@ with tempfile.TemporaryDirectory() as work:
     with open(stub_path, "w", encoding="utf-8") as fh:
         fh.write(STUB)
 
-    # The adapter spawns the process on first use, writes requests with
-    # fresh ids, and validates id echo, shape, and finiteness of every
-    # response.  Closing terminates the child.
+    # The adapter spawns the process on first use and pipelines the
+    # rotated copies: it writes one request per rotation with a fresh id
+    # while it reads the answers, matches each answer to its request by id,
+    # and validates its shape and finiteness.  Closing terminates the child.
     command = [sys.executable, stub_path]
     print("external command:", " ".join(command))
     with ExternalModel(command, timeout=10.0) as model:

@@ -40,7 +40,6 @@ from .models import (
     ModelInput,
     NoisyOracle,
     OracleParams,
-    external_predict,
     predict,
 )
 from .tta import (

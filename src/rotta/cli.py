@@ -91,7 +91,7 @@ def _add_common(parser, out_required=True):
     parser.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
                         help="histogram bin width")
     parser.add_argument("--timeout", type=float, default=30.0,
-                        help="external model response timeout (s)")
+                        help="external model timeout: longest wait without progress (s)")
 
 
 def _add_map_flags(parser):

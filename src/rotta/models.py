@@ -41,7 +41,11 @@ _IDENTITY6 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 class ExternalModelError(RuntimeError):
-    """Protocol violation, bad payload, or timeout from an external model process."""
+    """Failure of an external model process; ``row`` is the batch row it concerns, or None."""
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -236,9 +240,11 @@ class ExternalModelConfig:
 
         {"id": <u64>, "sigma": [[6 floats] x T]}
 
-    Component order is [11, 22, 33, 12, 13, 23] with tensor (not engineering)
-    shear values.  Process exit, a malformed line, an id/shape mismatch, or
-    non-finite values raise :class:`ExternalModelError`.
+    Several requests may be in flight at once; responses are matched to
+    requests by id, in any order.  Component order is [11, 22, 33, 12, 13, 23]
+    with tensor (not engineering) shear values.  Process exit, a malformed
+    line, a non-object, an unknown id, a shape mismatch, non-finite values,
+    or ``timeout`` seconds without progress raise :class:`ExternalModelError`.
     """
 
     command: list = field(default_factory=list)
@@ -248,10 +254,10 @@ class ExternalModelConfig:
 class ExternalModel:
     """Line-protocol client for an external predictor subprocess.
 
-    One request is in flight at a time.  Usable as a context manager; the
-    subprocess is spawned lazily on first prediction and terminated by
-    :meth:`close`.  A subprocess that exits before :meth:`close` is not
-    restarted: the next prediction raises :class:`ExternalModelError`.
+    :meth:`predict_batch` pipelines one request per row.  Usable as a context
+    manager; the subprocess is spawned lazily on first prediction and
+    terminated by :meth:`close`.  A subprocess that exits before :meth:`close`
+    is not restarted: the next prediction raises :class:`ExternalModelError`.
     """
 
     def __init__(self, command, timeout=30.0):
@@ -273,7 +279,7 @@ class ExternalModel:
             code = self._proc.poll()
             if code is None:
                 return
-            raise ExternalModelError(f"external model exited (exit status {code})")
+            raise ExternalModelError(f"external model exited (exit status {code})", 0)
         try:
             self._proc = subprocess.Popen(
                 self.config.command,
@@ -282,8 +288,9 @@ class ExternalModel:
                 bufsize=0,
             )
         except OSError as exc:
-            raise ExternalModelError(f"cannot start external model {self.config.command}: {exc}") from exc
+            raise ExternalModelError(f"cannot start external model {self.config.command}: {exc}", 0) from exc
         self._buffer = b""
+        os.set_blocking(self._proc.stdin.fileno(), False)
         os.set_blocking(self._proc.stdout.fileno(), False)
 
     def close(self):
@@ -298,68 +305,76 @@ class ExternalModel:
             self._proc.kill()
         self._proc = None
 
-    def _read_line(self, deadline):
-        """Accumulate stdout until a full line; tolerant of fragmented writes."""
-        fd = self._proc.stdout.fileno()
-        while b"\n" not in self._buffer:
+    def predict(self, inp: ModelInput):
+        return self.predict_batch(inp.a[None], inp.vf, inp.strain[None])[0]
+
+    def predict_batch(self, a, vf, strain):
+        """Stress paths ``(P, T, 6)`` for ``a (P, 6)`` and ``strain (P, T, 6)``: one request per row.
+
+        Requests are encoded one at a time while responses are read, both
+        pipes driven by one ``select`` loop, so neither a full pipe nor a
+        child that stops reading can block the parent; ``timeout`` seconds
+        without progress raise.  Responses are matched to rows by id.  Every
+        failure carries the row it concerns: the row of the response's id,
+        else the first row still unanswered.
+        """
+        self._ensure_started()
+        base, n_rows = self._next_id, len(strain)
+        self._next_id += n_rows
+        out = np.empty(np.shape(strain))
+        waiting, sent, payload = {}, 0, b""  # unanswered id -> row; rows encoded; unwritten bytes
+        wfd, rfd = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+        deadline = time.monotonic() + self.config.timeout
+        while waiting or sent < n_rows:
+            first = min(waiting.values(), default=sent)
+            if not payload and sent < n_rows and wfd is not None:
+                request = {"id": base + sent, "a": a[sent].tolist(), "vf": float(vf), "eps": strain[sent].tolist()}
+                payload = memoryview((json.dumps(request) + "\n").encode())
+                waiting[base + sent] = sent
+                sent += 1
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise ExternalModelError(
-                    f"external model timed out after {self.config.timeout:.1f} s"
-                )
-            ready, _, _ = select.select([fd], [], [], remaining)
-            if not ready:
-                continue
-            chunk = os.read(fd, 1 << 16)
-            if chunk == b"":
-                code = self._proc.poll()
-                raise ExternalModelError(
-                    f"external model closed its output (exit status {code})"
-                )
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
-        return line
+                raise ExternalModelError(f"external model timed out after {self.config.timeout:.1f} s", first)
+            readable, writable, _ = select.select([rfd], [wfd] if payload else [], [], remaining)
+            if writable:
+                try:
+                    payload = payload[os.write(wfd, payload):]
+                    deadline = time.monotonic() + self.config.timeout
+                except BlockingIOError:
+                    pass
+                except OSError:  # the child closed its input: collect what it answered, then its exit
+                    payload, wfd = b"", None
+            if readable:
+                chunk = os.read(rfd, 1 << 16)
+                if not chunk:
+                    status = self._proc.poll()
+                    raise ExternalModelError(f"external model closed its output (exit status {status})", first)
+                *lines, self._buffer = (self._buffer + chunk).split(b"\n")
+                for line in lines:
+                    del waiting[self._store(line, waiting, out, min(waiting.values(), default=sent))]
+                deadline = time.monotonic() + self.config.timeout
+        return out
 
-    def predict(self, inp: ModelInput):
-        self._ensure_started()
-        req_id = self._next_id
-        self._next_id += 1
-        request = {
-            "id": req_id,
-            "a": inp.a.tolist(),
-            "vf": float(inp.vf),
-            "eps": inp.strain.tolist(),
-        }
-        payload = (json.dumps(request) + "\n").encode()
-        try:
-            self._proc.stdin.write(payload)
-            self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
-            raise ExternalModelError(f"external model pipe closed: {exc}") from exc
-
-        line = self._read_line(time.monotonic() + self.config.timeout)
+    @staticmethod
+    def _store(line, waiting, out, first):
+        """Check one response line, put its ``sigma`` into the row of ``out`` its id names; return the id."""
         try:
             response = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ExternalModelError(f"malformed response line: {line[:200]!r}") from exc
-        if not isinstance(response, dict) or response.get("id") != req_id:
-            raise ExternalModelError(
-                f"response id {response.get('id')!r} does not match request id {req_id}"
-            )
+        except ValueError as exc:
+            raise ExternalModelError(f"malformed response line: {line[:200]!r}", first) from exc
+        if not isinstance(response, dict):
+            raise ExternalModelError(f"response is not a JSON object: {line[:200]!r}", first)
+        rid = response.get("id")
+        row = waiting.get(rid) if isinstance(rid, (int, float)) else None
+        if row is None:
+            raise ExternalModelError(f"response id {rid!r} matches no outstanding request", first)
         try:
             sigma = np.asarray(response["sigma"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:
-            raise ExternalModelError(f"response lacks a numeric 'sigma' field: {exc}") from exc
-        if sigma.shape != inp.strain.shape:
-            raise ExternalModelError(
-                f"external model returned {sigma.shape}, expected {inp.strain.shape}"
-            )
+            raise ExternalModelError(f"response lacks a numeric 'sigma' field: {exc}", row) from exc
+        if sigma.shape != out.shape[1:]:
+            raise ExternalModelError(f"external model returned {sigma.shape}, expected {out.shape[1:]}", row)
         if not np.all(np.isfinite(sigma)):
-            raise ExternalModelError("external model returned non-finite stress values")
-        return sigma
-
-
-def external_predict(config: ExternalModelConfig, inp: ModelInput):
-    """One-shot prediction through a fresh external process (convenience wrapper)."""
-    with ExternalModel(config.command, timeout=config.timeout) as model:
-        return predict(model, inp)
+            raise ExternalModelError("external model returned non-finite stress values", row)
+        out[row] = sigma
+        return rid

@@ -163,14 +163,15 @@ def augment_chunks(model, inp: ModelInput, rotations):
     """Yield ``(lo, block)`` in index order: rows ``lo..lo+len(block)-1`` of :func:`augment`.
 
     Row ``i`` is the prediction on ``inp`` rotated by ``rotations[i]``,
-    rotated back.  A model with ``predict_batch`` is called once per chunk of
-    rotations, each chunk rotated and back-rotated in one einsum; any other
-    model once per rotation, in blocks of one row.  Rows have the same bits
-    either way, for any chunk size: ``optimize=False`` keeps the per-rotation
-    contraction order (an optimized one differs in the last bits, which the
-    noise hash sees).  Non-finite rotated inputs raise ``ValueError``; a
-    wrong output shape and external-model failures raise
-    :class:`ExternalModelError` naming the rows.
+    rotated back.  A model with ``predict_batch`` (the oracles, external
+    processes) is called once per chunk of rotations, each chunk rotated and
+    back-rotated in one einsum; any other model once per rotation, in blocks
+    of one row.  Rows have the same bits either way, for any chunk size:
+    ``optimize=False`` keeps the per-rotation contraction order (an optimized
+    one differs in the last bits, which the noise hash sees).  Non-finite
+    rotated inputs raise ``ValueError``; a wrong output shape and
+    external-model failures raise :class:`ExternalModelError` naming the
+    rows (the row an error carries, if it carries one).
     """
     inp.validate()
     rotations = np.asarray(rotations, dtype=float)
@@ -192,7 +193,12 @@ def augment_chunks(model, inp: ModelInput, rotations):
         strain = from_matrix(np.einsum("pij,tjk,plk->ptil", rs, eps_m, rs, optimize=False))
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(strain))):
             raise ValueError("model input contains non-finite values")
-        pred = np.asarray(predict_batch(a, inp.vf, strain), dtype=float)
+        try:
+            pred = np.asarray(predict_batch(a, inp.vf, strain), dtype=float)
+        except ExternalModelError as exc:
+            if exc.row is None:
+                raise
+            raise ExternalModelError(f"rotation index {lo + exc.row}: {exc}") from exc
         if pred.shape != strain.shape:
             raise ExternalModelError(
                 f"rotation indices {lo}-{lo + len(rs) - 1}: "

@@ -6,6 +6,8 @@ any prefix of the rotation list: the noisy oracle hashes its quantized
 working-frame inputs, so a change in the last bits changes the noise.
 """
 
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,10 +16,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotta import tta
-from rotta.models import EquivariantOracle, ExternalModelError, ModelInput, NoisyOracle, OracleParams, predict
+from rotta.models import (
+    EquivariantOracle,
+    ExternalModel,
+    ExternalModelError,
+    ModelInput,
+    NoisyOracle,
+    OracleParams,
+    predict,
+)
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
 from rotta.tta import augment, rotate_input
 from rotta.voigt import from_matrix, inverse_rotate_sym, rotate_sym, to_matrix
+
+FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 
 
 def _input(seed, n_steps, scale):
@@ -147,3 +159,44 @@ def test_contraction_order_is_pinned():
     assert not np.array_equal(optimized, per_rotation)
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=9))
     assert np.array_equal(augment(model, inp, rotations), _loop(model, inp, rotations))
+
+
+# --------------------------------------------------- external processes
+
+
+@pytest.fixture(scope="module")
+def echo_process():
+    with ExternalModel([sys.executable, FIXTURE, "echo"], timeout=20.0) as model:
+        yield model
+
+
+@pytest.mark.parametrize("n, n_steps", [(0, 1), (9, 7), (15, 100), (16, 100), (40, 100), (5, 333), (2, 1700)])
+def test_external_model_batches_match_the_per_rotation_loop(echo_process, n, n_steps):
+    # the echo child returns its input's exact bits, so any difference
+    # would come from the kernel's rotations or from row matching
+    inp = _input(n + n_steps, n_steps, 0.02)
+    rotations = rotation_list(RotationStream(n_steps), n)
+    sent = echo_process._next_id
+    out = augment(echo_process, inp, rotations)
+    assert echo_process._next_id - sent == n + 1
+    assert np.array_equal(out, _loop(echo_process, inp, rotations))
+
+
+@pytest.mark.parametrize("mode, message", [
+    ("badid", r"response id \d+ matches no outstanding request"),
+    ("nan", "external model returned non-finite stress values"),
+    ("short", r"external model returned \(99, 6\), expected \(100, 6\)"),
+    ("badjson", "malformed response line"),
+    ("list", "response is not a JSON object"),
+    ("exit", "external model closed its output"),
+])
+@pytest.mark.parametrize("k", [5, 20])
+def test_external_error_names_its_rotation_index(mode, message, k):
+    # 16 rotations per chunk at T=100: k=5 fails inside the first chunk,
+    # k=20 inside the second
+    inp = _input(11, 100, 0.02)
+    rotations = rotation_list(RotationStream(12), 30)
+    with ExternalModel([sys.executable, FIXTURE, mode, str(k)], timeout=10.0) as model:
+        with pytest.raises(ExternalModelError, match=rf"^rotation index {k}: {message}") as err:
+            augment(model, inp, rotations)
+    assert err.value.row is None

@@ -191,6 +191,18 @@ def test_external_model_that_dies_is_external_error(dataset_path, tmp_path, caps
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_external_non_object_response_is_external_error(dataset_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run", "--dataset", dataset_path, "--out", str(out),
+                 "--model", f"external:{sys.executable} {FIXTURE} list",
+                 "--rotations", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "sample rve-0000: rotation index 0: response is not a JSON object" in err
+    assert "Traceback" not in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_bad_grid_is_usage_error(dataset_path, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["run", "--dataset", dataset_path, "--out", str(tmp_path / "out"),

@@ -1,7 +1,9 @@
 """Tests of the analytic oracles, the frame-noise perturbation, and the
 external line-protocol adapter."""
 
+import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -11,12 +13,10 @@ from numpy.testing import assert_allclose
 from rotta.models import (
     EquivariantOracle,
     ExternalModel,
-    ExternalModelConfig,
     ExternalModelError,
     ModelInput,
     NoisyOracle,
     OracleParams,
-    external_predict,
     predict,
 )
 from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotation
@@ -25,8 +25,8 @@ from rotta.voigt import rotate_sym, to_matrix, trace, von_mises, von_mises_path
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 
 
-def _fixture_cmd(mode):
-    return [sys.executable, FIXTURE, mode]
+def _fixture_cmd(mode, *args):
+    return [sys.executable, FIXTURE, mode, *map(str, args)]
 
 
 def _sample_input(seed=0, n_steps=6, scale=0.02):
@@ -248,12 +248,6 @@ def test_external_multiple_requests_same_process():
             assert_allclose(predict(model, inp), inp.strain, rtol=0, atol=0)
 
 
-def test_external_one_shot_helper():
-    inp = _sample_input(seed=7, n_steps=3)
-    cfg = ExternalModelConfig(command=_fixture_cmd("echo"), timeout=10.0)
-    assert_allclose(external_predict(cfg, inp), inp.strain, rtol=0, atol=0)
-
-
 def test_external_short_response_rejected():
     with ExternalModel(_fixture_cmd("short")) as model:
         with pytest.raises(ExternalModelError, match="expected"):
@@ -275,6 +269,12 @@ def test_external_malformed_line_rejected():
 def test_external_id_mismatch_rejected():
     with ExternalModel(_fixture_cmd("badid")) as model:
         with pytest.raises(ExternalModelError, match="id"):
+            predict(model, _sample_input())
+
+
+def test_external_non_object_rejected():
+    with ExternalModel(_fixture_cmd("list")) as model:
+        with pytest.raises(ExternalModelError, match=r"not a JSON object: b'\[1, 2\]'"):
             predict(model, _sample_input())
 
 
@@ -315,3 +315,57 @@ def test_external_command_string_is_split():
         assert_allclose(predict(model, inp), inp.strain, rtol=0, atol=0)
     finally:
         model.close()
+
+
+# ---------------------------------------------------- pipelined batches
+
+
+def _batch(n_rows, n_steps, seed=0):
+    s = RotationStream(seed)
+    a = np.stack([sample_orientation_tensor(s) for _ in range(n_rows)])
+    return a, 0.12, 0.02 * s.normals(n_rows * n_steps * 6).reshape(n_rows, n_steps, 6)
+
+
+def test_external_batch_matches_rows_by_id():
+    a, vf, strain = _batch(16, 7, seed=4)
+    with ExternalModel(_fixture_cmd("echo")) as model:
+        assert np.array_equal(model.predict_batch(a, vf, strain), strain)
+        assert np.array_equal(model.predict_batch(a[:3], vf, strain[:3]), strain[:3])
+        assert model._next_id == 19
+
+
+def test_external_batch_out_of_order_with_lines_split_across_writes():
+    # responses arrive out of order, cut mid-line and several to one write
+    a, vf, strain = _batch(16, 9, seed=5)
+    with ExternalModel(_fixture_cmd("split"), timeout=10.0) as model:
+        assert np.array_equal(model.predict_batch(a, vf, strain), strain)
+        assert np.array_equal(model.predict(ModelInput(a[2], vf, strain[2])), strain[2])
+
+
+def test_external_batch_larger_than_the_pipes_does_not_deadlock():
+    # every request and every response exceeds a 64 KiB pipe buffer, so a
+    # client that wrote the whole batch before reading would block forever
+    a, vf, strain = _batch(16, 1500, seed=6)
+    with ExternalModel(_fixture_cmd("echo"), timeout=20.0) as model:
+        start = time.monotonic()
+        out = model.predict_batch(a, vf, strain)
+        assert time.monotonic() - start < 20.0
+    assert len(json.dumps(strain[0].tolist())) > 65536
+    assert np.array_equal(out, strain)
+
+
+def test_external_timeout_covers_writes():
+    # a request far larger than the pipe buffer, to a child that never reads
+    with ExternalModel(_fixture_cmd("deaf"), timeout=0.5) as model:
+        start = time.monotonic()
+        with pytest.raises(ExternalModelError, match="timed out") as err:
+            predict(model, _sample_input(n_steps=5000))
+        assert time.monotonic() - start < 5.0
+    assert err.value.row == 0
+
+
+def test_external_timeout_counts_from_the_last_progress():
+    # 16 answers 0.05 s apart take longer than the timeout, but none is late
+    a, vf, strain = _batch(16, 4, seed=8)
+    with ExternalModel(_fixture_cmd("slow"), timeout=0.4) as model:
+        assert np.array_equal(model.predict_batch(a, vf, strain), strain)
