@@ -12,7 +12,6 @@ from .voigt import (
     VOIGT_PAIRS,
     check_orientation_tensor,
     check_rotation,
-    deviatoric_split,
     from_matrix,
     inverse_rotate_sym,
     rotate_sym,

@@ -35,9 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .voigt import deviatoric_split, to_matrix, from_matrix, trace, von_mises
-
-_IDENTITY6 = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+from .voigt import VOIGT_COLS, VOIGT_INDEX, VOIGT_ROWS, von_mises
 
 
 class ExternalModelError(RuntimeError):
@@ -137,22 +135,35 @@ class EquivariantOracle:
         return self.predict_batch(inp.a, inp.vf, inp.strain)
 
     def predict_batch(self, a, vf, strain):
-        """Stress paths ``(..., T, 6)`` for orientation tensors ``a (..., 6)`` and strain paths ``(..., T, 6)``."""
+        """Stress paths ``(..., T, 6)`` for orientation tensors ``a (..., 6)`` and strain paths ``(..., T, 6)``.
+
+        Works on the six stored components with the bits of the full-matrix
+        form: ``a.eps`` and ``eps.a`` are summed from +0.0 in j order, as in
+        einsum, and ``x * I`` is ``x`` on the diagonal and ``x * 0.0`` off it.
+        """
         p = self.params
-        eps_m = to_matrix(strain)  # (..., T, 3, 3)
-        a_m = to_matrix(a)[..., None, :, :]  # broadcast over steps
-        coupling = np.einsum("...ij,...jk->...ik", a_m, eps_m) + np.einsum("...ij,...jk->...ik", eps_m, a_m)
-        tr_eps = trace(strain)
-        s_m = (
-            p.lam * tr_eps[..., None, None] * np.eye(3)
-            + 2.0 * p.mu * eps_m
-            + vf * p.kappa * coupling
-        )
-        s = from_matrix(s_m)
-        dev, mean = deviatoric_split(s)
-        vm = von_mises(s)
+        a = np.moveaxis(np.asarray(a, dtype=float), -1, 0)[..., None]  # (6, ..., 1): broadcast over steps
+        eps = np.moveaxis(np.asarray(strain, dtype=float), -1, 0)  # (6, ..., T)
+        a_eps = np.zeros(np.broadcast_shapes(a.shape, eps.shape))
+        eps_a = np.zeros_like(a_eps)
+        with np.errstate(over="ignore", invalid="ignore"):  # as silent as einsum
+            for j in range(3):
+                a_eps += a[VOIGT_INDEX[VOIGT_ROWS, j]] * eps[VOIGT_INDEX[j, VOIGT_COLS]]
+                eps_a += eps[VOIGT_INDEX[VOIGT_ROWS, j]] * a[VOIGT_INDEX[j, VOIGT_COLS]]
+        coupling = a_eps + eps_a
+        iso = p.lam * ((eps[0] + eps[1]) + eps[2])
+        s = 2.0 * p.mu * eps
+        s[:3] = iso + s[:3]
+        s[3:] = iso * 0.0 + s[3:]
+        s += vf * p.kappa * coupling
+        mean = ((s[0] + s[1]) + s[2]) / 3.0
+        vm = von_mises(np.moveaxis(s, 0, -1))
         scale = np.where(vm > p.sigma_y, p.sigma_y / np.where(vm > 0, vm, 1.0), 1.0)
-        return dev * scale[..., None] + mean[..., None] * _IDENTITY6
+        s[:3] -= mean  # deviatoric part
+        s *= scale
+        s[:3] += mean
+        s[3:] += mean * 0.0
+        return np.moveaxis(s, 0, -1)
 
 
 class NoisyOracle(EquivariantOracle):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .models import ExternalModelError, ModelInput, predict
 from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
-from .voigt import from_matrix, inverse_rotate_sym, rotate_sym, to_matrix, von_mises, von_mises_path
+from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises, von_mises_path
 
 DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
@@ -165,13 +165,14 @@ def augment_chunks(model, inp: ModelInput, rotations):
     Row ``i`` is the prediction on ``inp`` rotated by ``rotations[i]``,
     rotated back.  A model with ``predict_batch`` (the oracles, external
     processes) is called once per chunk of rotations, each chunk rotated and
-    back-rotated in one einsum; any other model once per rotation, in blocks
-    of one row.  Rows have the same bits either way, for any chunk size:
-    ``optimize=False`` keeps the per-rotation contraction order (an optimized
-    one differs in the last bits, which the noise hash sees).  Non-finite
-    rotated inputs raise ``ValueError``; a wrong output shape and
-    external-model failures raise :class:`ExternalModelError` naming the
-    rows (the row an error carries, if it carries one).
+    back-rotated by one :func:`~rotta.voigt.conjugate` call per array; any
+    other model once per rotation, in blocks of one row.  Rows have the same
+    bits either way, for any chunk size: every conjugation sums its terms in
+    one fixed order (another order differs in the last bits, which the noise
+    hash sees).  Non-finite rotated inputs raise ``ValueError``; a wrong
+    output shape and external-model failures raise
+    :class:`ExternalModelError` naming the rows (the row an error carries,
+    if it carries one).
     """
     inp.validate()
     rotations = np.asarray(rotations, dtype=float)
@@ -185,12 +186,10 @@ def augment_chunks(model, inp: ModelInput, rotations):
             yield i, row[None]
         return
 
-    a_m, eps_m = to_matrix(inp.a), to_matrix(inp.strain)
     chunk = max(1, _CHUNK_STEPS // inp.n_steps)
     for lo in range(0, rotations.shape[0], chunk):
         rs = rotations[lo:lo + chunk]
-        a = from_matrix(np.einsum("pij,jk,plk->pil", rs, a_m, rs, optimize=False))
-        strain = from_matrix(np.einsum("pij,tjk,plk->ptil", rs, eps_m, rs, optimize=False))
+        a, strain = conjugate(rs, inp.a), conjugate(rs, inp.strain)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(strain))):
             raise ValueError("model input contains non-finite values")
         try:
@@ -204,10 +203,7 @@ def augment_chunks(model, inp: ModelInput, rotations):
                 f"rotation indices {lo}-{lo + len(rs) - 1}: "
                 f"model returned shape {pred.shape}, expected {strain.shape}"
             )
-        # R^T S R written as the forward contraction of R^T: the same products
-        # in the same order as inverse_rotate_sym, with contiguous operands
-        rts = np.ascontiguousarray(rs.transpose(0, 2, 1))
-        yield lo, from_matrix(np.einsum("pij,ptjk,plk->ptil", rts, to_matrix(pred), rts, optimize=False))
+        yield lo, conjugate(rs.transpose(0, 2, 1), pred)
 
 
 def augment(model, inp: ModelInput, rotations) -> np.ndarray:

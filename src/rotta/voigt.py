@@ -6,9 +6,10 @@ stored as a 6-vector in the fixed component order
     [11, 22, 33, 12, 13, 23]
 
 Shear entries hold *tensor* components (e.g. ``e12``, never the engineering
-``2*e12``).  All rotation operations reconstruct the full 3x3 matrix,
-conjugate it, and read back the upper triangle, so no shear-factor
-bookkeeping ever enters the algebra and symmetry is preserved structurally.
+``2*e12``).  Rotation operations compute the six upper-triangle entries of
+the conjugated matrix straight from the six stored components, so no
+shear-factor bookkeeping ever enters the algebra and symmetry is preserved
+structurally.
 
 Every function accepts a trailing-axis batch: a single tensor is shape
 ``(6,)``, a pseudo-time path is ``(T, 6)``, a stack of paths ``(P, T, 6)``.
@@ -23,6 +24,10 @@ import numpy as np
 
 # Upper-triangle index pairs matching the component order [11,22,33,12,13,23].
 VOIGT_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+# Row and column of each stored component, and the component holding entry (j, k).
+VOIGT_ROWS, VOIGT_COLS = np.array(VOIGT_PAIRS).T
+VOIGT_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 
 #: Names of the six components, used by reports and file headers.
 COMPONENT_NAMES = ("11", "22", "33", "12", "13", "23")
@@ -52,6 +57,35 @@ def trace(v):
     return v[..., 0] + v[..., 1] + v[..., 2]
 
 
+def conjugate(r, x):
+    """Voigt form of ``r[p] . X . r[p]^T`` for rotations ``r (P, 3, 3)``.
+
+    ``x`` is one tensor ``(6,)`` (result ``(P, 6)``), one path ``(T, 6)``
+    conjugated by every rotation, or one path per rotation ``(P, T, 6)``
+    (result ``(P, T, 6)``).  Each of the six stored outputs adds its nine
+    terms ``(r_ij * x_jk) * r_lk`` to +0.0 one at a time, j-major: the order
+    of an ``optimize=False`` einsum, so the bits are the same, sign of zero
+    included (a reduce over a term axis sums pairwise or unrolled when the
+    axis is innermost).  Like einsum, it is silent on overflow and ``inf * 0``.
+    """
+    r = np.asarray(r, dtype=float)
+    x = np.moveaxis(np.asarray(x, dtype=float), -1, 0)
+    # ri[j] = r[:, i, j] and rl[k] = r[:, l, k] for every output (i, l): (3, 6, P)
+    ri = r[:, VOIGT_ROWS].transpose(2, 1, 0)
+    rl = r[:, VOIGT_COLS].transpose(2, 1, 0)
+    if x.ndim > 1:  # broadcast over steps
+        ri, rl = ri[..., None], rl[..., None]
+    out = np.zeros(np.broadcast_shapes(ri.shape[1:], x.shape[1:]))
+    term = np.empty_like(out)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(3):
+            for k in range(3):
+                np.multiply(ri[j], x[VOIGT_INDEX[j, k]], out=term)
+                np.multiply(term, rl[k], out=term)
+                out += term
+    return np.moveaxis(out, 0, -1)
+
+
 def rotate_sym(x, r):
     """Conjugate a symmetric tensor by a rotation: returns Voigt form of ``r . X . r^T``.
 
@@ -62,21 +96,15 @@ def rotate_sym(x, r):
     r : array_like, shape (3, 3)
         Proper orthogonal rotation matrix.
 
-    The full 3x3 product is formed and the upper triangle read back, so the
-    result is symmetric by construction rather than by averaging.
+    The result has the bits of :func:`conjugate` with the single rotation.
     """
-    r = np.asarray(r, dtype=float)
-    m = to_matrix(x)
-    rotated = np.einsum("ij,...jk,lk->...il", r, m, r)
-    return from_matrix(rotated)
+    x = np.asarray(x, dtype=float)
+    return conjugate(np.asarray(r, dtype=float)[None], x.reshape(-1, 6))[0].reshape(x.shape)
 
 
 def inverse_rotate_sym(x, r):
     """Undo :func:`rotate_sym`: returns Voigt form of ``r^T . X . r``."""
-    r = np.asarray(r, dtype=float)
-    m = to_matrix(x)
-    rotated = np.einsum("ji,...jk,kl->...il", r, m, r)
-    return from_matrix(rotated)
+    return rotate_sym(x, np.asarray(r, dtype=float).T)
 
 
 def von_mises(x):
@@ -104,15 +132,6 @@ def von_mises_path(path):
     if path.ndim != 2 or path.shape[-1] != 6:
         raise ValueError(f"expected a (T, 6) path, got shape {path.shape}")
     return von_mises(path)
-
-
-def deviatoric_split(v):
-    """Split Voigt tensor(s) into (deviatoric part, mean normal stress tr/3)."""
-    v = np.asarray(v, dtype=float)
-    mean = trace(v) / 3.0
-    dev = v.copy()
-    dev[..., :3] -= mean[..., np.newaxis]
-    return dev, mean
 
 
 def check_rotation(r, tol=ROTATION_TOL):

@@ -3,16 +3,20 @@
 The kernel must give every back-rotated row the same bits as rotating,
 predicting and back-rotating one rotation at a time, for any chunk size and
 any prefix of the rotation list: the noisy oracle hashes its quantized
-working-frame inputs, so a change in the last bits changes the noise.
+working-frame inputs, so a change in the last bits changes the noise.  Its
+two arithmetic layers, the Voigt conjugation and the oracle, must also keep
+the bits of the full-matrix einsum forms they replace, which stay here as
+oracles.
 """
 
 import sys
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotta import tta
@@ -27,7 +31,7 @@ from rotta.models import (
 )
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
 from rotta.tta import augment, rotate_input
-from rotta.voigt import from_matrix, inverse_rotate_sym, rotate_sym, to_matrix
+from rotta.voigt import conjugate, from_matrix, inverse_rotate_sym, rotate_sym, to_matrix, trace, von_mises
 
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 
@@ -159,6 +163,144 @@ def test_contraction_order_is_pinned():
     assert not np.array_equal(optimized, per_rotation)
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=9))
     assert np.array_equal(augment(model, inp, rotations), _loop(model, inp, rotations))
+
+
+# ------------------------------------- bits of the conjugation and oracle
+
+
+def assert_same_bits(got, want):
+    """Equal as uint64 words, so -0.0 and +0.0 differ; NaN only has to sit in the same places.
+
+    The sign of a NaN is not part of the contract: numpy's own in-place add
+    of ``+nan`` to ``-nan`` keeps one or the other depending on where the
+    element sits in the array, so no summation order can pin it.
+    """
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+def _einsum_conjugate(r, x):
+    """The full-matrix forms the kernel used for ``x`` of shape (6,), (T, 6) and (P, T, 6)."""
+    spec = {1: "pij,jk,plk->pil", 2: "pij,tjk,plk->ptil", 3: "pij,ptjk,plk->ptil"}[x.ndim]
+    return from_matrix(np.einsum(spec, r, to_matrix(x), r, optimize=False))
+
+
+def _einsum_oracle(p, a, vf, strain):
+    """The full-matrix form of ``EquivariantOracle.predict_batch``."""
+    eps_m = to_matrix(strain)
+    a_m = to_matrix(a)[..., None, :, :]
+    coupling = np.einsum("...ij,...jk->...ik", a_m, eps_m) + np.einsum("...ij,...jk->...ik", eps_m, a_m)
+    s_m = p.lam * trace(strain)[..., None, None] * np.eye(3) + 2.0 * p.mu * eps_m + vf * p.kappa * coupling
+    s = from_matrix(s_m)
+    mean = trace(s) / 3.0
+    dev = s.copy()
+    dev[..., :3] -= mean[..., None]
+    vm = von_mises(s)
+    scale = np.where(vm > p.sigma_y, p.sigma_y / np.where(vm > 0, vm, 1.0), 1.0)
+    return dev * scale[..., None] + mean[..., None] * np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+
+
+_HALF_TURNS = np.array([np.diag(d) for d in ([1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0])])
+
+
+def _rotations(rng, seed, n, kind):
+    """``n`` rotations: random (row 0 the identity), all identity, all half-turns, or a mix of the three."""
+    r = rotation_list(RotationStream(seed), n - 1)
+    if kind == "identity":
+        r[:] = np.eye(3)
+    elif kind == "half":
+        r = _HALF_TURNS[rng.integers(0, 3, n)]
+    elif kind == "mixed":
+        pick = rng.integers(0, 3, n)
+        r[pick == 1] = np.eye(3)
+        r[pick == 2] = _HALF_TURNS[rng.integers(0, 3, int(np.sum(pick == 2)))]
+    return r
+
+
+def _values(rng, shape, scale, sign, zeros, special):
+    """Normal entries of one sign pattern, a share of them exact +0.0/-0.0, optionally inf and NaN."""
+    x = scale * rng.standard_normal(shape)
+    if sign == "negative":
+        x = -np.abs(x)
+    u = rng.random(shape)
+    x[u < zeros] = 0.0
+    x[(u >= zeros) & (u < 2 * zeros)] = -0.0
+    if special:
+        x[rng.random(shape) < 0.04] = np.inf
+        x[rng.random(shape) < 0.04] = -np.inf
+        x[rng.random(shape) < 0.04] = np.nan
+    return x
+
+
+bit_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    p=st.integers(1, 20),
+    t=st.integers(1, 120),
+    kind=st.sampled_from(["random", "identity", "half", "mixed"]),
+    scale=st.sampled_from([1e-300, 1e-4, 1.0, 3e3, 1e300]),
+    sign=st.sampled_from(["any", "negative"]),
+    zeros=st.sampled_from([0.0, 0.2, 0.5]),
+    special=st.booleans(),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(["one", "path", "stack"]), **bit_cases)
+@example(shape="one", seed=0, p=1, t=1, kind="random", scale=1.0, sign="any", zeros=0.0, special=False)
+@example(shape="path", seed=0, p=1, t=1, kind="random", scale=1.0, sign="any", zeros=0.0, special=False)
+@example(shape="stack", seed=0, p=1, t=1, kind="random", scale=1.0, sign="any", zeros=0.0, special=False)
+def test_conjugate_has_the_bits_of_the_einsum(shape, seed, p, t, kind, scale, sign, zeros, special):
+    rng = np.random.default_rng(seed)
+    r = _rotations(rng, seed, p, kind)
+    x = _values(rng, {"one": (6,), "path": (t, 6), "stack": (p, t, 6)}[shape], scale, sign, zeros, special)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # silent on overflow and inf * 0, as einsum is
+        got = conjugate(r, x)
+        assert_same_bits(got, _einsum_conjugate(r, x))
+        # back-rotation: the forward form of the transposed rotations
+        rt = r.transpose(0, 2, 1)
+        assert_same_bits(conjugate(rt, x), _einsum_conjugate(np.ascontiguousarray(rt), x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**bit_cases)
+@example(seed=0, p=1, t=1, kind="random", scale=1.0, sign="any", zeros=0.0, special=False)
+def test_rotate_sym_has_the_bits_of_the_einsum(seed, p, t, kind, scale, sign, zeros, special):
+    rng = np.random.default_rng(seed)
+    r = _rotations(rng, seed, 1, kind)[0]
+    for shape in [(6,), (t, 6), (p, t, 6)]:
+        x = _values(rng, shape, scale, sign, zeros, special)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(rotate_sym(x, r), from_matrix(np.einsum("ij,...jk,lk->...il", r, to_matrix(x), r)))
+            assert_same_bits(inverse_rotate_sym(x, r), from_matrix(np.einsum("ji,...jk,kl->...il", r, to_matrix(x), r)))
+
+
+def test_conjugate_sums_from_positive_zero():
+    # every term is -0.0: a sum that starts from its first term keeps -0.0,
+    # einsum starts from +0.0 and gives +0.0
+    x = np.full(6, -0.0)
+    x[3:] = -1.0
+    for r in (np.eye(3)[None], _HALF_TURNS[:1]):
+        want = _einsum_conjugate(r, x)
+        assert not np.any(np.signbit(want[:, :3]))
+        assert_same_bits(conjugate(r, x), want)
+
+
+@settings(max_examples=120, deadline=None)
+@given(batched=st.booleans(), vf=st.floats(-1.0, 1.0), **bit_cases)
+@example(batched=True, vf=0.1, seed=0, p=1, t=1, kind="random", scale=1.0, sign="any", zeros=0.0, special=False)
+def test_oracle_has_the_bits_of_the_einsum(batched, vf, seed, p, t, kind, scale, sign, zeros, special):
+    rng = np.random.default_rng(seed)
+    a_shape, eps_shape = ((p, 6), (p, t, 6)) if batched else ((6,), (t, 6))
+    a = _values(rng, a_shape, 1.0, sign, zeros, special)
+    strain = _values(rng, eps_shape, scale * 1e-3, sign, zeros, special)
+    oracle = EquivariantOracle()
+    with np.errstate(all="ignore"):  # both forms warn alike outside the sums
+        assert_same_bits(oracle.predict_batch(a, vf, strain), _einsum_oracle(oracle.params, a, vf, strain))
 
 
 # --------------------------------------------------- external processes

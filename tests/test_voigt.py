@@ -10,7 +10,6 @@ from rotta.voigt import (
     VOIGT_PAIRS,
     check_orientation_tensor,
     check_rotation,
-    deviatoric_split,
     from_matrix,
     inverse_rotate_sym,
     rotate_sym,
@@ -166,20 +165,6 @@ def test_von_mises_path_rejects_wrong_shape():
         von_mises_path(np.zeros(6))
     with pytest.raises(ValueError):
         von_mises_path(np.zeros((2, 3, 6)))
-
-
-# ------------------------------------------------------------- deviatoric
-
-
-def test_deviatoric_split():
-    rng = np.random.default_rng(7)
-    x = _random_voigt(rng)
-    dev, mean = deviatoric_split(x)
-    assert trace(dev) == pytest.approx(0.0, abs=1e-14)
-    assert mean == pytest.approx(trace(x) / 3.0, abs=1e-14)
-    recombined = dev.copy()
-    recombined[:3] += mean
-    assert_allclose(recombined, x, atol=1e-14)
 
 
 # ------------------------------------------------------------- validators
