@@ -177,21 +177,22 @@ def format_float(value):
     return repr(float(value))
 
 
+def format_path(values):
+    """JSON text of a vector ``[...]`` or a path of vectors ``[[...], ...]`` in :func:`format_float` form."""
+    if np.ndim(values) > 1:
+        return "[" + ", ".join(map(format_path, values)) + "]"
+    return "[" + ", ".join(map(format_float, values)) + "]"
+
+
 def _sample_json(sample: Sample):
     parts = [
         f'"id": {json.dumps(sample.id)}',
-        '"a": [' + ", ".join(format_float(v) for v in sample.a) + "]",
+        f'"a": {format_path(sample.a)}',
         f'"vf": {format_float(sample.vf)}',
-        '"eps": [' + ", ".join(
-            "[" + ", ".join(format_float(v) for v in row) + "]" for row in sample.strain
-        ) + "]",
+        f'"eps": {format_path(sample.strain)}',
     ]
     if sample.target_stress is not None:
-        parts.append(
-            '"sigma": [' + ", ".join(
-                "[" + ", ".join(format_float(v) for v in row) + "]" for row in sample.target_stress
-            ) + "]"
-        )
+        parts.append(f'"sigma": {format_path(sample.target_stress)}')
     return "{" + ", ".join(parts) + "}"
 
 

@@ -14,19 +14,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import InvariantViolation, format_float, load_dataset
-from .metrics import (
-    DEFAULT_BIN_WIDTH,
-    MetricsReport,
-    evaluate_dataset,
-    mare,
-    mere,
-)
+from .dataset import InvariantViolation, format_float, format_path, load_dataset
+from .metrics import DEFAULT_BIN_WIDTH, MetricsReport, evaluate_dataset, mare, mere
 from .models import (
     EquivariantOracle,
     ExternalModel,
@@ -145,10 +140,16 @@ def build_model(cfg: ExperimentConfig):
     return ExternalModel(command, timeout=cfg.external_timeout)
 
 
-def _close_model(model):
-    close = getattr(model, "close", None)
-    if close is not None:
-        close()
+@contextmanager
+def _open_model(cfg: ExperimentConfig):
+    """The configured predictor, closed on exit (which stops an external child)."""
+    model = build_model(cfg)
+    try:
+        yield model
+    finally:
+        close = getattr(model, "close", None)
+        if close is not None:
+            close()
 
 
 def sha256_file(path):
@@ -210,6 +211,20 @@ class _OutputWriter:
         return self.write_json("manifest.json", payload)
 
 
+def _write_outputs(cfg: ExperimentConfig, write, extra=None):
+    """Call ``write(writer)``, then seal its files with the manifest; returns the manifest path.
+
+    If anything fails, every file written so far is removed.
+    """
+    writer = _OutputWriter(cfg.out_dir)
+    try:
+        write(writer)
+        return writer.manifest(cfg, extra)
+    except BaseException:
+        writer.cleanup()
+        raise
+
+
 def _load_evaluable(cfg: ExperimentConfig):
     """Load the dataset and require targets and a uniform path length."""
     samples = load_dataset(cfg.dataset)
@@ -226,41 +241,41 @@ def _load_evaluable(cfg: ExperimentConfig):
     return samples
 
 
-def _tta_config(cfg: ExperimentConfig):
-    return TTAConfig(
+def compute_results(cfg: ExperimentConfig, model, samples):
+    """Run augmented inference of ``model`` for every sample; returns the results.
+
+    The rotation list is drawn once and shared by every sample, so rotation
+    index i refers to one common rotation across the dataset (a requirement
+    for per-rotation error maps).  The caller owns ``model`` and closes it.
+    """
+    tta_cfg = TTAConfig(
         n_rotations=cfg.n_rotations,
         seed=cfg.seed,
         divisor_mode=cfg.divisor_mode,
         sd_include_identity=cfg.sd_include_identity,
     )
-
-
-def compute_results(cfg: ExperimentConfig, samples=None):
-    """Run augmented inference for every sample; returns (samples, results).
-
-    The rotation list is drawn once and shared by every sample, so rotation
-    index i refers to one common rotation across the dataset (a requirement
-    for per-rotation error maps).
-    """
-    if samples is None:
-        samples = _load_evaluable(cfg)
-    model = build_model(cfg)
-    tta_cfg = _tta_config(cfg)
     rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     results = []
-    try:
-        for sample in samples:
-            try:
-                results.append(run_tta(model, sample.model_input(), tta_cfg, rotations))
-            except ExternalModelError as exc:
-                raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
-    finally:
-        _close_model(model)
-    return samples, results
+    for sample in samples:
+        try:
+            results.append(run_tta(model, sample.model_input(), tta_cfg, rotations))
+        except ExternalModelError as exc:
+            raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
+    return results
 
 
-def _curve_rows(curve):
-    return [(t, v) for t, v in enumerate(curve)]
+def _evaluate(cfg: ExperimentConfig, samples, results):
+    targets = np.stack([s.target_stress for s in samples])
+    return evaluate_dataset(targets, results, mare_abs=cfg.mare_abs, bin_width=cfg.bin_width)
+
+
+def _evaluated_run(cfg: ExperimentConfig):
+    """Augmented inference over the configured dataset, evaluated: ``(samples, results, report)``."""
+    cfg.validate()
+    samples = _load_evaluable(cfg)
+    with _open_model(cfg) as model:
+        results = compute_results(cfg, model, samples)
+    return samples, results, _evaluate(cfg, samples, results)
 
 
 def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: MetricsReport):
@@ -269,29 +284,13 @@ def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: Met
 
     lines = []
     for sample, res in zip(samples, results):
-        record = {
-            "id": sample.id,
-            "sigma_tta": res.aggregated,
-            "sd": res.sd,
-            "vm_tta": res.vm_aggregated,
-            "vm_sd": res.vm_sd,
-        }
-        parts = [f'"id": {json.dumps(sample.id)}']
-        for key in ("sigma_tta", "sd"):
-            rows = ", ".join(
-                "[" + ", ".join(format_float(v) for v in row) + "]" for row in record[key]
-            )
-            parts.append(f'"{key}": [{rows}]')
-        for key in ("vm_tta", "vm_sd"):
-            parts.append(f'"{key}": [' + ", ".join(format_float(v) for v in record[key]) + "]")
+        fields = {"sigma_tta": res.aggregated, "sd": res.sd, "vm_tta": res.vm_aggregated, "vm_sd": res.vm_sd}
+        parts = [f'"id": {json.dumps(sample.id)}'] + [f'"{key}": {format_path(v)}' for key, v in fields.items()]
         lines.append("{" + ", ".join(parts) + "}")
     writer.write_text("aggregated.ndjson", "\n".join(lines) + "\n")
 
-    unc = report.uncertainty
-    writer.write_csv("sd_curve.csv", "t,value", _curve_rows(unc.sd_curve))
-    writer.write_csv("e_abs_curve.csv", "t,value", _curve_rows(unc.e_abs_curve))
-    writer.write_csv("e_rel_curve.csv", "t,value", _curve_rows(unc.e_rel_curve))
-    writer.write_csv("sd_rel_curve.csv", "t,value", _curve_rows(unc.sd_rel_curve))
+    for curve in ("sd_curve", "e_abs_curve", "e_rel_curve", "sd_rel_curve"):
+        writer.write_csv(f"{curve}.csv", "t,value", enumerate(getattr(report.uncertainty, curve)))
 
     if report.histogram is not None:
         writer.write_csv(
@@ -323,33 +322,23 @@ def run_experiment(cfg: ExperimentConfig):
     error histogram, optionally the spherical error map, and finally the
     manifest.  On any failure all files written so far are removed.
     """
-    cfg.validate()
-    samples, results = compute_results(cfg)
-    report = evaluate_dataset(
-        np.stack([s.target_stress for s in samples]),
-        results,
-        mare_abs=cfg.mare_abs,
-        bin_width=cfg.bin_width,
-    )
-    writer = _OutputWriter(cfg.out_dir)
-    try:
-        _write_run_outputs(writer, cfg, samples, results, report)
-        manifest_path = writer.manifest(cfg)
-    except BaseException:
-        writer.cleanup()
-        raise
+    samples, results, report = _evaluated_run(cfg)
+    manifest_path = _write_outputs(cfg, lambda writer: _write_run_outputs(writer, cfg, samples, results, report))
     return report, manifest_path
+
+
+def run_sphere_map(cfg: ExperimentConfig):
+    """The run of :func:`run_experiment` writing only the spherical error map; returns the manifest path."""
+    _, results, report = _evaluated_run(cfg)
+    return _write_outputs(cfg, lambda writer: _write_sphere_map(writer, cfg, report, results[0].rotations))
 
 
 def run_audit(cfg: ExperimentConfig, identity_only=False):
     """Rotate/back-rotate round-trip error survey of the configured dataset."""
     cfg.validate()
     samples = load_dataset(cfg.dataset)
-    model = build_model(cfg)
-    try:
+    with _open_model(cfg) as model:
         return numerics_audit(samples, model, RotationStream(cfg.seed), identity_only=identity_only)
-    finally:
-        _close_model(model)
 
 
 def run_sweep(cfg: ExperimentConfig, n_values, write=True):
@@ -372,14 +361,12 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         raise ConfigError("paper divisor mode cannot evaluate N = 0")
 
     samples = _load_evaluable(cfg)
-    model = build_model(cfg)
-    n_max = checkpoints[-1]
-    rotations = rotation_list(RotationStream(cfg.seed), n_max)
+    rotations = rotation_list(RotationStream(cfg.seed), checkpoints[-1])
     target_vm = np.stack([von_mises_path(s.target_stress) for s in samples])
     n_steps = samples[0].n_steps
 
     vm_by_checkpoint = np.empty((len(samples), len(checkpoints), n_steps))
-    try:
+    with _open_model(cfg) as model:
         for m, sample in enumerate(samples):
             total = np.zeros((n_steps, 6))
             carry = np.zeros_like(total)
@@ -394,26 +381,15 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
                         divisor = i + 1 if cfg.divisor_mode == "count" else max(i, 1)
                         vm_by_checkpoint[m, next_cp] = von_mises_path(total / divisor)
                         next_cp += 1
-    finally:
-        _close_model(model)
 
-    rows = []
-    for k, n in enumerate(checkpoints):
-        rows.append(
-            (
-                n,
-                mere(target_vm, vm_by_checkpoint[:, k, :]),
-                mare(target_vm, vm_by_checkpoint[:, k, :], absolute=cfg.mare_abs),
-            )
-        )
+    rows = [
+        (n, mere(target_vm, vm), mare(target_vm, vm, absolute=cfg.mare_abs))
+        for n, vm in zip(checkpoints, vm_by_checkpoint.transpose(1, 0, 2))
+    ]
     if write:
-        writer = _OutputWriter(cfg.out_dir)
-        try:
-            writer.write_csv("sweep.csv", "n,mere_tta,mare_tta", rows)
-            writer.manifest(cfg, extra={"n_values": checkpoints})
-        except BaseException:
-            writer.cleanup()
-            raise
+        _write_outputs(
+            cfg, lambda writer: writer.write_csv("sweep.csv", "n,mere_tta,mare_tta", rows), {"n_values": checkpoints}
+        )
     return rows
 
 
@@ -421,62 +397,28 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
     """Repeat the full run with consecutive rotation seeds (stability table).
 
     Each repeat k uses rotation seed ``cfg.seed + k`` on the same dataset
-    and model, echoing how repeated augmentation passes differ only in the
-    sampled rotations.  Returns one row per repeat of ``(repeat, seed,
-    mere_i0, mere_av, sd_mere, mere_tta, mare_tta)`` plus summary mean/SD
-    rows over the aggregated-path error (sample SD, divisor n-1), and
-    persists ``repeats.csv`` when ``write`` is set.
+    and the same model instance (one external child serves every repeat),
+    echoing how repeated augmentation passes differ only in the sampled
+    rotations.  Returns one row per repeat of ``(repeat, seed, mere_i0,
+    mere_av, sd_mere, mere_tta, mare_tta)`` plus summary mean/SD over the
+    aggregated-path error (sample SD, divisor n-1), and persists
+    ``repeats.csv`` when ``write`` is set.
     """
     cfg.validate()
     if n_repeats < 1:
         raise ConfigError("n_repeats must be >= 1")
     samples = _load_evaluable(cfg)
-    targets = np.stack([s.target_stress for s in samples])
     rows = []
-    tta_values = []
-    for k in range(n_repeats):
-        run_cfg = replace(cfg, seed=cfg.seed + k)
-        _, results = compute_results(run_cfg, samples=samples)
-        report = evaluate_dataset(targets, results, mare_abs=cfg.mare_abs, bin_width=cfg.bin_width)
-        tta_values.append(report.mere_tta)
-        rows.append(
-            (k + 1, run_cfg.seed, report.mere_i0, report.mere_av, report.sd_mere,
-             report.mere_tta, report.mare_tta)
-        )
-    values = np.asarray(tta_values)
+    with _open_model(cfg) as model:
+        for k in range(n_repeats):
+            seed = cfg.seed + k
+            report = _evaluate(cfg, samples, compute_results(replace(cfg, seed=seed), model, samples))
+            rows.append((k + 1, seed, report.mere_i0, report.mere_av, report.sd_mere, report.mere_tta, report.mare_tta))
+    values = np.asarray([row[5] for row in rows])
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     summary = [("mean", "", "", "", "", mean, ""), ("sd", "", "", "", "", sd, "")]
     if write:
-        writer = _OutputWriter(cfg.out_dir)
-        try:
-            writer.write_csv(
-                "repeats.csv",
-                "repeat,seed,mere_i0,mere_av,sd_mere,mere_tta,mare_tta",
-                rows + summary,
-            )
-            writer.manifest(cfg, extra={"n_repeats": n_repeats})
-        except BaseException:
-            writer.cleanup()
-            raise
+        header = "repeat,seed,mere_i0,mere_av,sd_mere,mere_tta,mare_tta"
+        _write_outputs(cfg, lambda writer: writer.write_csv("repeats.csv", header, rows + summary), {"n_repeats": n_repeats})
     return rows, (mean, sd)
-
-
-def run_sphere_map(cfg: ExperimentConfig):
-    """Standalone spherical error-map export; returns the manifest path."""
-    cfg.validate()
-    samples, results = compute_results(cfg)
-    report = evaluate_dataset(
-        np.stack([s.target_stress for s in samples]),
-        results,
-        mare_abs=cfg.mare_abs,
-        bin_width=cfg.bin_width,
-    )
-    writer = _OutputWriter(cfg.out_dir)
-    try:
-        _write_sphere_map(writer, cfg, report, results[0].rotations)
-        manifest_path = writer.manifest(cfg)
-    except BaseException:
-        writer.cleanup()
-        raise
-    return manifest_path

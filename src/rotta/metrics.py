@@ -587,9 +587,6 @@ def evaluate_dataset(
         raise ValueError("one result per target path required")
     if len(results) == 0:
         raise ValueError("empty dataset")
-    for res in results:
-        if not res.has_identity:
-            raise ValueError("dataset evaluation needs the identity prediction at index 0")
     n_pred = results[0].predictions.shape[0]
     if any(r.predictions.shape[0] != n_pred for r in results):
         raise ValueError("all results must use the same number of rotations")

@@ -19,7 +19,7 @@ Two built-in analytic oracles stand in for a trained sequence model:
   augmentation averages away.
 
 :class:`ExternalModel` adapts any external predictor over a newline-delimited
-JSON protocol on stdin/stdout of a spawned process (see module docs below).
+JSON protocol on stdin/stdout of a spawned process (see its docstring).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import select
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -201,11 +201,11 @@ _QUANTUM = 1e-9
 
 def _mix(x):
     with np.errstate(over="ignore"):  # wraparound mod 2**64 is the point
-        x = (x + _SM_GAMMA).astype(np.uint64)
+        x = x + _SM_GAMMA  # a new array: the caller's is left alone
         x ^= x >> np.uint64(30)
-        x = (x * _SM_M1).astype(np.uint64)
+        x *= _SM_M1
         x ^= x >> np.uint64(27)
-        x = (x * _SM_M2).astype(np.uint64)
+        x *= _SM_M2
         x ^= x >> np.uint64(31)
     return x
 
@@ -238,9 +238,8 @@ def _frame_noise(seed, a, vf, strain):
 # -- external line-protocol adapter -------------------------------------------
 
 
-@dataclass
-class ExternalModelConfig:
-    """Launch configuration for an external predictor process.
+class ExternalModel:
+    """Line-protocol client for an external predictor subprocess.
 
     ``command`` is the argv list (or a shell-style string) of a process that
     speaks the line protocol: one JSON request per line on stdin::
@@ -256,14 +255,6 @@ class ExternalModelConfig:
     with tensor (not engineering) shear values.  Process exit, a malformed
     line, a non-object, an unknown id, a shape mismatch, non-finite values,
     or ``timeout`` seconds without progress raise :class:`ExternalModelError`.
-    """
-
-    command: list = field(default_factory=list)
-    timeout: float = 30.0
-
-
-class ExternalModel:
-    """Line-protocol client for an external predictor subprocess.
 
     :meth:`predict_batch` pipelines one request per row.  Usable as a context
     manager; the subprocess is spawned lazily on first prediction and
@@ -274,7 +265,8 @@ class ExternalModel:
     def __init__(self, command, timeout=30.0):
         if isinstance(command, str):
             command = shlex.split(command)
-        self.config = ExternalModelConfig(command=list(command), timeout=float(timeout))
+        self.command = list(command)
+        self.timeout = float(timeout)
         self._proc = None
         self._buffer = b""
         self._next_id = 0
@@ -293,13 +285,13 @@ class ExternalModel:
             raise ExternalModelError(f"external model exited (exit status {code})", 0)
         try:
             self._proc = subprocess.Popen(
-                self.config.command,
+                self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 bufsize=0,
             )
         except OSError as exc:
-            raise ExternalModelError(f"cannot start external model {self.config.command}: {exc}", 0) from exc
+            raise ExternalModelError(f"cannot start external model {self.command}: {exc}", 0) from exc
         self._buffer = b""
         os.set_blocking(self._proc.stdin.fileno(), False)
         os.set_blocking(self._proc.stdout.fileno(), False)
@@ -335,7 +327,7 @@ class ExternalModel:
         out = np.empty(np.shape(strain))
         waiting, sent, payload = {}, 0, b""  # unanswered id -> row; rows encoded; unwritten bytes
         wfd, rfd = self._proc.stdin.fileno(), self._proc.stdout.fileno()
-        deadline = time.monotonic() + self.config.timeout
+        deadline = time.monotonic() + self.timeout
         while waiting or sent < n_rows:
             first = min(waiting.values(), default=sent)
             if not payload and sent < n_rows and wfd is not None:
@@ -345,12 +337,12 @@ class ExternalModel:
                 sent += 1
             remaining = deadline - time.monotonic()
             if remaining <= 0:
-                raise ExternalModelError(f"external model timed out after {self.config.timeout:.1f} s", first)
+                raise ExternalModelError(f"external model timed out after {self.timeout:.1f} s", first)
             readable, writable, _ = select.select([rfd], [wfd] if payload else [], [], remaining)
             if writable:
                 try:
                     payload = payload[os.write(wfd, payload):]
-                    deadline = time.monotonic() + self.config.timeout
+                    deadline = time.monotonic() + self.timeout
                 except BlockingIOError:
                     pass
                 except OSError:  # the child closed its input: collect what it answered, then its exit
@@ -363,7 +355,7 @@ class ExternalModel:
                 *lines, self._buffer = (self._buffer + chunk).split(b"\n")
                 for line in lines:
                     del waiting[self._store(line, waiting, out, min(waiting.values(), default=sent))]
-                deadline = time.monotonic() + self.config.timeout
+                deadline = time.monotonic() + self.timeout
         return out
 
     @staticmethod

@@ -14,8 +14,6 @@ Per-index substreams keep per-sample draws independent of iteration order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.random import Philox
 
@@ -138,22 +136,6 @@ def rotation_list(stream, n):
     return out
 
 
-@dataclass(frozen=True)
-class FiberDirection:
-    """Unit fiber direction and the two Euler angles it was built from."""
-
-    p: np.ndarray
-    theta: float
-    phi: float
-
-
-def fiber_from_angles(theta, phi):
-    """Fiber direction from Euler angles: ``p = [sin(t)cos(p), sin(t)sin(p), cos(t)]``."""
-    st = np.sin(theta)
-    p = np.array([st * np.cos(phi), st * np.sin(phi), np.cos(theta)])
-    return FiberDirection(p=p, theta=float(theta), phi=float(phi))
-
-
 def sample_volume_fraction(stream):
     """Random fiber volume fraction, uniform in [0.10, 0.15]."""
     return 0.10 + 0.05 * float(stream.uniforms(1)[0])
@@ -173,15 +155,3 @@ def sample_orientation_tensor(stream):
     m = np.einsum("ik,k,jk->ij", r, diag, r)
     return from_matrix(m)
 
-
-__all__ = [
-    "RotationStream",
-    "FiberDirection",
-    "identity_rotation",
-    "sample_rotation",
-    "sample_rotations",
-    "rotation_list",
-    "fiber_from_angles",
-    "sample_volume_fraction",
-    "sample_orientation_tensor",
-]

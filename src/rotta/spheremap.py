@@ -39,52 +39,12 @@ class NonConvergence(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    """A direction on the unit sphere carrying an error value."""
-
-    xyz: np.ndarray
-    value: float
-
-    def __post_init__(self):
-        xyz = np.asarray(self.xyz, dtype=float)
-        if xyz.shape != (3,):
-            raise ValueError("xyz must be a 3-vector")
-        n = np.linalg.norm(xyz)
-        if abs(n - 1.0) > 1e-12:
-            raise ValueError(f"xyz must be unit length, |v| = {n}")
-        object.__setattr__(self, "xyz", xyz)
-
-
-@dataclass(frozen=True)
 class ProjectedPoint:
     """A seed in the projection plane carrying an error value."""
 
     x: float
     y: float
     value: float
-
-
-def rotation_to_sphere(r, value) -> SpherePoint:
-    """Direction of a rotation: where it sends the +z axis, value attached."""
-    r = np.asarray(r, dtype=float)
-    return SpherePoint(xyz=r @ _Z_AXIS, value=float(value))
-
-
-def cart_to_latlon(xyz):
-    """Latitude and longitude of a Cartesian direction.
-
-    Latitude is asin(z / |v|) in [-pi/2, pi/2]; longitude is the
-    two-argument arctangent of (y, x) in (-pi, pi], set to 0 at the poles
-    where it is undefined.
-    """
-    xyz = np.asarray(xyz, dtype=float)
-    n = np.linalg.norm(xyz)
-    if n == 0.0:
-        raise ValueError("zero vector has no direction")
-    lat = math.asin(min(1.0, max(-1.0, xyz[2] / n)))
-    if xyz[0] == 0.0 and xyz[1] == 0.0:
-        return lat, 0.0
-    return lat, math.atan2(xyz[1], xyz[0])
 
 
 def solve_theta(lat):
@@ -146,6 +106,7 @@ def project_rotations(rotations, values, radius=DEFAULT_RADIUS):
     flip the sign of a zero, which atan2 turns from pi into -pi), and norms,
     latitudes and longitudes from the scalar ``np.linalg.norm``, ``math.asin``
     and ``math.atan2`` (their array forms differ in the last bits on some CPUs).
+    Longitude is 0 at the poles, where it is undefined.
     """
     rotations = np.asarray(rotations, dtype=float)
     values = np.asarray(values, dtype=float)

@@ -25,7 +25,7 @@ from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises, von_mis
 
 DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
-_DIVISOR_ALIASES = {"count": DIVISOR_COUNT, "paper": DIVISOR_PAPER, "paper_verbatim": DIVISOR_PAPER}
+_DIVISOR_MODES = (DIVISOR_COUNT, DIVISOR_PAPER)
 
 # Rotations x steps per predict_batch call (16 rotations of a 100-step path):
 # bounds the kernel's temporary arrays so peak memory does not grow with N.
@@ -46,9 +46,6 @@ class TTAConfig:
         Number N of random rotations (the identity is extra, index 0).
     seed : int
         Seed of the rotation stream.
-    include_identity : bool
-        Keep the identity prediction at index 0 (default, as in the
-        published pipeline).  Must be True when ``n_rotations`` is 0.
     divisor_mode : {"count", "paper"}
         "count" divides the (N+1)-term sum by the number of predictions;
         "paper" divides it by N, reproducing the printed mean formula
@@ -60,19 +57,14 @@ class TTAConfig:
 
     n_rotations: int
     seed: int = 0
-    include_identity: bool = True
     divisor_mode: str = DIVISOR_COUNT
     sd_include_identity: bool = False
 
     def __post_init__(self):
         if self.n_rotations < 0:
             raise ValueError("n_rotations must be >= 0")
-        if self.n_rotations == 0 and not self.include_identity:
-            raise ValueError("n_rotations = 0 requires include_identity")
-        mode = _DIVISOR_ALIASES.get(self.divisor_mode)
-        if mode is None:
+        if self.divisor_mode not in _DIVISOR_MODES:
             raise ValueError(f"unknown divisor_mode {self.divisor_mode!r}")
-        object.__setattr__(self, "divisor_mode", mode)
 
 
 @dataclass(frozen=True)
@@ -80,7 +72,7 @@ class TTAResult:
     """Back-rotated predictions of one input and their aggregates.
 
     ``predictions`` has shape ``(P, T, 6)`` in rotation-index order (index 0
-    is the identity prediction when present); ``aggregated`` and ``sd`` are
+    is the identity prediction); ``aggregated`` and ``sd`` are
     ``(T, 6)``; the von Mises channels are ``(P, T)`` and ``(T,)``.
     ``vm_aggregated`` is the von Mises stress *of the aggregated path*, not
     a mean of the individual von Mises values.
@@ -93,7 +85,6 @@ class TTAResult:
     vm_aggregated: np.ndarray
     vm_sd: np.ndarray
     rotations: np.ndarray
-    has_identity: bool = True
 
     @property
     def n_steps(self):
@@ -101,8 +92,6 @@ class TTAResult:
 
     @property
     def identity_prediction(self):
-        if not self.has_identity:
-            raise ValueError("result was built without the identity prediction")
         return self.predictions[0]
 
 
@@ -135,8 +124,7 @@ def aggregate_mean(predictions, mode=DIVISOR_COUNT):
         raise ValueError(f"expected predictions of shape (P, T, 6), got {stack.shape}")
     if stack.shape[0] == 0:
         raise EmptyInput("no predictions to aggregate")
-    mode = _DIVISOR_ALIASES.get(mode)
-    if mode is None:
+    if mode not in _DIVISOR_MODES:
         raise ValueError(f"unknown divisor mode {mode!r}")
     divisor = stack.shape[0] if mode == DIVISOR_COUNT else stack.shape[0] - 1
     if divisor == 0:
@@ -232,8 +220,6 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult
         raise ValueError(
             f"expected the {cfg.n_rotations + 1} rotations of the config, got shape {np.shape(rotations)}"
         )
-    if not cfg.include_identity:
-        rotations = rotations[1:]
 
     backrotated = augment(model, inp, rotations)
 
@@ -242,9 +228,8 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult
     vm_aggregated = von_mises_path(aggregated)
 
     if backrotated.shape[0] >= 2:
-        include_first = cfg.sd_include_identity or not cfg.include_identity
-        sd = pointwise_sd(backrotated, aggregated, include_first=include_first)
-        vm_sd = pointwise_sd(vm_individual, vm_aggregated, include_first=include_first)
+        sd = pointwise_sd(backrotated, aggregated, include_first=cfg.sd_include_identity)
+        vm_sd = pointwise_sd(vm_individual, vm_aggregated, include_first=cfg.sd_include_identity)
     else:
         sd = np.zeros_like(aggregated)
         vm_sd = np.zeros_like(vm_aggregated)
@@ -257,7 +242,6 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult
         vm_aggregated=vm_aggregated,
         vm_sd=vm_sd,
         rotations=rotations,
-        has_identity=cfg.include_identity,
     )
 
 
@@ -270,15 +254,6 @@ class AuditReport:
     output_err: float
     n_samples: int
     n_with_target: int
-
-    def to_dict(self):
-        return {
-            "input_err": self.input_err,
-            "target_err": self.target_err,
-            "output_err": self.output_err,
-            "n_samples": self.n_samples,
-            "n_with_target": self.n_with_target,
-        }
 
     def to_text(self):
         lines = [

@@ -134,23 +134,6 @@ def von_mises_path(path):
     return von_mises(path)
 
 
-def check_rotation(r, tol=ROTATION_TOL):
-    """Raise ``ValueError`` unless ``r`` is proper orthogonal within ``tol``.
-
-    Checks max-abs deviation of ``r . r^T`` from identity and ``|det(r) - 1|``.
-    """
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    ortho_err = np.max(np.abs(r @ r.T - np.eye(3)))
-    det_err = abs(np.linalg.det(r) - 1.0)
-    if ortho_err > tol or det_err > tol:
-        raise ValueError(
-            f"not a proper rotation: |R R^T - I|_max = {ortho_err:.3e}, "
-            f"|det - 1| = {det_err:.3e} (tol {tol:.1e})"
-        )
-
-
 def check_orientation_tensor(v, trace_tol=1e-9, eig_tol=1e-9):
     """Raise ``ValueError`` unless ``v`` is a valid fiber orientation tensor.
 

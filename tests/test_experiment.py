@@ -1,12 +1,17 @@
 """Tests of experiment orchestration and persisted artifacts."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from dataclasses import replace
 
 import rotta.experiment as experiment
+import rotta.models as models
 import rotta.tta as tta
 from rotta.dataset import InvariantViolation, generate_synthetic, save_dataset
 from rotta.experiment import (
@@ -22,6 +27,8 @@ from rotta.experiment import (
 from rotta.metrics import evaluate_dataset
 from rotta.rotations import RotationStream, rotation_list
 from rotta.spheremap import project_rotations, seeds_csv
+
+FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 
 RUN_FILES = (
     "metrics.json",
@@ -145,9 +152,10 @@ def _count_draws(monkeypatch):
 
 def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=7)
+    samples = experiment._load_evaluable(cfg)
     draws = _count_draws(monkeypatch)
-    samples, results = experiment.compute_results(cfg)
-    assert len(samples) == 4 and draws == [7]
+    results = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
+    assert len(results) == 4 and draws == [7]
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     for res in results:
         assert res.rotations.tobytes() == fresh.tobytes()
@@ -156,7 +164,8 @@ def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatc
 def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=9, grid=(40, 20))
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    samples, results = experiment.compute_results(cfg)
+    samples = experiment._load_evaluable(cfg)
+    results = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
     for res in results:
         assert np.array_equal(res.rotations, fresh)
 
@@ -250,6 +259,20 @@ def test_repeats_single_run_has_zero_sd(dataset_path, tmp_path):
     rows, (_, sd) = run_repeats(cfg, n_repeats=1, write=False)
     assert len(rows) == 1
     assert sd == 0.0
+
+
+# sha256 of repeats.csv for three repeats of the echo fixture (sigma = eps) on
+# the module's dataset, recorded when every repeat started its own child.
+GOLDEN_ECHO_REPEATS = "96a8842190d333922fe7afaa27c08373b8290437c31e850758feee92530d816d"
+
+
+def test_repeats_share_one_external_child(dataset_path, tmp_path):
+    cfg = _cfg(dataset_path, tmp_path / "rep", model=f"external:{sys.executable} {FIXTURE} echo",
+               noise_amp=0.0, n_rotations=4)
+    with mock.patch.object(models.subprocess, "Popen", wraps=subprocess.Popen) as popen:
+        run_repeats(cfg, n_repeats=3)
+    assert popen.call_count == 1
+    assert sha256_file(tmp_path / "rep" / "repeats.csv") == GOLDEN_ECHO_REPEATS
 
 
 def test_repeats_rejects_zero_repeats(dataset_path, tmp_path):

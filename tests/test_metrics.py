@@ -450,14 +450,3 @@ def test_evaluate_validation():
     ]
     with pytest.raises(ValueError):
         evaluate_dataset(targets, skewed)
-
-
-def test_evaluate_rejects_missing_identity():
-    targets, results = _mini_run(EquivariantOracle(), n_samples=1)
-    inp = ModelInput(a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.1,
-                     strain=0.01 * np.ones((12, 6)))
-    no_identity = run_tta(
-        EquivariantOracle(), inp, TTAConfig(n_rotations=4, include_identity=False)
-    )
-    with pytest.raises(ValueError):
-        evaluate_dataset(targets, [no_identity])

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from rotta.rotations import (
     RotationStream,
-    fiber_from_angles,
     identity_rotation,
     rotation_list,
     sample_orientation_tensor,
@@ -15,7 +14,7 @@ from rotta.rotations import (
     sample_rotations,
     sample_volume_fraction,
 )
-from rotta.voigt import check_rotation, rotate_sym, to_matrix, trace
+from rotta.voigt import rotate_sym, to_matrix, trace
 
 
 # ----------------------------------------------------------------- stream
@@ -121,7 +120,8 @@ def test_rotation_list_starts_with_identity():
     assert lst.shape == (4, 3, 3)
     assert np.array_equal(lst[0], np.eye(3))
     for r in lst[1:]:
-        check_rotation(r)
+        assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-12
+        assert abs(np.linalg.det(r) - 1.0) <= 1e-12
 
 
 def test_rotation_list_replay_and_prefix():
@@ -136,19 +136,6 @@ def test_rotation_list_replay_and_prefix():
 def test_rotation_list_rejects_negative():
     with pytest.raises(ValueError):
         rotation_list(RotationStream(0), -2)
-
-
-# ------------------------------------------------------------------ fiber
-
-
-def test_fiber_from_angles():
-    assert_allclose(fiber_from_angles(0.0, 0.0).p, [0.0, 0.0, 1.0], atol=1e-15)
-    assert_allclose(fiber_from_angles(np.pi / 2, 0.0).p, [1.0, 0.0, 0.0], atol=1e-15)
-    assert_allclose(fiber_from_angles(np.pi / 2, np.pi / 2).p, [0.0, 1.0, 0.0], atol=1e-15)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        f = fiber_from_angles(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
-        assert np.linalg.norm(f.p) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------- microstructure

@@ -17,13 +17,10 @@ from rotta.spheremap import (
     NonConvergence,
     ProjectedPoint,
     RasterMap,
-    SpherePoint,
-    cart_to_latlon,
     export_map,
     mollweide_project,
     project_rotations,
     render_svg,
-    rotation_to_sphere,
     seeds_csv,
     solve_theta,
     voronoi_rasterize,
@@ -32,51 +29,58 @@ from rotta.spheremap import (
 SQRT2 = math.sqrt(2.0)
 
 
-# ------------------------------------------------------- rotation -> sphere
+# ------------------------------------------- per-point rotation -> lat / lon
+#
+# One rotation at a time, in scalar arithmetic: the oracle that
+# project_rotations is compared against below.
+
+
+def _rotation_to_sphere(r):
+    """Direction of a rotation: where it sends the +z axis."""
+    return np.asarray(r, dtype=float) @ np.array([0.0, 0.0, 1.0])
+
+
+def _cart_to_latlon(xyz):
+    """Latitude asin(z / |v|) and longitude atan2(y, x) of a direction; longitude 0 at the poles."""
+    xyz = np.asarray(xyz, dtype=float)
+    n = np.linalg.norm(xyz)
+    if n == 0.0:
+        raise ValueError("zero vector has no direction")
+    lat = math.asin(min(1.0, max(-1.0, xyz[2] / n)))
+    if xyz[0] == 0.0 and xyz[1] == 0.0:
+        return lat, 0.0
+    return lat, math.atan2(xyz[1], xyz[0])
 
 
 def test_rotation_to_sphere_identity():
-    p = rotation_to_sphere(np.eye(3), 0.5)
-    assert_allclose(p.xyz, [0.0, 0.0, 1.0], rtol=0, atol=0)
-    assert p.value == 0.5
+    assert_allclose(_rotation_to_sphere(np.eye(3)), [0.0, 0.0, 1.0], rtol=0, atol=0)
 
 
 def test_rotation_to_sphere_quarter_turn_about_x():
     # rotating e3 by +90 degrees about x sends it to -e2
     r = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-    p = rotation_to_sphere(r, 1.0)
-    assert_allclose(p.xyz, [0.0, -1.0, 0.0], atol=1e-15)
+    assert_allclose(_rotation_to_sphere(r), [0.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_rotation_to_sphere_unit_norm():
     stream = RotationStream(11)
     for r in sample_rotations(stream, 40):
-        p = rotation_to_sphere(r, 0.0)
-        assert abs(np.dot(p.xyz, p.xyz) - 1.0) <= 1e-12
-
-
-def test_sphere_point_rejects_bad_input():
-    with pytest.raises(ValueError):
-        SpherePoint(xyz=np.array([1.0, 1.0, 0.0]), value=0.0)
-    with pytest.raises(ValueError):
-        SpherePoint(xyz=np.array([1.0, 0.0]), value=0.0)
-
-
-# -------------------------------------------------------------- lat / lon
+        xyz = _rotation_to_sphere(r)
+        assert abs(np.dot(xyz, xyz) - 1.0) <= 1e-12
 
 
 def test_cart_to_latlon_axes():
-    assert cart_to_latlon([1.0, 0.0, 0.0]) == (0.0, 0.0)
-    lat, lon = cart_to_latlon([0.0, 1.0, 0.0])
+    assert _cart_to_latlon([1.0, 0.0, 0.0]) == (0.0, 0.0)
+    lat, lon = _cart_to_latlon([0.0, 1.0, 0.0])
     assert lat == pytest.approx(0.0, abs=1e-15)
     assert lon == pytest.approx(math.pi / 2.0, abs=1e-15)
-    lat, lon = cart_to_latlon([0.0, 0.0, 1.0])
+    lat, lon = _cart_to_latlon([0.0, 0.0, 1.0])
     assert lat == pytest.approx(math.pi / 2.0, abs=1e-15)
     assert lon == 0.0  # poles carry no longitude
 
 
 def test_cart_to_latlon_negative_x_axis():
-    lat, lon = cart_to_latlon([-1.0, 0.0, 0.0])
+    lat, lon = _cart_to_latlon([-1.0, 0.0, 0.0])
     assert lat == pytest.approx(0.0, abs=1e-15)
     assert abs(lon) == pytest.approx(math.pi, abs=1e-15)
 
@@ -86,7 +90,7 @@ def test_cart_to_latlon_round_trip():
     for _ in range(50):
         v = rng.standard_normal(3)
         v /= np.linalg.norm(v)
-        lat, lon = cart_to_latlon(v)
+        lat, lon = _cart_to_latlon(v)
         back = [
             math.cos(lat) * math.cos(lon),
             math.cos(lat) * math.sin(lon),
@@ -97,7 +101,7 @@ def test_cart_to_latlon_round_trip():
 
 def test_cart_to_latlon_rejects_zero_vector():
     with pytest.raises(ValueError):
-        cart_to_latlon([0.0, 0.0, 0.0])
+        _cart_to_latlon([0.0, 0.0, 0.0])
 
 
 # --------------------------------------------------------------- theta
@@ -325,8 +329,7 @@ def test_rotation_to_sphere_matches_scipy_apply():
     rng = np.random.default_rng(17)
     for _ in range(20):
         r = Rotation.random(random_state=rng).as_matrix()
-        p = rotation_to_sphere(r, 0.0)
-        assert_allclose(p.xyz, r @ np.array([0.0, 0.0, 1.0]), atol=1e-14)
+        assert_allclose(_rotation_to_sphere(r), r @ np.array([0.0, 0.0, 1.0]), atol=1e-14)
 
 
 # ------------------------------------- array paths against per-point oracles
@@ -340,8 +343,7 @@ def _project_rotations_oracle(rotations, values, radius=2.0):
     """One direction, one scalar latitude/longitude and one Newton solve per seed."""
     seeds = []
     for r, v in zip(np.asarray(rotations, dtype=float), np.asarray(values, dtype=float)):
-        point = rotation_to_sphere(r, v)
-        lat, lon = cart_to_latlon(point.xyz)
+        lat, lon = _cart_to_latlon(_rotation_to_sphere(r))
         x, y = mollweide_project(lat, lon, radius)
         seeds.append(ProjectedPoint(x=x, y=y, value=float(v)))
     return seeds

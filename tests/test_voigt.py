@@ -9,7 +9,6 @@ from rotta.voigt import (
     COMPONENT_NAMES,
     VOIGT_PAIRS,
     check_orientation_tensor,
-    check_rotation,
     from_matrix,
     inverse_rotate_sym,
     rotate_sym,
@@ -168,21 +167,6 @@ def test_von_mises_path_rejects_wrong_shape():
 
 
 # ------------------------------------------------------------- validators
-
-
-def test_check_rotation_accepts_proper():
-    check_rotation(np.eye(3))
-    check_rotation(R_X3_90)
-
-
-def test_check_rotation_rejects_scaled_and_reflected():
-    with pytest.raises(ValueError):
-        check_rotation(1.1 * np.eye(3))
-    reflection = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        check_rotation(reflection)
-    with pytest.raises(ValueError):
-        check_rotation(np.eye(2))
 
 
 def test_check_orientation_tensor():
