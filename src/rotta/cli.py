@@ -103,14 +103,7 @@ def _add_map_flags(parser):
                         help="map colormap")
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="rotta",
-        description="rotation-augmented inference with uncertainty estimation",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("generate", help="write a synthetic dataset")
+def _add_generate_flags(p):
     p.add_argument("--dataset", required=True, help="destination file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None, metavar="M",
@@ -121,28 +114,54 @@ def build_parser():
     p.add_argument("--uniaxial", action="store_true",
                    help=f"cyclic axial loading (default count {UNIAXIAL_COUNT})")
 
-    p = sub.add_parser("run", help="full run with persisted metrics")
+
+def _add_run_flags(p):
     _add_common(p)
     p.add_argument("--sphere-map", action="store_true", help="also export the error map")
     _add_map_flags(p)
 
-    p = sub.add_parser("audit", help="numerical round-trip error table")
+
+def _add_audit_flags(p):
     _add_common(p, out_required=False)
     p.add_argument("--identity-only", action="store_true",
                    help="use identity rotations (errors must be exactly zero)")
 
-    p = sub.add_parser("sweep", help="error versus rotation count")
+
+def _add_sweep_flags(p):
     _add_common(p)
     p.add_argument("--n-values", type=_n_values, required=True, metavar="N1,N2,...",
                    help="rotation counts to evaluate")
 
-    p = sub.add_parser("sphere-map", help="per-rotation error map")
+
+def _add_sphere_map_flags(p):
     _add_common(p)
     _add_map_flags(p)
 
-    p = sub.add_parser("repeats", help="stability over consecutive seeds")
+
+def _add_repeats_flags(p):
     _add_common(p)
     p.add_argument("--repeats", type=int, default=5, metavar="K", help="repeat count")
+
+
+def build_parser(argv):
+    """The ``rotta`` parser for ``argv``.
+
+    Every subcommand is registered, so usage, help and errors read as with
+    all of them built, but only the one ``argv`` names gets its flags:
+    building the others would cost most of the parse.  That is the first
+    token naming a command, which is the one argparse dispatches to unless
+    an earlier token is already an error.
+    """
+    named = next((token for token in argv if token in _COMMANDS), None)
+    parser = argparse.ArgumentParser(
+        prog="rotta",
+        description="rotation-augmented inference with uncertainty estimation",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_flags, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_flags(p)
     return parser
 
 
@@ -219,13 +238,14 @@ def _cmd_repeats(args):
     return EXIT_OK
 
 
+# name -> (help, flag builder, handler), in the order usage lists them
 _COMMANDS = {
-    "generate": _cmd_generate,
-    "run": _cmd_run,
-    "audit": _cmd_audit,
-    "sweep": _cmd_sweep,
-    "sphere-map": _cmd_sphere_map,
-    "repeats": _cmd_repeats,
+    "generate": ("write a synthetic dataset", _add_generate_flags, _cmd_generate),
+    "run": ("full run with persisted metrics", _add_run_flags, _cmd_run),
+    "audit": ("numerical round-trip error table", _add_audit_flags, _cmd_audit),
+    "sweep": ("error versus rotation count", _add_sweep_flags, _cmd_sweep),
+    "sphere-map": ("per-rotation error map", _add_sphere_map_flags, _cmd_sphere_map),
+    "repeats": ("stability over consecutive seeds", _add_repeats_flags, _cmd_repeats),
 }
 
 
@@ -239,9 +259,10 @@ def _setup_logging():
 
 def main(argv=None):
     _setup_logging()
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .voigt import VOIGT_COLS, VOIGT_INDEX, VOIGT_ROWS, von_mises
+from .voigt import VOIGT_INDEX, VOIGT_PAIRS, von_mises
 
 
 class ExternalModelError(RuntimeError):
@@ -138,24 +138,29 @@ class EquivariantOracle:
         """Stress paths ``(..., T, 6)`` for orientation tensors ``a (..., 6)`` and strain paths ``(..., T, 6)``.
 
         Works on the six stored components with the bits of the full-matrix
-        form: ``a.eps`` and ``eps.a`` are summed from +0.0 in j order, as in
-        einsum, and ``x * I`` is ``x`` on the diagonal and ``x * 0.0`` off it.
+        form: each output of ``a.eps`` and of ``eps.a`` adds its three
+        products to +0.0 in j order, as in einsum, and ``x * I`` is ``x`` on
+        the diagonal and ``x * 0.0`` off it.  The products are taken from
+        plain component slices, never gathered into copies.
         """
         p = self.params
         a = np.moveaxis(np.asarray(a, dtype=float), -1, 0)[..., None]  # (6, ..., 1): broadcast over steps
         eps = np.moveaxis(np.asarray(strain, dtype=float), -1, 0)  # (6, ..., T)
-        a_eps = np.zeros(np.broadcast_shapes(a.shape, eps.shape))
-        eps_a = np.zeros_like(a_eps)
+        coupling = np.zeros(np.broadcast_shapes(a.shape, eps.shape))  # a.eps, then a.eps + eps.a
+        eps_a, term = np.empty_like(coupling[0]), np.empty_like(coupling[0])
         with np.errstate(over="ignore", invalid="ignore"):  # as silent as einsum
-            for j in range(3):
-                a_eps += a[VOIGT_INDEX[VOIGT_ROWS, j]] * eps[VOIGT_INDEX[j, VOIGT_COLS]]
-                eps_a += eps[VOIGT_INDEX[VOIGT_ROWS, j]] * a[VOIGT_INDEX[j, VOIGT_COLS]]
-        coupling = a_eps + eps_a
+            for c, (i, l) in enumerate(VOIGT_PAIRS):
+                eps_a.fill(0.0)
+                for j in range(3):
+                    coupling[c] += np.multiply(a[VOIGT_INDEX[i, j]], eps[VOIGT_INDEX[j, l]], out=term)
+                    eps_a += np.multiply(eps[VOIGT_INDEX[i, j]], a[VOIGT_INDEX[j, l]], out=term)
+                coupling[c] += eps_a
+        coupling *= vf * p.kappa
         iso = p.lam * ((eps[0] + eps[1]) + eps[2])
         s = 2.0 * p.mu * eps
         s[:3] = iso + s[:3]
         s[3:] = iso * 0.0 + s[3:]
-        s += vf * p.kappa * coupling
+        s += coupling
         mean = ((s[0] + s[1]) + s[2]) / 3.0
         vm = von_mises(np.moveaxis(s, 0, -1))
         scale = np.where(vm > p.sigma_y, p.sigma_y / np.where(vm > 0, vm, 1.0), 1.0)
@@ -299,14 +304,16 @@ class ExternalModel:
     def close(self):
         if self._proc is None:
             return
+        proc, self._proc = self._proc, None
         try:
-            if self._proc.stdin:
-                self._proc.stdin.close()
-            self._proc.terminate()
-            self._proc.wait(timeout=5.0)
-        except Exception:
-            self._proc.kill()
-        self._proc = None
+            proc.stdin.close()
+            proc.terminate()
+            proc.wait(timeout=5.0)
+        except (subprocess.TimeoutExpired, OSError):
+            proc.kill()
+            proc.wait()
+        finally:
+            proc.stdout.close()
 
     def predict(self, inp: ModelInput):
         return self.predict_batch(inp.a[None], inp.vf, inp.strain[None])[0]

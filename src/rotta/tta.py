@@ -27,9 +27,13 @@ DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
 _DIVISOR_MODES = (DIVISOR_COUNT, DIVISOR_PAPER)
 
-# Rotations x steps per predict_batch call (16 rotations of a 100-step path):
-# bounds the kernel's temporary arrays so peak memory does not grow with N.
-_CHUNK_STEPS = 1600
+# Rotations x steps per predict_batch call (81 rotations of a 100-step path).
+# It bounds the kernel's temporary arrays, so peak memory does not grow with
+# N, and sits at the knee of the measured kernel cost per row: on a 1001x100
+# noisy sample about 1.1 us/row at 1,600, 0.6-0.8 at 6,400-8,192, no less
+# above that, and more again from 25,600 on, where a chunk's six-component
+# arrays (1.2 MB each) outgrow the core's cache.
+_CHUNK_STEPS = 8192
 
 
 class EmptyInput(ValueError):

@@ -21,11 +21,13 @@ modes answer requests 0..K-1 like echo and put their fault on request K
   quit     exit immediately without reading anything
   split    answer like echo, but hold the responses and write them in
            reverse order, in pieces that cut lines, several to one write
+  stubborn answer like echo, ignore SIGTERM, and outlive the end of stdin
 """
 
 import json
 import os
 import select
+import signal
 import sys
 import time
 
@@ -34,7 +36,7 @@ def answer(req, mode, k, count):
     """The response line (bytes) to the ``count``-th request; None to exit."""
     sigma = req["eps"]
     resp = {"id": req["id"], "sigma": sigma}
-    if count != k or mode in ("echo", "split", "slow"):
+    if count != k or mode in ("echo", "split", "slow", "stubborn"):
         return (json.dumps(resp) + "\n").encode()
     if mode == "exit":
         return None
@@ -89,6 +91,8 @@ def main():
         time.sleep(3600)
     if mode == "split":
         return split_writes(mode, k)
+    if mode == "stubborn":
+        signal.signal(signal.SIGTERM, signal.SIG_IGN)
     for count, line in enumerate(sys.stdin):
         req = json.loads(line)
         if mode == "silent":
@@ -102,6 +106,8 @@ def main():
         sys.stdout.flush()
         if mode == "exit" and count + 1 == k:
             return
+    if mode == "stubborn":
+        time.sleep(3600)
 
 
 if __name__ == "__main__":

@@ -165,6 +165,23 @@ def test_contraction_order_is_pinned():
     assert np.array_equal(augment(model, inp, rotations), _loop(model, inp, rotations))
 
 
+@pytest.mark.parametrize("n", [80, 1000])
+def test_a_chunk_holds_the_step_budget(n):
+    # the unpatched budget: 81 rotations of a 100-step path go in one call
+    inp = _input(21, 100, 0.02)
+    model = _model(True, 21)
+    rotations = rotation_list(RotationStream(22), n)
+    with mock.patch.object(model, "predict_batch", wraps=model.predict_batch) as batch:
+        out = augment(model, inp, rotations)
+    per_call = tta._CHUNK_STEPS // inp.n_steps
+    rows = [len(call.args[2]) for call in batch.call_args_list]
+    assert len(rows) == -(-(n + 1) // per_call)
+    assert sum(rows) == n + 1 and set(rows[:-1]) <= {per_call}
+    if n == 80:
+        assert rows == [81]
+    assert np.array_equal(out, _loop(model, inp, rotations))
+
+
 # ------------------------------------- bits of the conjugation and oracle
 
 

@@ -229,6 +229,22 @@ def test_help_exits_cleanly():
     assert err.value.code == 0
 
 
+# Exit code, stdout and stderr of `rotta` help and usage errors at 80 columns,
+# recorded from the parser that built every subcommand's flags.
+CLI_TEXTS = json.loads(Path(__file__).with_name("cli_texts.json").read_text())
+
+
+@pytest.mark.parametrize("case", CLI_TEXTS["cases"], ids=lambda case: " ".join(case["argv"]) or "(no arguments)")
+def test_help_and_usage_errors_are_pinned(case, monkeypatch, capsys):
+    if "%d.%d" % sys.version_info[:2] != CLI_TEXTS["python"]:
+        pytest.skip(f"texts recorded with Python {CLI_TEXTS['python']}, whose argparse formats them")
+    monkeypatch.setenv("COLUMNS", str(CLI_TEXTS["columns"]))
+    with pytest.raises(SystemExit) as err:
+        main(list(case["argv"]))
+    captured = capsys.readouterr()
+    assert (err.value.code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"])
+
+
 # ------------------------------------------------- external integration
 
 

@@ -2,9 +2,12 @@
 external line-protocol adapter."""
 
 import json
+import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -294,6 +297,23 @@ def test_external_dead_child_is_not_respawned():
             with pytest.raises(ExternalModelError, match="exit status 0"):
                 predict(model, inp)
         assert model._proc is child
+
+
+def test_external_close_kills_and_reaps_a_child_that_ignores_terminate():
+    inp = _sample_input(seed=2, n_steps=3)
+    model = ExternalModel(_fixture_cmd("stubborn"))
+    assert_allclose(predict(model, inp), inp.strain, rtol=0, atol=0)  # its SIGTERM handler is set
+    child = model._proc
+    real_wait = subprocess.Popen.wait
+
+    def short_wait(self, timeout=None):  # the grace period after terminate, cut short
+        return real_wait(self, None if timeout is None else min(timeout, 0.2))
+
+    with mock.patch.object(subprocess.Popen, "wait", short_wait):
+        model.close()
+    assert child.returncode == -signal.SIGKILL
+    assert child.stdin.closed and child.stdout.closed
+    assert model._proc is None
 
 
 def test_external_timeout():
