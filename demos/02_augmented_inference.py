@@ -25,10 +25,11 @@ print("sample %s: %d steps, vf = %.3f, peak von Mises %.1f MPa" %
 
 config = TTAConfig(n_rotations=64, seed=1)
 
-# Equivariant case: the aggregate reproduces the direct prediction and
-# the per-step spread collapses to rounding noise.
+# Equivariant case: the aggregate reproduces the direct prediction (row 0
+# of the predictions, under the identity) and the per-step spread
+# collapses to rounding noise.
 result = run_tta(EquivariantOracle(), sample.model_input(), config)
-spread = np.max(np.abs(result.aggregated - result.identity_prediction))
+spread = np.max(np.abs(result.aggregated - result.predictions[0]))
 print("\nequivariant model, 64 rotations:")
 print("  |aggregate - direct| = %.2e (pure round-off)" % spread)
 print("  max von Mises SD     = %.2e" % result.vm_sd.max())
@@ -39,7 +40,7 @@ print("  max von Mises SD     = %.2e" % result.vm_sd.max())
 noisy = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=2))
 result = run_tta(noisy, sample.model_input(), config)
 
-direct_err = np.abs(von_mises_path(result.identity_prediction) - target_vm)
+direct_err = np.abs(von_mises_path(result.predictions[0]) - target_vm)
 tta_err = np.abs(result.vm_aggregated - target_vm)
 print("\nnoisy model (amplitude 5 MPa), 64 rotations:")
 print("  mean |error| direct    = %.3f MPa" % direct_err.mean())
@@ -55,5 +56,5 @@ print("  mean prediction SD     = %.3f MPa (noise amplitude was 5)" %
 print("\n  t   target_vm   direct_vm   tta_vm")
 for t in (0, 15, 30, 45, 59):
     print("  %2d   %8.3f    %8.3f  %8.3f" %
-          (t, target_vm[t], von_mises_path(result.identity_prediction)[t],
+          (t, target_vm[t], von_mises_path(result.predictions[0])[t],
            result.vm_aggregated[t]))

@@ -15,7 +15,7 @@ from rotta.dataset import generate_synthetic
 from rotta.metrics import mere
 from rotta.models import NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, rotation_list
-from rotta.spheremap import export_map, project_rotations, voronoi_rasterize
+from rotta.spheremap import project_rotations, render_svg, seeds_csv, voronoi_rasterize
 from rotta.tta import TTAConfig, run_tta
 from rotta.voigt import von_mises_path
 
@@ -48,12 +48,15 @@ rotations = rotation_list(RotationStream(4), n_rotations)
 seeds = project_rotations(rotations, per_rotation, radius=2.0)
 raster = voronoi_rasterize(seeds, grid=(360, 180), radius=2.0)
 
-svg_path = os.path.join(OUT_DIR, "error_map.svg")
-csv_path = os.path.join(OUT_DIR, "error_map_seeds.csv")
-export_map(raster, seeds, svg_path, csv_path,
-           title="per-rotation mean relative error")
-print("wrote", svg_path)
-print("wrote", csv_path)
+texts = {
+    "error_map.svg": render_svg(raster, seeds, title="per-rotation mean relative error"),
+    "error_map_seeds.csv": seeds_csv(seeds),
+}
+for name, text in texts.items():
+    path = os.path.join(OUT_DIR, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print("wrote", path)
 
 # For frame-independent noise the map should look like salt and pepper:
 # no orientation is special.  A trained model with a preferred frame

@@ -279,8 +279,7 @@ def generate_synthetic(
             strain = _uniaxial_strain(n_steps, max_strain)
         else:
             strain = _random_walk_strain(sub, n_steps, max_strain)
-        inp = ModelInput(a=a, vf=vf, strain=strain)
-        target = oracle.predict(inp)
+        target = oracle.predict_batch(a, vf, strain)
         samples.append(
             Sample(id=f"{prefix}-{m:04d}", a=a, vf=vf, strain=strain, target_stress=target).validate()
         )

@@ -39,7 +39,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, augment_chunks, numerics_audit, run_tta
+from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
 from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -346,8 +346,10 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
 
     All requested counts are evaluated in a single pass: the rotation list
     of the largest N is generated once and every smaller N uses its prefix,
-    so the curve is internally consistent.  Aggregation is a running
-    compensated sum, checkpointed at each requested count.  Returns rows of
+    so the curve is internally consistent.  Aggregation is the running
+    compensated sum of :func:`~rotta.tta.compensated_sums`, read at each
+    requested count, with the divisor of :func:`~rotta.tta.aggregate_mean`,
+    so row ``n`` has the bits of a full run with N = n.  Returns rows of
     ``(n, mere_tta, mare_tta)`` and, when ``write`` is set, persists
     ``sweep.csv`` plus a manifest.
     """
@@ -368,19 +370,9 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
     vm_by_checkpoint = np.empty((len(samples), len(checkpoints), n_steps))
     with _open_model(cfg) as model:
         for m, sample in enumerate(samples):
-            total = np.zeros((n_steps, 6))
-            carry = np.zeros_like(total)
-            next_cp = 0
-            for lo, block in augment_chunks(model, sample.model_input(), rotations):
-                for i, out in enumerate(block, lo):
-                    y = out - carry
-                    t = total + y
-                    carry = (t - total) - y
-                    total = t
-                    while next_cp < len(checkpoints) and checkpoints[next_cp] == i:
-                        divisor = i + 1 if cfg.divisor_mode == "count" else max(i, 1)
-                        vm_by_checkpoint[m, next_cp] = von_mises_path(total / divisor)
-                        next_cp += 1
+            backrotated = (row for _, block in augment_chunks(model, sample.model_input(), rotations) for row in block)
+            for k, (n, total) in enumerate(zip(checkpoints, compensated_sums(backrotated, checkpoints))):
+                vm_by_checkpoint[m, k] = von_mises_path(total / mean_divisor(n + 1, cfg.divisor_mode))
 
     rows = [
         (n, mere(target_vm, vm), mare(target_vm, vm, absolute=cfg.mare_abs))

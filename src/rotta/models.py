@@ -2,10 +2,12 @@
 
 A model maps ``(orientation tensor a, volume fraction vf, strain path
 eps(t))`` to a stress path ``sigma(t)`` of the same length.  Anything with a
-``predict(ModelInput) -> (T, 6) ndarray`` method qualifies.  A model may also
-offer ``predict_batch(a (P, 6), vf, strain (P, T, 6)) -> (P, T, 6)``, which
-the augmentation kernel calls once for many rotated copies; its row ``p``
-must have the same bits as ``predict`` on input ``p``.
+``predict_batch(a (P, 6), vf, strain (P, T, 6)) -> (P, T, 6)`` method
+qualifies: row ``p`` is the stress path for ``a[p]`` and ``strain[p]``.  It
+is the only method the augmentation kernel (:func:`rotta.tta.augment`)
+calls, once for a chunk of rotated copies of one input, and so the only one
+every command (``run``, ``sweep``, ``repeats``, ``audit``, ``sphere-map``)
+uses.  A single input is the batch of one row.
 
 Two built-in analytic oracles stand in for a trained sequence model:
 
@@ -100,21 +102,6 @@ class OracleParams:
             raise ValueError("noise_amp must be >= 0")
 
 
-def predict(model, inp: ModelInput):
-    """Validate ``inp``, dispatch to ``model.predict``, and check the output contract.
-
-    Returns the ``(T, 6)`` stress path.  Raises :class:`ExternalModelError`
-    for external-process failures; ``ValueError`` for invalid inputs.
-    """
-    inp.validate()
-    out = np.asarray(model.predict(inp), dtype=float)
-    if out.shape != inp.strain.shape:
-        raise ExternalModelError(
-            f"model returned shape {out.shape}, expected {inp.strain.shape}"
-        )
-    return out
-
-
 class EquivariantOracle:
     """Memoryless analytic stress model, exactly equivariant under frame rotation.
 
@@ -130,9 +117,6 @@ class EquivariantOracle:
 
     def __init__(self, params: Optional[OracleParams] = None):
         self.params = params or OracleParams()
-
-    def predict(self, inp: ModelInput):
-        return self.predict_batch(inp.a, inp.vf, inp.strain)
 
     def predict_batch(self, a, vf, strain):
         """Stress paths ``(..., T, 6)`` for orientation tensors ``a (..., 6)`` and strain paths ``(..., T, 6)``.
@@ -314,9 +298,6 @@ class ExternalModel:
             proc.wait()
         finally:
             proc.stdout.close()
-
-    def predict(self, inp: ModelInput):
-        return self.predict_batch(inp.a[None], inp.vf, inp.strain[None])[0]
 
     def predict_batch(self, a, vf, strain):
         """Stress paths ``(P, T, 6)`` for ``a (P, 6)`` and ``strain (P, T, 6)``: one request per row.

@@ -352,12 +352,3 @@ def seeds_csv(seeds):
         lines.append(f"{format_float(s.x)},{format_float(s.y)},{format_float(s.value)}")
     return "\n".join(lines) + "\n"
 
-
-def export_map(raster, seeds, svg_path, csv_path, colormap="viridis", title=None):
-    """Write the SVG figure and the seed CSV; returns both paths."""
-    svg = render_svg(raster, seeds, colormap=colormap, title=title)
-    with open(svg_path, "w", encoding="utf-8") as fh:
-        fh.write(svg)
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(seeds_csv(seeds))
-    return svg_path, csv_path

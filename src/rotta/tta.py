@@ -7,10 +7,14 @@ frame, and reduces the back-rotated paths into a mean path with a per-step
 spread.  For an exactly rotation-equivariant predictor the whole procedure
 is a no-op up to float round-off, which the test suite exploits.
 
-:func:`augment` is the one rotate -> predict -> back-rotate kernel.
-Aggregation is performed in ascending rotation index with compensated
-(Kahan) summation, so results do not depend on how predictions were
-scheduled.  All result arrays are plain float64 ndarrays.
+:func:`augment` (and :func:`augment_chunks`, the same rows chunk by chunk)
+is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
+``repeats``, ``sphere-map`` and :func:`numerics_audit` all predict through
+it, and it calls nothing of a model but ``predict_batch``.
+:func:`compensated_sums` is the one reducer: every mean and spread adds its
+rows in ascending rotation index with compensated (Kahan) summation, so
+results do not depend on how predictions were scheduled.  All result arrays
+are plain float64 ndarrays.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ExternalModelError, ModelInput, predict
+from .models import ExternalModelError, ModelInput
 from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
 from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises, von_mises_path
 
@@ -90,30 +94,39 @@ class TTAResult:
     vm_sd: np.ndarray
     rotations: np.ndarray
 
-    @property
-    def n_steps(self):
-        return self.aggregated.shape[0]
 
-    @property
-    def identity_prediction(self):
-        return self.predictions[0]
+def compensated_sums(rows, at):
+    """Compensated (Kahan) running sum of ``rows`` in index order.
 
-
-def _kahan_sum(stack):
-    """Compensated sum over axis 0 in index order; shape ``stack.shape[1:]``."""
-    total = np.zeros(stack.shape[1:])
-    carry = np.zeros_like(total)
-    for row in stack:
+    Returns the running totals after the rows whose indices are in ``at``,
+    in index order.  ``rows`` may be any iterable of equal-shape arrays, so
+    a caller can reduce the kernel's rows as they come without a stack.
+    """
+    at = set(at)
+    totals, total, carry = [], 0.0, 0.0
+    for i, row in enumerate(rows):
         y = row - carry
         t = total + y
         carry = (t - total) - y
         total = t
-    return total
+        if i in at:
+            totals.append(total)
+    return totals
 
 
-def rotate_input(inp: ModelInput, r) -> ModelInput:
-    """Conjugate orientation tensor and every strain step by ``r``; vf unchanged."""
-    return ModelInput(a=rotate_sym(inp.a, r), vf=inp.vf, strain=rotate_sym(inp.strain, r))
+def mean_divisor(n_rows, mode):
+    """Divisor of the mean of ``n_rows`` predictions (indices 0..N).
+
+    ``mode="count"`` divides by the number of rows, ``mode="paper"`` by N =
+    ``n_rows - 1`` (the printed formula sums indices 0..N but divides by N);
+    a zero divisor raises :class:`EmptyInput`.
+    """
+    if mode not in _DIVISOR_MODES:
+        raise ValueError(f"unknown divisor mode {mode!r}")
+    divisor = n_rows if mode == DIVISOR_COUNT else n_rows - 1
+    if divisor == 0:
+        raise EmptyInput("paper divisor mode needs at least one random rotation (N >= 1)")
+    return divisor
 
 
 def aggregate_mean(predictions, mode=DIVISOR_COUNT):
@@ -128,12 +141,8 @@ def aggregate_mean(predictions, mode=DIVISOR_COUNT):
         raise ValueError(f"expected predictions of shape (P, T, 6), got {stack.shape}")
     if stack.shape[0] == 0:
         raise EmptyInput("no predictions to aggregate")
-    if mode not in _DIVISOR_MODES:
-        raise ValueError(f"unknown divisor mode {mode!r}")
-    divisor = stack.shape[0] if mode == DIVISOR_COUNT else stack.shape[0] - 1
-    if divisor == 0:
-        raise EmptyInput("paper divisor mode needs at least one random rotation (N >= 1)")
-    return _kahan_sum(stack) / divisor
+    divisor = mean_divisor(stack.shape[0], mode)
+    return compensated_sums(stack, [stack.shape[0] - 1])[0] / divisor
 
 
 def pointwise_sd(predictions, aggregated, include_first=False):
@@ -148,36 +157,25 @@ def pointwise_sd(predictions, aggregated, include_first=False):
         raise ValueError("spread needs at least 2 predictions")
     rows = stack if include_first else stack[1:]
     dev = (rows - np.asarray(aggregated, dtype=float)) ** 2
-    return np.sqrt(_kahan_sum(dev) / rows.shape[0])
+    return np.sqrt(compensated_sums(dev, [rows.shape[0] - 1])[0] / rows.shape[0])
 
 
 def augment_chunks(model, inp: ModelInput, rotations):
     """Yield ``(lo, block)`` in index order: rows ``lo..lo+len(block)-1`` of :func:`augment`.
 
     Row ``i`` is the prediction on ``inp`` rotated by ``rotations[i]``,
-    rotated back.  A model with ``predict_batch`` (the oracles, external
-    processes) is called once per chunk of rotations, each chunk rotated and
-    back-rotated by one :func:`~rotta.voigt.conjugate` call per array; any
-    other model once per rotation, in blocks of one row.  Rows have the same
-    bits either way, for any chunk size: every conjugation sums its terms in
-    one fixed order (another order differs in the last bits, which the noise
-    hash sees).  Non-finite rotated inputs raise ``ValueError``; a wrong
-    output shape and external-model failures raise
-    :class:`ExternalModelError` naming the rows (the row an error carries,
-    if it carries one).
+    rotated back.  ``model.predict_batch`` is called once per chunk of
+    rotations, each chunk rotated and back-rotated by one
+    :func:`~rotta.voigt.conjugate` call per array.  Rows have the same bits
+    as rotating, predicting one row and back-rotating one rotation at a
+    time, for any chunk size: every conjugation sums its terms in one fixed
+    order (another order differs in the last bits, which the noise hash
+    sees).  Non-finite rotated inputs raise ``ValueError``; a wrong output
+    shape and external-model failures raise :class:`ExternalModelError`
+    naming the rows (the row an error carries, if it carries one).
     """
     inp.validate()
     rotations = np.asarray(rotations, dtype=float)
-    predict_batch = getattr(model, "predict_batch", None)
-    if predict_batch is None:
-        for i, r in enumerate(rotations):
-            try:
-                row = inverse_rotate_sym(predict(model, rotate_input(inp, r)), r)
-            except ExternalModelError as exc:
-                raise ExternalModelError(f"rotation index {i}: {exc}") from exc
-            yield i, row[None]
-        return
-
     chunk = max(1, _CHUNK_STEPS // inp.n_steps)
     for lo in range(0, rotations.shape[0], chunk):
         rs = rotations[lo:lo + chunk]
@@ -185,7 +183,7 @@ def augment_chunks(model, inp: ModelInput, rotations):
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(strain))):
             raise ValueError("model input contains non-finite values")
         try:
-            pred = np.asarray(predict_batch(a, inp.vf, strain), dtype=float)
+            pred = np.asarray(model.predict_batch(a, inp.vf, strain), dtype=float)
         except ExternalModelError as exc:
             if exc.row is None:
                 raise
@@ -280,8 +278,10 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
     input tensors (orientation + strain path), the target stress path, and
     the model's predicted stress path; each of the three is averaged over
     the dataset.  Distinguishes genuine prediction variation from rounding.
+    The prediction is row 0 of :func:`augment` over the identity alone.
     ``identity_only`` swaps every rotation for the identity, a sanity mode
-    whose errors must be exactly zero.
+    whose errors must be exactly zero.  External-model failures are
+    re-raised naming the sample.
     """
     if len(samples) == 0:
         raise ValueError("audit needs a non-empty dataset")
@@ -292,7 +292,11 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
         input_errs.append(max(_roundtrip_err(inp.a, r), _roundtrip_err(inp.strain, r)))
         if sample.target_stress is not None:
             target_errs.append(_roundtrip_err(sample.target_stress, r))
-        output_errs.append(_roundtrip_err(predict(model, inp), r))
+        try:
+            prediction = augment(model, inp, identity_rotation()[None])[0]
+        except ExternalModelError as exc:
+            raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
+        output_errs.append(_roundtrip_err(prediction, r))
     return AuditReport(
         input_err=float(np.mean(input_errs)),
         target_err=float(np.mean(target_errs)) if target_errs else float("nan"),

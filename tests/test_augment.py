@@ -27,10 +27,9 @@ from rotta.models import (
     ModelInput,
     NoisyOracle,
     OracleParams,
-    predict,
 )
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
-from rotta.tta import augment, rotate_input
+from rotta.tta import augment
 from rotta.voigt import conjugate, from_matrix, inverse_rotate_sym, rotate_sym, to_matrix, trace, von_mises
 
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
@@ -50,25 +49,17 @@ def _model(noisy, seed):
 
 
 def _loop(model, inp, rotations):
-    """The reference: one rotate -> predict -> back-rotate per rotation."""
-    return np.stack([inverse_rotate_sym(predict(model, rotate_input(inp, r)), r) for r in rotations])
+    """The reference: one rotate -> predict a one-row batch -> back-rotate per rotation."""
+    rows = []
+    for r in rotations:
+        rotated = ModelInput(a=rotate_sym(inp.a, r), vf=inp.vf, strain=rotate_sym(inp.strain, r)).validate()
+        rows.append(inverse_rotate_sym(model.predict_batch(rotated.a[None], inp.vf, rotated.strain[None])[0], r))
+    return np.stack(rows)
 
 
 def _augment(model, inp, rotations, chunk):
     with mock.patch.object(tta, "_CHUNK_STEPS", chunk * inp.n_steps):
         return augment(model, inp, rotations)
-
-
-class PredictOnly:
-    """A model without ``predict_batch``, such as an external process."""
-
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
-
-    def predict(self, inp):
-        self.calls += 1
-        return self.inner.predict(inp)
 
 
 cases = dict(
@@ -102,18 +93,6 @@ def test_kernel_rows_are_prefix_stable(seed, n_steps, scale, noisy, n, k, chunk)
     assert np.array_equal(full[:k + 1], head)
 
 
-@settings(max_examples=20, deadline=None)
-@given(n=st.integers(0, 20), **cases)
-def test_model_without_predict_batch_takes_the_loop(seed, n_steps, scale, noisy, n):
-    inp = _input(seed, n_steps, scale)
-    inner = _model(noisy, seed)
-    rotations = rotation_list(RotationStream(seed + 2), n)
-    fallback = PredictOnly(inner)
-    out = augment(fallback, inp, rotations)
-    assert fallback.calls == n + 1
-    assert np.array_equal(out, augment(inner, inp, rotations))
-
-
 def test_wrong_batch_shape_is_an_external_error():
     class Short(EquivariantOracle):
         def predict_batch(self, a, vf, strain):
@@ -123,9 +102,6 @@ def test_wrong_batch_shape_is_an_external_error():
     rotations = rotation_list(RotationStream(2), 5)
     with pytest.raises(ExternalModelError, match=r"rotation indices 0-2: model returned shape \(3, 5, 6\)"):
         _augment(Short(), inp, rotations, chunk=3)
-    # the same model through the per-rotation loop fails the same way
-    with pytest.raises(ExternalModelError, match=r"rotation index 0: model returned shape \(5, 6\)"):
-        augment(PredictOnly(Short()), inp, rotations)
 
 
 def test_non_finite_prediction_passes_through_as_in_the_loop():

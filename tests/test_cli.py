@@ -74,6 +74,34 @@ def test_audit_identity_only(dataset_path, capsys):
     assert "0.0000e+00" in out
 
 
+# `rotta audit` of `rotta generate --samples 4 --steps 10 --seed 41` under
+# the noisy model (--noise-amp 2 --seed 5), recorded when the audit still
+# predicted outside the augmentation kernel
+AUDIT_TABLE = (
+    "         Input         Target         Output\n"
+    "    1.2837e-16     8.7930e-14     7.8160e-14\n"
+    "samples: 4 (4 with targets)\n"
+)
+
+
+def test_audit_table_is_pinned(tmp_path, capsys):
+    data = tmp_path / "d.ndjson"
+    assert main(["generate", "--dataset", str(data), "--samples", "4", "--steps", "10", "--seed", "41"]) == 0
+    capsys.readouterr()
+    assert main(["audit", "--dataset", str(data), "--model", "noisy", "--noise-amp", "2.0", "--seed", "5"]) == 0
+    assert capsys.readouterr().out == AUDIT_TABLE
+
+
+def test_audit_external_failure_names_the_sample(dataset_path, capsys):
+    code = main(["audit", "--dataset", dataset_path,
+                 "--model", f"external:{sys.executable} {FIXTURE} quit"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("external model error: sample rve-0000: rotation index 0: ")
+    assert "Traceback" not in captured.err
+
+
 def test_sweep(dataset_path, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", *_noisy(dataset_path, out), "--n-values", "0,4"])

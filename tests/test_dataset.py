@@ -197,7 +197,7 @@ def test_generate_basic_properties():
         assert s.strain.shape == (10, 6)
         # rescaling pins the largest absolute strain component to the cap
         assert np.max(np.abs(s.strain)) == pytest.approx(0.035, abs=1e-12)
-        assert np.array_equal(s.target_stress, oracle.predict(s.model_input()))
+        assert np.array_equal(s.target_stress, oracle.predict_batch(s.a[None], s.vf, s.strain[None])[0])
 
 
 def test_generate_is_replayable():
@@ -224,7 +224,7 @@ def test_generate_custom_strain_cap_and_oracle():
                                  oracle=oracle)
     for s in samples:
         assert np.max(np.abs(s.strain)) == pytest.approx(0.01, abs=1e-12)
-        assert np.array_equal(s.target_stress, oracle.predict(s.model_input()))
+        assert np.array_equal(s.target_stress, oracle.predict_batch(s.a[None], s.vf, s.strain[None])[0])
 
 
 def test_generate_rejects_bad_arguments():

@@ -218,12 +218,18 @@ def test_sweep_rows_and_zero_checkpoint(dataset_path, tmp_path):
 
 
 def test_sweep_agrees_with_full_run(dataset_path, tmp_path):
-    cfg = _cfg(dataset_path, tmp_path / "sweep", n_rotations=4)
-    rows = run_sweep(cfg, [4], write=False)
-    assert not (tmp_path / "sweep").exists()
-    report, _ = run_experiment(replace(cfg, out_dir=str(tmp_path / "full")))
-    assert rows[0][1] == pytest.approx(report.mere_tta, abs=1e-12)
-    assert rows[0][2] == pytest.approx(report.mare_tta, abs=1e-12)
+    # sweep row n is `run --rotations n`, bit for bit; three rotations per
+    # kernel chunk make the sweep's running sum cross chunk boundaries
+    for divisor_mode in ("count", "paper"):
+        cfg = _cfg(dataset_path, tmp_path / divisor_mode / "sweep", divisor_mode=divisor_mode)
+        n_values = [1, 2, 3, 7, 11] + ([0] if divisor_mode == "count" else [])
+        with mock.patch.object(tta, "_CHUNK_STEPS", 3 * 12):
+            rows = run_sweep(cfg, n_values, write=False)
+        assert not (tmp_path / divisor_mode / "sweep").exists()
+        assert [n for n, _, _ in rows] == sorted(n_values)
+        for n, mere_tta, mare_tta in rows:
+            report, _ = run_experiment(replace(cfg, n_rotations=n, out_dir=str(tmp_path / divisor_mode / str(n))))
+            assert (mere_tta, mare_tta) == (report.mere_tta, report.mare_tta), (divisor_mode, n)
 
 
 def test_sweep_rejects_bad_requests(dataset_path, tmp_path):

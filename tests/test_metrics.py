@@ -372,7 +372,7 @@ def _mini_run(model, n_samples=3, n_steps=12, n_rotations=4, seed=0):
         a = sample_orientation_tensor(sub)
         strain = 0.02 * sub.normals(6 * n_steps).reshape(n_steps, 6)
         inp = ModelInput(a=a, vf=0.12, strain=strain)
-        targets.append(oracle.predict(inp))
+        targets.append(oracle.predict_batch(inp.a, inp.vf, inp.strain))
         results.append(run_tta(model, inp, TTAConfig(n_rotations=n_rotations, seed=seed)))
     return np.stack(targets), results
 

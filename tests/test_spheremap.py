@@ -17,7 +17,6 @@ from rotta.spheremap import (
     NonConvergence,
     ProjectedPoint,
     RasterMap,
-    export_map,
     mollweide_project,
     project_rotations,
     render_svg,
@@ -310,16 +309,6 @@ def test_seeds_csv_layout():
     assert lines[1] == "0.0,0.0,0.25"
     assert lines[2] == "1.5,-0.5,0.75"
     assert len(lines) == 3
-
-
-def test_export_map_writes_both_files(tmp_path):
-    raster, seeds = _small_raster(4)
-    svg_path = tmp_path / "map.svg"
-    csv_path = tmp_path / "map_seeds.csv"
-    export_map(raster, seeds, svg_path, csv_path, title="demo")
-    svg = svg_path.read_text()
-    assert svg.endswith("</svg>\n")
-    assert csv_path.read_text().startswith("x,y,mere\n")
 
 
 # ------------------------------------------------- scipy cross-validation

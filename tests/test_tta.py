@@ -18,9 +18,10 @@ from rotta.tta import (
     EmptyInput,
     TTAConfig,
     aggregate_mean,
+    augment,
+    compensated_sums,
     numerics_audit,
     pointwise_sd,
-    rotate_input,
     run_tta,
 )
 from rotta.voigt import trace, von_mises_path
@@ -38,12 +39,27 @@ def _sample_input(seed=0, n_steps=8, scale=0.02):
 # ------------------------------------------------------------ input rotation
 
 
+class Recorder(EquivariantOracle):
+    """The equivariant oracle, keeping the rotated inputs the kernel passes it."""
+
+    def predict_batch(self, a, vf, strain):
+        self.seen = (a, vf, strain)
+        return super().predict_batch(a, vf, strain)
+
+
+def _rotated_input(inp, rotations):
+    """The ``(a, vf, strain)`` batch the kernel hands a model for ``rotations``."""
+    model = Recorder()
+    augment(model, inp, rotations)
+    return model.seen
+
+
 def test_rotate_input_identity():
     inp = _sample_input()
-    rotated = rotate_input(inp, np.eye(3))
-    assert np.array_equal(rotated.a, inp.a)
-    assert np.array_equal(rotated.strain, inp.strain)
-    assert rotated.vf == inp.vf
+    a, vf, strain = _rotated_input(inp, np.eye(3)[None])
+    assert np.array_equal(a[0], inp.a)
+    assert np.array_equal(strain[0], inp.strain)
+    assert vf == inp.vf
 
 
 def test_rotate_input_preserves_orientation_trace():
@@ -51,16 +67,15 @@ def test_rotate_input_preserves_orientation_trace():
         inp = _sample_input(seed=seed)
         r = RotationStream(seed)
         r.uniforms(3)  # desynchronize from the input draw
-        rot = sample_rotation(r)
-        rotated = rotate_input(inp, rot)
-        assert trace(rotated.a) == pytest.approx(trace(inp.a), abs=1e-12)
+        a, _, _ = _rotated_input(inp, sample_rotation(r)[None])
+        assert trace(a[0]) == pytest.approx(trace(inp.a), abs=1e-12)
 
 
 def test_rotate_input_hand_case():
     a = np.array([0.6, 0.3, 0.1, 0.0, 0.0, 0.0])
     inp = ModelInput(a=a, vf=0.1, strain=np.zeros((2, 6)))
-    rotated = rotate_input(inp, R_X3_90)
-    assert_allclose(rotated.a, [0.3, 0.6, 0.1, 0.0, 0.0, 0.0], atol=1e-15)
+    rotated, _, _ = _rotated_input(inp, R_X3_90[None])
+    assert_allclose(rotated[0], [0.3, 0.6, 0.1, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 # ------------------------------------------------------------------ config
@@ -108,6 +123,24 @@ def test_aggregate_order_independence():
     mean = aggregate_mean(p)
     perm = rng.permutation(64)
     assert_allclose(aggregate_mean(p[perm]), mean, atol=1e-14)
+
+
+def test_compensated_sums_are_the_kahan_loop_at_each_checkpoint():
+    rng = np.random.default_rng(4)
+    p = rng.standard_normal((12, 3, 6)) * 10.0 ** rng.integers(-8, 8, (12, 3, 6))
+    p[rng.random(p.shape) < 0.2] = -0.0
+    at = [0, 3, 4, 11]
+    # any iterable of rows: the sweep streams the kernel's rows
+    totals = iter(compensated_sums((row for row in p), at))
+    total, carry = np.zeros((3, 6)), np.zeros((3, 6))  # the reference starts from zero arrays
+    for k, row in enumerate(p):
+        y = row - carry
+        t = total + y
+        carry = (t - total) - y
+        total = t
+        if k in at:
+            assert next(totals).tobytes() == total.tobytes()
+    assert next(totals, None) is None
 
 
 # ------------------------------------------------------------------ spread
@@ -184,7 +217,7 @@ def test_zero_rotations_is_identity_prediction():
     inp = _sample_input(seed=4)
     res = run_tta(EquivariantOracle(), inp, TTAConfig(n_rotations=0))
     assert res.predictions.shape[0] == 1
-    assert np.array_equal(res.aggregated, res.identity_prediction)
+    assert np.array_equal(res.aggregated, res.predictions[0])
     assert np.array_equal(res.sd, np.zeros_like(res.aggregated))
     assert np.array_equal(res.rotations[0], np.eye(3))
 
@@ -206,7 +239,6 @@ def test_result_shapes_and_vm_channels():
     assert res.vm_aggregated.shape == (7,)
     assert res.vm_sd.shape == (7,)
     assert res.rotations.shape == (6, 3, 3)
-    assert res.n_steps == 7
     # the aggregated von Mises channel is derived from the aggregated path
     assert_allclose(res.vm_aggregated, von_mises_path(res.aggregated), rtol=0, atol=0)
 
@@ -231,17 +263,12 @@ def test_paper_divisor_scales_mean():
 
 def test_external_error_is_annotated_with_rotation_index():
     class Flaky:
-        def __init__(self):
-            self.calls = 0
+        def predict_batch(self, a, vf, strain):
+            raise ExternalModelError("boom", row=2)
 
-        def predict(self, inp):
-            self.calls += 1
-            if self.calls == 3:
-                raise ExternalModelError("boom")
-            return np.zeros_like(inp.strain)
-
-    with pytest.raises(ExternalModelError, match="rotation index 2"):
+    with pytest.raises(ExternalModelError, match=r"^rotation index 2: boom$") as err:
         run_tta(Flaky(), _sample_input(), TTAConfig(n_rotations=5, seed=2))
+    assert err.value.row is None
 
 
 def test_given_rotation_list_matches_own_draw():
@@ -294,7 +321,7 @@ def test_audit_scales_with_magnitude():
         sub = s.substream(m)
         a = sample_orientation_tensor(sub)
         strain = sub.normals(6 * 8).reshape(8, 6)  # order-one strains
-        target = oracle.predict(ModelInput(a=a, vf=0.12, strain=strain))
+        target = oracle.predict_batch(a, 0.12, strain)
         base.append(Sample(id=f"b{m}", a=a, vf=0.12, strain=strain, target_stress=target))
         scaled.append(Sample(id=f"s{m}", a=a, vf=0.12, strain=1e3 * strain,
                              target_stress=1e3 * target))
