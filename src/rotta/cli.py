@@ -72,24 +72,27 @@ def _n_values(text):
     return values
 
 
-def _add_common(parser, out_required=True):
+def _add_common(parser, run_flags=True):
+    """Flags of every command that predicts; ``run_flags=False`` leaves out those only a run reads (audit)."""
     parser.add_argument("--dataset", required=True, help="dataset file (newline-delimited JSON)")
-    if out_required:
+    if run_flags:
         parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="rotation stream seed")
-    parser.add_argument("--rotations", type=int, default=200, metavar="N",
-                        help="number of random rotations (identity is extra)")
+    if run_flags:
+        parser.add_argument("--rotations", type=int, default=200, metavar="N",
+                            help="number of random rotations (identity is extra)")
     parser.add_argument("--model", default="equivariant",
                         help="equivariant | noisy | external:<command>")
     parser.add_argument("--noise-amp", type=float, default=0.0,
                         help="noise amplitude of the noisy model (MPa)")
     parser.add_argument("--noise-seed", type=int, default=0, help="noise hash seed")
-    parser.add_argument("--mare-abs", action="store_true",
-                        help="absolute instead of signed step difference in max relative error")
-    parser.add_argument("--divisor", choices=("count", "paper"), default="count",
-                        help="mean divisor: number of predictions, or N as printed")
-    parser.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
-                        help="histogram bin width")
+    if run_flags:
+        parser.add_argument("--mare-abs", action="store_true",
+                            help="absolute instead of signed step difference in max relative error")
+        parser.add_argument("--divisor", choices=("count", "paper"), default="count",
+                            help="mean divisor: number of predictions, or N as printed")
+        parser.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
+                            help="histogram bin width")
     parser.add_argument("--timeout", type=float, default=30.0,
                         help="external model timeout: longest wait without progress (s)")
 
@@ -122,7 +125,7 @@ def _add_run_flags(p):
 
 
 def _add_audit_flags(p):
-    _add_common(p, out_required=False)
+    _add_common(p, run_flags=False)
     p.add_argument("--identity-only", action="store_true",
                    help="use identity rotations (errors must be exactly zero)")
 
@@ -165,23 +168,30 @@ def build_parser(argv):
     return parser
 
 
-def _config_from(args, out_dir=None):
+# Flag destination -> ExperimentConfig field, for the flags not every command has;
+# a command without one runs with the field's default.
+_OPTIONAL_FIELDS = {
+    "rotations": "n_rotations",
+    "divisor": "divisor_mode",
+    "mare_abs": "mare_abs",
+    "bin_width": "bin_width",
+    "sphere_map": "sphere_map",
+    "grid": "grid",
+    "radius": "radius",
+    "colormap": "colormap",
+}
+
+
+def _config_from(args):
     return ExperimentConfig(
         dataset=args.dataset,
-        out_dir=out_dir if out_dir is not None else getattr(args, "out", "."),
+        out_dir=getattr(args, "out", "."),
         model=args.model,
-        n_rotations=args.rotations,
         seed=args.seed,
-        divisor_mode=args.divisor,
-        mare_abs=args.mare_abs,
-        bin_width=args.bin_width,
         noise_amp=args.noise_amp,
         noise_seed=args.noise_seed,
-        sphere_map=getattr(args, "sphere_map", False),
-        grid=getattr(args, "grid", DEFAULT_GRID),
-        radius=getattr(args, "radius", DEFAULT_RADIUS),
-        colormap=getattr(args, "colormap", "viridis"),
         external_timeout=args.timeout,
+        **{field: getattr(args, dest) for dest, field in _OPTIONAL_FIELDS.items() if hasattr(args, dest)},
     )
 
 

@@ -178,10 +178,30 @@ def format_float(value):
 
 
 def format_path(values):
-    """JSON text of a vector ``[...]`` or a path of vectors ``[[...], ...]`` in :func:`format_float` form."""
-    if np.ndim(values) > 1:
-        return "[" + ", ".join(map(format_path, values)) + "]"
-    return "[" + ", ".join(map(format_float, values)) + "]"
+    """JSON text of a vector ``[...]`` or a path of vectors ``[[...], ...]`` in :func:`format_float` form.
+
+    One ``repr`` of the nested list: a list's ``repr`` writes each float as
+    its own ``repr`` and separates items with ``", "``.
+    """
+    return repr(np.asarray(values, dtype=float).tolist())
+
+
+def csv_text(header, rows):
+    """CSV text: the ``header`` line, then one line per row.
+
+    ``rows`` is a float array, whose values take one ``tolist()``, or a
+    sequence of rows, whose numbers (a Python int too: 0 is ``0.0``) are in
+    :func:`format_float` form and whose other cells (strings, bools) are
+    written as they are.  Either way a float's text is its ``repr``.
+    """
+    if isinstance(rows, np.ndarray):
+        rows = rows.astype(float).tolist()
+    else:
+        rows = [
+            [format_float(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else v for v in row]
+            for row in rows
+        ]
+    return "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
 def _sample_json(sample: Sample):

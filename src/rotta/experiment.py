@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import InvariantViolation, format_float, format_path, load_dataset
+from .dataset import InvariantViolation, csv_text, format_path, load_dataset
 from .metrics import DEFAULT_BIN_WIDTH, MetricsReport, evaluate_dataset, mare, mere
 from .models import (
     EquivariantOracle,
@@ -39,7 +39,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
+from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, reduce_predictions
 from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -183,10 +183,8 @@ class _OutputWriter:
         return self.write_text(name, json.dumps(payload, indent=2) + "\n")
 
     def write_csv(self, name, header, rows):
-        lines = [header]
-        for row in rows:
-            lines.append(",".join(format_float(v) if isinstance(v, (int, float, np.floating)) and not isinstance(v, bool) else str(v) for v in row))
-        return self.write_text(name, "\n".join(lines) + "\n")
+        """Write :func:`~rotta.dataset.csv_text` of ``rows``."""
+        return self.write_text(name, csv_text(header, rows))
 
     def cleanup(self):
         for name in self.written:
@@ -246,7 +244,9 @@ def compute_results(cfg: ExperimentConfig, model, samples):
 
     The rotation list is drawn once and shared by every sample, so rotation
     index i refers to one common rotation across the dataset (a requirement
-    for per-rotation error maps).  The caller owns ``model`` and closes it.
+    for per-rotation error maps).  Every sample's rows fill one ``(M, P, T,
+    6)`` stack, which :func:`~rotta.tta.reduce_predictions` reduces in one
+    pass.  The caller owns ``model`` and closes it.
     """
     tta_cfg = TTAConfig(
         n_rotations=cfg.n_rotations,
@@ -255,13 +255,14 @@ def compute_results(cfg: ExperimentConfig, model, samples):
         sd_include_identity=cfg.sd_include_identity,
     )
     rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    results = []
-    for sample in samples:
+    backrotated = np.empty((len(samples), len(rotations)) + samples[0].strain.shape)
+    for m, sample in enumerate(samples):
         try:
-            results.append(run_tta(model, sample.model_input(), tta_cfg, rotations))
+            for lo, block in augment_chunks(model, sample.model_input(), rotations):
+                backrotated[m, lo:lo + len(block)] = block
         except ExternalModelError as exc:
             raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
-    return results
+    return reduce_predictions(backrotated, tta_cfg, rotations)
 
 
 def _evaluate(cfg: ExperimentConfig, samples, results):
@@ -290,7 +291,8 @@ def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: Met
     writer.write_text("aggregated.ndjson", "\n".join(lines) + "\n")
 
     for curve in ("sd_curve", "e_abs_curve", "e_rel_curve", "sd_rel_curve"):
-        writer.write_csv(f"{curve}.csv", "t,value", enumerate(getattr(report.uncertainty, curve)))
+        values = getattr(report.uncertainty, curve)
+        writer.write_csv(f"{curve}.csv", "t,value", np.column_stack((np.arange(len(values)), values)))
 
     if report.histogram is not None:
         writer.write_csv(

@@ -142,14 +142,9 @@ class Histogram:
         return np.exp(-0.5 * z * z) / (self.fit_sd * math.sqrt(2.0 * math.pi))
 
     def to_rows(self):
-        """(left, right, density, fit density at center) per bin."""
+        """(left, right, density, fit density at center) per bin, as a ``(bins, 4)`` array."""
         centers = 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-        fit = self.pdf(centers)
-        return [
-            (float(self.bin_edges[i]), float(self.bin_edges[i + 1]),
-             float(self.density[i]), float(fit[i]))
-            for i in range(self.density.size)
-        ]
+        return np.column_stack((self.bin_edges[:-1], self.bin_edges[1:], self.density, self.pdf(centers)))
 
 
 def mere_histogram(values, bin_width=DEFAULT_BIN_WIDTH):
@@ -195,6 +190,23 @@ def first_differences(x):
     return np.diff(x, axis=-1)
 
 
+def _pearson(x, y):
+    """Pearson r over the last axis of equal-shape arrays, and the mask of zero-variance rows (r NaN there).
+
+    Every reduction runs along the last axis, so a row of a C-contiguous
+    array is summed pairwise exactly as the 1-d sequence alone would be and
+    gets the same bits.
+    """
+    dx = x - np.mean(x, axis=-1, keepdims=True)
+    dy = y - np.mean(y, axis=-1, keepdims=True)
+    sxx = np.sum(dx * dx, axis=-1)
+    syy = np.sum(dy * dy, axis=-1)
+    degenerate = (sxx == 0.0) | (syy == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.sum(dx * dy, axis=-1) / (np.sqrt(sxx) * np.sqrt(syy))
+    return np.where(degenerate, np.nan, r), degenerate
+
+
 def pearson_r(x, y):
     """Pearson linear correlation coefficient of two equal-length sequences.
 
@@ -207,13 +219,10 @@ def pearson_r(x, y):
         raise ValueError("sequences must be 1-d and of equal length")
     if x.size < 2:
         raise ValueError("need at least 2 points")
-    dx = x - np.mean(x)
-    dy = y - np.mean(y)
-    sxx = np.sum(dx * dx)
-    syy = np.sum(dy * dy)
-    if sxx == 0.0 or syy == 0.0:
+    r, degenerate = _pearson(x, y)
+    if degenerate:
         raise DegenerateSequence("zero-variance sequence in correlation")
-    return float(np.sum(dx * dy) / (np.sqrt(sxx) * np.sqrt(syy)))
+    return float(r)
 
 
 @dataclass(frozen=True)
@@ -232,6 +241,25 @@ class ShapeRatio:
     perfect: bool
 
 
+def _shape_ratios(target, initial, aggregated):
+    """``(r_initial, r_aggregated, c_ratio, perfect, degenerate)`` of channel paths ``(..., T)``, per path.
+
+    Vectorized :func:`shape_ratio`: a channel whose difference sequences
+    have zero variance is ``degenerate`` with NaN values.
+    """
+    if target.shape[-1] < 3:
+        raise ValueError("need at least 3 steps for difference correlation")
+    d_target = first_differences(target)
+    r0, degenerate_initial = _pearson(first_differences(initial), d_target)
+    rt, degenerate_aggregated = _pearson(first_differences(aggregated), d_target)
+    degenerate = degenerate_initial | degenerate_aggregated
+    r0, rt = np.where(degenerate, np.nan, r0), np.where(degenerate, np.nan, rt)
+    perfect = 1.0 - rt < SHAPE_EPS  # False where rt is NaN
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c_ratio = np.where(perfect, math.inf, (1.0 - r0) / (1.0 - rt))
+    return r0, rt, c_ratio, perfect, degenerate
+
+
 def shape_ratio(target, initial, aggregated) -> ShapeRatio:
     """Correlation-improvement ratio of aggregated over initial prediction.
 
@@ -239,15 +267,13 @@ def shape_ratio(target, initial, aggregated) -> ShapeRatio:
     1 mean the aggregated path tracks the target's step-to-step shape more
     closely than the initial prediction does.
     """
-    target = np.asarray(target, dtype=float)
-    if target.shape[-1] < 3:
-        raise ValueError("need at least 3 steps for difference correlation")
-    d_target = first_differences(target)
-    r0 = pearson_r(first_differences(np.asarray(initial, dtype=float)), d_target)
-    rt = pearson_r(first_differences(np.asarray(aggregated, dtype=float)), d_target)
-    if 1.0 - rt < SHAPE_EPS:
-        return ShapeRatio(r0, rt, math.inf, True)
-    return ShapeRatio(r0, rt, (1.0 - r0) / (1.0 - rt), False)
+    paths = [np.asarray(p, dtype=float) for p in (target, initial, aggregated)]
+    if paths[0].ndim != 1 or any(p.shape != paths[0].shape for p in paths):
+        raise ValueError("paths must be 1-d and of equal length")
+    r0, rt, c_ratio, perfect, degenerate = _shape_ratios(*paths)
+    if degenerate:
+        raise DegenerateSequence("zero-variance sequence in correlation")
+    return ShapeRatio(float(r0), float(rt), float(c_ratio), bool(perfect))
 
 
 @dataclass(frozen=True)
@@ -291,38 +317,17 @@ def shape_report(target_paths, initial_paths, aggregated_paths) -> ShapeReport:
     target_paths, initial_paths, aggregated_paths : ndarray, shape (M, T, 6)
         Stress paths; the von Mises channel is derived internally.
     """
-    target_paths = np.asarray(target_paths, dtype=float)
-    initial_paths = np.asarray(initial_paths, dtype=float)
-    aggregated_paths = np.asarray(aggregated_paths, dtype=float)
-    n_samples = target_paths.shape[0]
-    n_channels = len(CHANNEL_NAMES)
-    c_ratio = np.full((n_samples, n_channels), np.nan)
-    r_init = np.full((n_samples, n_channels), np.nan)
-    r_aggr = np.full((n_samples, n_channels), np.nan)
-    perfect = np.zeros((n_samples, n_channels), dtype=bool)
-    degenerate = np.zeros((n_samples, n_channels), dtype=bool)
 
-    for m in range(n_samples):
-        channels = [
-            (von_mises(target_paths[m]),
-             von_mises(initial_paths[m]),
-             von_mises(aggregated_paths[m])),
-        ]
-        channels += [
-            (target_paths[m, :, c], initial_paths[m, :, c], aggregated_paths[m, :, c])
-            for c in range(6)
-        ]
-        for k, (tgt, init, aggr) in enumerate(channels):
-            try:
-                res = shape_ratio(tgt, init, aggr)
-            except DegenerateSequence:
-                degenerate[m, k] = True
-                continue
-            c_ratio[m, k] = res.c_ratio
-            r_init[m, k] = res.r_initial
-            r_aggr[m, k] = res.r_aggregated
-            perfect[m, k] = res.perfect
+    def channels(paths):  # (M, 7, T), C-contiguous: von Mises, then the six components
+        paths = np.asarray(paths, dtype=float)
+        out = np.empty((paths.shape[0], len(CHANNEL_NAMES), paths.shape[1]))
+        out[:, 0] = von_mises(paths)
+        out[:, 1:] = paths.transpose(0, 2, 1)
+        return out
 
+    r_init, r_aggr, c_ratio, perfect, degenerate = _shape_ratios(
+        channels(target_paths), channels(initial_paths), channels(aggregated_paths)
+    )
     usable = np.isfinite(c_ratio)
     if np.any(usable):
         mean_c = float(np.mean(c_ratio[usable]))
@@ -460,6 +465,8 @@ def component_error_correlation(sd_components, target_paths, aggregated_paths):
 def jsonable(value):
     """Recursively convert to JSON-safe builtins; non-finite floats become strings."""
     if isinstance(value, np.ndarray):
+        if value.dtype.kind in "biu" or (value.dtype.kind == "f" and np.all(np.isfinite(value))):
+            return value.tolist()  # already builtins, every float finite
         return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]

@@ -188,40 +188,50 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 _QUANTUM = 1e-9
 
 
-def _mix(x):
+def _mix(x, scratch):
+    """splitmix64-finalize ``x`` in place; ``scratch`` (same shape) takes the shifts."""
     with np.errstate(over="ignore"):  # wraparound mod 2**64 is the point
-        x = x + _SM_GAMMA  # a new array: the caller's is left alone
-        x ^= x >> np.uint64(30)
+        x += _SM_GAMMA
+        x ^= np.right_shift(x, np.uint64(30), out=scratch)
         x *= _SM_M1
-        x ^= x >> np.uint64(27)
+        x ^= np.right_shift(x, np.uint64(27), out=scratch)
         x *= _SM_M2
-        x ^= x >> np.uint64(31)
-    return x
+        x ^= np.right_shift(x, np.uint64(31), out=scratch)
 
 
 def _quantize(values):
     """Snap floats to the 1e-9 grid and reinterpret as uint64 words."""
     q = np.round(np.asarray(values, dtype=float) / _QUANTUM)
-    return q.astype(np.int64).astype(np.uint64)
+    return q.astype(np.int64).view(np.uint64)
 
 
 def _frame_noise(seed, a, vf, strain):
     """Deterministic noise field in [-1, 1) of ``strain``'s shape ``(..., T, 6)``; ``a`` is ``(..., 6)``."""
     # uint64 arrays throughout: numpy array arithmetic wraps modulo 2**64 silently
     a_words = _quantize(a)  # (..., 6)
-    h = _mix(np.full(a_words.shape[:-1], int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
+    h = np.full(a_words.shape[:-1], int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    scratch = np.empty_like(h)
+    _mix(h, scratch)
     for c in range(6):
-        h = _mix(h ^ a_words[..., c])
-    h = _mix(h ^ _quantize(vf))
+        h ^= a_words[..., c]
+        _mix(h, scratch)
+    h ^= _quantize(vf)
+    _mix(h, scratch)
     # fold the per-step strain words into per-step hashes
     eps_words = _quantize(strain)  # (..., T, 6)
-    t_hash = h[..., None]
+    t_hash = np.broadcast_to(h[..., None], eps_words.shape[:-1]).copy()
+    scratch = np.empty_like(t_hash)
     for c in range(6):
-        t_hash = _mix(t_hash ^ eps_words[..., c])
-    t_hash = _mix(t_hash ^ np.arange(1, eps_words.shape[-2] + 1, dtype=np.uint64))
-    comp_hash = _mix(t_hash[..., None] ^ np.arange(1, 7, dtype=np.uint64))
-    u = (comp_hash >> np.uint64(11)) * 2.0**-53  # uniform [0, 1)
-    return 2.0 * u - 1.0
+        t_hash ^= eps_words[..., c]
+        _mix(t_hash, scratch)
+    t_hash ^= np.arange(1, eps_words.shape[-2] + 1, dtype=np.uint64)
+    _mix(t_hash, scratch)
+    comp_hash = t_hash[..., None] ^ np.arange(1, 7, dtype=np.uint64)
+    _mix(comp_hash, np.empty_like(comp_hash))
+    comp_hash >>= np.uint64(11)
+    u = comp_hash * 2.0**-52  # uniform [0, 2): 53-bit words, scaled exactly by a power of two
+    u -= 1.0
+    return u
 
 
 # -- external line-protocol adapter -------------------------------------------

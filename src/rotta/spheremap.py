@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import format_float
+from .dataset import csv_text
 
 DEFAULT_RADIUS = 2.0
 DEFAULT_GRID = (720, 360)
@@ -347,8 +347,5 @@ def render_svg(raster, seeds, colormap="viridis", title=None):
 
 def seeds_csv(seeds):
     """CSV text of the projected seeds, header ``x,y,mere``."""
-    lines = ["x,y,mere"]
-    for s in seeds:
-        lines.append(f"{format_float(s.x)},{format_float(s.y)},{format_float(s.value)}")
-    return "\n".join(lines) + "\n"
+    return csv_text("x,y,mere", np.array([(s.x, s.y, s.value) for s in seeds], dtype=float).reshape(-1, 3))
 

@@ -13,8 +13,10 @@ is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
 it, and it calls nothing of a model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
-results do not depend on how predictions were scheduled.  All result arrays
-are plain float64 ndarrays.
+results do not depend on how predictions were scheduled.
+:func:`reduce_predictions` reduces the stacks of a whole dataset in one such
+pass; :func:`run_tta` is its one-sample call.  All result arrays are plain
+float64 ndarrays.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .models import ExternalModelError, ModelInput
 from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
-from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises, von_mises_path
+from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises
 
 DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
@@ -130,34 +132,79 @@ def mean_divisor(n_rows, mode):
 
 
 def aggregate_mean(predictions, mode=DIVISOR_COUNT):
-    """Per-step, per-component mean of back-rotated stress paths.
+    """Per-step, per-component mean of back-rotated stress paths over axis 0 of a ``(P, ..., T, 6)`` stack.
 
     ``mode="count"`` divides the sum of all P predictions by P.
     ``mode="paper"`` divides the same sum by P-1 (the printed formula sums
     indices 0..N but divides by N); it rejects a single-prediction stack.
+    Every element adds its P rows in index order, so a stack of several
+    inputs, ``(P, M, T, 6)``, gives each input the bits of its own
+    ``(P, T, 6)`` stack.
     """
     stack = np.asarray(predictions, dtype=float)
-    if stack.ndim != 3 or stack.shape[-1] != 6:
-        raise ValueError(f"expected predictions of shape (P, T, 6), got {stack.shape}")
+    if stack.ndim < 3 or stack.shape[-1] != 6:
+        raise ValueError(f"expected predictions of shape (P, ..., T, 6), got {stack.shape}")
     if stack.shape[0] == 0:
         raise EmptyInput("no predictions to aggregate")
     divisor = mean_divisor(stack.shape[0], mode)
     return compensated_sums(stack, [stack.shape[0] - 1])[0] / divisor
 
 
+def _row_blocks(stack):
+    """Slices of consecutive rows of a ``(P, ...)`` stack, each block at most one kernel chunk's elements."""
+    size = max(1, 6 * _CHUNK_STEPS // max(1, stack[0].size))
+    return [slice(lo, lo + size) for lo in range(0, stack.shape[0], size)]
+
+
 def pointwise_sd(predictions, aggregated, include_first=False):
-    """Elementwise spread of P rows (``(P, T, 6)`` paths or ``(P, T)`` von Mises) about their aggregate.
+    """Elementwise spread of the P rows of a ``(P, ...)`` stack (paths or von Mises) about their aggregate.
 
     By default rows 1..P-1 enter the sum with divisor P-1, matching the
     printed formula that sums over the random rotations only; with
     ``include_first`` all P rows enter with divisor P.  Requires P >= 2.
+    Squared deviations are formed a block of rows at a time (see
+    :func:`_row_blocks`), so no temporary is the size of the stack.
     """
     stack = np.asarray(predictions, dtype=float)
     if stack.shape[0] < 2:
         raise ValueError("spread needs at least 2 predictions")
     rows = stack if include_first else stack[1:]
-    dev = (rows - np.asarray(aggregated, dtype=float)) ** 2
-    return np.sqrt(compensated_sums(dev, [rows.shape[0] - 1])[0] / rows.shape[0])
+    aggregated = np.asarray(aggregated, dtype=float)
+    blocks = _row_blocks(rows)
+    buffer = np.empty(rows[blocks[0]].shape)
+
+    def deviations():  # each row is summed before the buffer is refilled
+        for block in blocks:
+            part = rows[block]
+            dev = np.subtract(part, aggregated, out=buffer[:len(part)])
+            yield from np.square(dev, out=dev)
+
+    return np.sqrt(compensated_sums(deviations(), [rows.shape[0] - 1])[0] / rows.shape[0])
+
+
+def reduce_predictions(backrotated, cfg: TTAConfig, rotations):
+    """:class:`TTAResult` of each of M inputs from their ``(M, P, T, 6)`` back-rotated stacks.
+
+    Every sample is reduced at once: one compensated pass over the rotation
+    axis for the mean and one for each spread, each element with the
+    additions of its own sample's pass.  ``rotations`` is stored in every
+    result.
+    """
+    by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
+    aggregated = aggregate_mean(by_rotation, cfg.divisor_mode)
+    vm_individual = np.empty(backrotated.shape[:-1])
+    vm_by_rotation = vm_individual.swapaxes(0, 1)
+    for block in _row_blocks(by_rotation):
+        vm_by_rotation[block] = von_mises(by_rotation[block])
+    vm_aggregated = von_mises(aggregated)
+    if backrotated.shape[1] >= 2:
+        sd = pointwise_sd(by_rotation, aggregated, include_first=cfg.sd_include_identity)
+        vm_sd = pointwise_sd(vm_by_rotation, vm_aggregated, include_first=cfg.sd_include_identity)
+    else:
+        sd = np.zeros_like(aggregated)
+        vm_sd = np.zeros_like(vm_aggregated)
+    per_sample = zip(backrotated, aggregated, sd, vm_individual, vm_aggregated, vm_sd)
+    return [TTAResult(*arrays, rotations=rotations) for arrays in per_sample]  # fields in TTAResult order
 
 
 def augment_chunks(model, inp: ModelInput, rotations):
@@ -223,28 +270,7 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult
             f"expected the {cfg.n_rotations + 1} rotations of the config, got shape {np.shape(rotations)}"
         )
 
-    backrotated = augment(model, inp, rotations)
-
-    aggregated = aggregate_mean(backrotated, cfg.divisor_mode)
-    vm_individual = von_mises(backrotated)
-    vm_aggregated = von_mises_path(aggregated)
-
-    if backrotated.shape[0] >= 2:
-        sd = pointwise_sd(backrotated, aggregated, include_first=cfg.sd_include_identity)
-        vm_sd = pointwise_sd(vm_individual, vm_aggregated, include_first=cfg.sd_include_identity)
-    else:
-        sd = np.zeros_like(aggregated)
-        vm_sd = np.zeros_like(vm_aggregated)
-
-    return TTAResult(
-        predictions=backrotated,
-        aggregated=aggregated,
-        sd=sd,
-        vm_individual=vm_individual,
-        vm_aggregated=vm_aggregated,
-        vm_sd=vm_sd,
-        rotations=rotations,
-    )
+    return reduce_predictions(augment(model, inp, rotations)[None], cfg, rotations)[0]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotta.models import (
@@ -20,6 +22,7 @@ from rotta.models import (
     ModelInput,
     NoisyOracle,
     OracleParams,
+    _frame_noise,
 )
 from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotation
 from rotta.voigt import rotate_sym, to_matrix, trace, von_mises, von_mises_path
@@ -227,6 +230,56 @@ def test_noise_depends_on_working_frame():
     rotated = _rotated(inp, r)
     noise_rotated = predict(model, rotated) - predict(base, rotated)
     assert not np.allclose(noise_direct, rotate_sym(noise_rotated, r.T), atol=1e-3)
+
+
+def _mix_allocating(x):
+    with np.errstate(over="ignore"):
+        x = x + np.uint64(0x9E3779B97F4A7C15)
+        x ^= x >> np.uint64(30)
+        x *= np.uint64(0xBF58476D1CE4E5B9)
+        x ^= x >> np.uint64(27)
+        x *= np.uint64(0x94D049BB133111EB)
+        x ^= x >> np.uint64(31)
+    return x
+
+
+def _frame_noise_allocating(seed, a, vf, strain):
+    """The frame noise as it was before it mixed in place: a new array per step."""
+    quantize = lambda v: np.round(np.asarray(v, dtype=float) / 1e-9).astype(np.int64).astype(np.uint64)  # noqa: E731
+    a_words = quantize(a)
+    h = _mix_allocating(np.full(a_words.shape[:-1], int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64))
+    for c in range(6):
+        h = _mix_allocating(h ^ a_words[..., c])
+    h = _mix_allocating(h ^ quantize(vf))
+    eps_words = quantize(strain)
+    t_hash = h[..., None]
+    for c in range(6):
+        t_hash = _mix_allocating(t_hash ^ eps_words[..., c])
+    t_hash = _mix_allocating(t_hash ^ np.arange(1, eps_words.shape[-2] + 1, dtype=np.uint64))
+    comp_hash = _mix_allocating(t_hash[..., None] ^ np.arange(1, 7, dtype=np.uint64))
+    return 2.0 * ((comp_hash >> np.uint64(11)) * 2.0**-53) - 1.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    shape=st.sampled_from([(7, 30), (30,), (1,), (2, 1)]),
+    exponent=st.integers(-5, 4),
+    zeros=st.sampled_from([0.0, 0.3]),
+)
+def test_in_place_noise_has_the_words_of_the_allocating_form(seed, shape, exponent, zeros):
+    # (P, T, 6) stacks, a (T, 6) path, a single step; signed zeros and magnitudes 1e-5 to 1e4
+    rng = np.random.default_rng(seed % 2**32)
+    a = rng.standard_normal(shape[:-1] + (6,)) * 10.0**exponent
+    strain = rng.standard_normal(shape + (6,)) * 10.0**exponent
+    for x in (a, strain):
+        u = rng.random(x.shape)
+        x[u < zeros / 2] = 0.0
+        x[(u >= zeros / 2) & (u < zeros)] = -0.0
+    vf = float(rng.random())
+    got = _frame_noise(seed, a, vf, strain)
+    assert got.shape == strain.shape
+    assert np.array_equal(got.view(np.uint64), _frame_noise_allocating(seed, a, vf, strain).view(np.uint64))
 
 
 # ------------------------------------------------------- external adapter
