@@ -94,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError("n_rotations must be >= 0")
         if self.divisor_mode not in ("count", "paper"):
             raise ConfigError(f"divisor_mode must be 'count' or 'paper', got {self.divisor_mode!r}")
+        if self.divisor_mode == "paper" and self.n_rotations == 0:
+            raise ConfigError("paper divisor mode cannot evaluate N = 0")
         if self.bin_width <= 0:
             raise ConfigError("bin_width must be positive")
         if self.radius <= 0:

@@ -200,8 +200,10 @@ def _mix(x, scratch):
 
 
 def _quantize(values):
-    """Snap floats to the 1e-9 grid and reinterpret as uint64 words."""
-    q = np.round(np.asarray(values, dtype=float) / _QUANTUM)
+    """Snap floats to the 1e-9 grid and reinterpret as uint64 words; rounds in place."""
+    q = np.empty(np.shape(values))
+    np.divide(values, _QUANTUM, out=q)
+    np.round(q, out=q)
     return q.astype(np.int64).view(np.uint64)
 
 

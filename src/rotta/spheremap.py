@@ -28,10 +28,12 @@ _POLE_EPS = 1e-9
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
-# Cells x seeds per block of the nearest-seed search: bounds the distance
-# table (two float64 buffers of this size), which would otherwise set the
-# peak memory of a map.
+# Elements per block of the nearest-seed search (tiles x seeds for the
+# bounds, cells x candidates for the distances): bounds its temporaries,
+# which would otherwise set the peak memory of a map.
 _RASTER_CHUNK_ELEMENTS = 1 << 16
+# Side of the square tiles of cells that share one candidate list.
+_TILE = 8
 
 
 class NonConvergence(RuntimeError):
@@ -149,6 +151,96 @@ def _cell_centers(n, lo, hi):
     return lo + (np.arange(n) + 0.5) * step
 
 
+def _squared_offsets(centers, coords):
+    """(centers, seeds) table of ``(center - coord)**2``, squared in place."""
+    d = np.subtract(centers[:, None], coords)
+    return np.square(d, out=d)
+
+
+def _tile_bounds(d2):
+    """Per-tile (min, max) over the rows of a (tiles * _TILE, seeds) table."""
+    tiles = d2.reshape(-1, _TILE, d2.shape[1])
+    return tiles.min(axis=1), tiles.max(axis=1)
+
+
+def _candidates(dx2, dy2, occupied):
+    """Flat (tile, seed) pairs whose lower bound is within the tile's upper bound.
+
+    Tiles are flat indices into the ``occupied`` tile grid, ascending, and
+    seeds ascend within a tile; an unoccupied tile gets none.  Bounds are
+    formed over blocks of at most ``_RASTER_CHUNK_ELEMENTS`` tile-seed
+    pairs, except that a block holds at least one tile.
+    """
+    lo_x, hi_x = _tile_bounds(dx2)
+    lo_y, hi_y = _tile_bounds(dy2)
+    (tiles_y, tiles_x), n = occupied.shape, dx2.shape[1]
+    span_x = min(tiles_x, max(1, _RASTER_CHUNK_ELEMENTS // n))
+    span_y = max(1, _RASTER_CHUNK_ELEMENTS // (span_x * n))
+    tiles, seeds = [], []
+    for r0 in range(0, tiles_y, span_y):
+        for c0 in range(0, tiles_x, span_x):
+            rows, cols = slice(r0, r0 + span_y), slice(c0, c0 + span_x)
+            upper = np.add(hi_x[cols], hi_y[rows, None]).min(axis=2)
+            upper[~occupied[rows, cols]] = -np.inf
+            tile, seed = np.divmod(np.flatnonzero(np.add(lo_x[cols], lo_y[rows, None]) <= upper[..., None]), n)
+            r, c = np.divmod(tile, upper.shape[1])
+            tiles.append((r + r0) * tiles_x + c + c0)
+            seeds.append(seed)
+    return np.concatenate(tiles), np.concatenate(seeds)
+
+
+def _fill_tiles(nearest, dx2, dy2, tile, cand):
+    """Write into ``nearest`` the nearest candidate seed of every cell of each tile.
+
+    ``nearest`` is (tiles_y, _TILE, tiles_x, _TILE); ``tile`` and ``cand``
+    are the pairs of :func:`_candidates`.  Tiles go in groups of similar
+    candidate count, each list padded with its last seed: a repeat never
+    wins argmin's first-occurrence tie.  A group's distance table holds at
+    most ``_RASTER_CHUNK_ELEMENTS`` elements, or one tile.
+    """
+    tiles_x, n = nearest.shape[2], dx2.shape[1]
+    counts = np.bincount(tile)
+    first = np.cumsum(counts) - counts
+    order = np.flatnonzero(counts)
+    order = order[np.argsort(counts[order], kind="stable")]
+    sizes = counts[order]
+    cells = np.arange(_TILE)
+    lo = 0
+    while lo < order.size:
+        k = int(sizes[lo])
+        hi = min(int(np.searchsorted(sizes, 2 * k, side="right")),
+                 lo + max(1, _RASTER_CHUNK_ELEMENTS // (_TILE * _TILE * 2 * k)))
+        group = order[lo:hi]
+        width = int(sizes[hi - 1])
+        padded = cand[first[group, None] + np.minimum(np.arange(width), counts[group, None] - 1)]
+        tr, tc = np.divmod(group, tiles_x)
+        gx = np.take(dx2, ((tc[:, None] * _TILE + cells) * n)[:, :, None] + padded[:, None, :])
+        gy = np.take(dy2, ((tr[:, None] * _TILE + cells) * n)[:, :, None] + padded[:, None, :])
+        best = np.argmin(np.add(gx[:, None], gy[:, :, None]), axis=-1)  # (group, row, column)
+        nearest[tr, :, tc, :] = np.take_along_axis(padded, best.reshape(group.size, -1), axis=1).reshape(best.shape)
+        lo = hi
+
+
+def _nearest_seeds(xc, yc, inside, sx, sy):
+    """(height, width) index of the nearest seed of every cell (0 where no cell is inside a tile).
+
+    A function of its own so that its tables are freed before the caller
+    forms the values: together they would set the peak memory of a map.
+    """
+    width, height = xc.size, yc.size
+    tiles_x, tiles_y = -(-width // _TILE), -(-height // _TILE)
+    # the last column and row repeat up to whole tiles: a repeat changes no
+    # tile's bounds, and the cells it fills are cut off at the end
+    dx2 = _squared_offsets(xc[np.minimum(np.arange(tiles_x * _TILE), width - 1)], sx)
+    dy2 = _squared_offsets(yc[np.minimum(np.arange(tiles_y * _TILE), height - 1)], sy)
+    occupied = np.zeros((tiles_y * _TILE, tiles_x * _TILE), dtype=bool)
+    occupied[:height, :width] = inside
+    occupied = occupied.reshape(tiles_y, _TILE, tiles_x, _TILE).any(axis=(1, 3))
+    nearest = np.zeros((tiles_y, _TILE, tiles_x, _TILE), dtype=np.intp)
+    _fill_tiles(nearest, dx2, dy2, *_candidates(dx2, dy2, occupied))
+    return nearest.reshape(tiles_y * _TILE, tiles_x * _TILE)[:height, :width]
+
+
 def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
     """Fill the projection ellipse with the value of the nearest seed.
 
@@ -158,8 +250,21 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
     grid : (width, height)
         Cell counts across the ellipse's bounding box.
 
-    Every cell is compared with every seed; exact distance ties go to the
-    lowest seed index.
+    Every cell gets the seed that an argmin of ``d2 = dx2 + dy2`` over all
+    seeds gives, with ``dx2 = (x - sx)**2`` and ``dy2 = (y - sy)**2``, so
+    exact ties go to the lowest seed index.  The one method is a tiled
+    search: the grid is cut into square tiles of ``_TILE`` cells, and a
+    tile compares its cells only with its candidate seeds.  Over a tile,
+    ``min dx2 + min dy2`` is a lower bound on a seed's d2, and ``min over
+    seeds of (max dx2 + max dy2)`` an upper bound on every cell's nearest
+    d2.  Float addition rounds monotonically, so both bounds hold for the
+    rounded d2 as well, and a seed whose lower bound exceeds the upper
+    bound can be neither nearest nor tied.  The candidates are the other
+    seeds, in ascending index, each with the same ``dx2 + dy2`` sum, so
+    the argmin over them is the argmin over all seeds.  Memory: the
+    ``dx2``/``dy2`` tables and their per-tile bounds, 1.25 x (width +
+    height) x seeds floats (tiles rounded up), the (height, width)
+    outputs, and blocks of about ``_RASTER_CHUNK_ELEMENTS`` elements.
     """
     if len(seeds) == 0:
         raise ValueError("need at least one seed")
@@ -170,28 +275,14 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
     half_y = math.sqrt(2.0) * radius
     xc = _cell_centers(width, -half_x, half_x)
     yc = _cell_centers(height, -half_y, half_y)
-    gx, gy = np.meshgrid(xc, yc)
-    inside = (gx / half_x) ** 2 + (gy / half_y) ** 2 <= 1.0
+    inside = (xc / half_x) ** 2 + ((yc / half_y) ** 2)[:, None] <= 1.0
 
     sx = np.array([s.x for s in seeds])
     sy = np.array([s.y for s in seeds])
-    sv = np.array([s.value for s in seeds])
-
-    values = np.full((height, width), np.nan)
-    px = gx[inside]
-    py = gy[inside]
-    idx = np.empty(px.shape[0], dtype=np.intp)
-    chunk = max(1, _RASTER_CHUNK_ELEMENTS // sx.size)
-    d2 = np.empty((min(chunk, px.shape[0]), sx.size))
-    dy2 = np.empty_like(d2)
-    for start in range(0, px.shape[0], chunk):
-        stop = min(start + chunk, px.shape[0])
-        d, e = d2[:stop - start], dy2[:stop - start]
-        # d2 = (px - sx)**2 + (py - sy)**2, computed in place
-        np.square(np.subtract(px[start:stop, None], sx, out=d), out=d)
-        np.square(np.subtract(py[start:stop, None], sy, out=e), out=e)
-        idx[start:stop] = np.argmin(np.add(d, e, out=d), axis=1)
-    values[inside] = sv[idx]
+    if np.isnan(sx).any() or np.isnan(sy).any():
+        raise ValueError("seed coordinates must not be NaN")
+    values = np.array([s.value for s in seeds])[_nearest_seeds(xc, yc, inside, sx, sy)]
+    values[~inside] = np.nan
     return RasterMap(values=values, inside=inside, x_centers=xc, y_centers=yc, radius=radius)
 
 
@@ -256,9 +347,12 @@ def _rgb_codes(name, t):
 
 
 def _svg_rows(codes, cell, x0, y0):
-    """One merged <rect> per run of equal-colored inside cells per row.
+    """One merged <rect> per run of equal-colored inside cells per row, as one string of lines.
 
-    ``codes`` holds the packed color of every cell and -1 outside the ellipse.
+    ``codes`` holds the packed color of every cell and -1 outside the
+    ellipse; ``cell``, ``x0`` and ``y0`` are ints.  Every rect is formatted
+    by one ``%`` over a flat tuple of ints, which writes an int as ``str``
+    does.
     """
     height, width = codes.shape
     change = np.ones(codes.shape, dtype=bool)
@@ -270,11 +364,9 @@ def _svg_rows(codes, cell, x0, y0):
     keep = colors >= 0
     rows, cols = np.divmod(starts[keep], width)
     # SVG y grows downward; raster row 0 is the lowest y
-    tops = y0 + (height - 1 - rows) * cell
-    return [
-        f'<rect x="{x0 + col * cell}" y="{top}" width="{n * cell}" height="{cell}" fill="#{c:06x}"/>'
-        for col, top, n, c in zip(cols.tolist(), tops.tolist(), lengths[keep].tolist(), colors[keep].tolist())
-    ]
+    fields = np.stack([x0 + cols * cell, y0 + (height - 1 - rows) * cell, lengths[keep] * cell, colors[keep]], axis=1)
+    rect = f'<rect x="%d" y="%d" width="%d" height="{cell}" fill="#%06x"/>'
+    return "\n".join([rect] * len(fields)) % tuple(fields.ravel().tolist())
 
 
 def render_svg(raster, seeds, colormap="viridis", title=None):
@@ -311,7 +403,9 @@ def render_svg(raster, seeds, colormap="viridis", title=None):
             f'<text x="{margin}" y="{margin + 12}" font-family="sans-serif" '
             f'font-size="14">{title}</text>'
         )
-    parts.extend(_svg_rows(codes, cell, x0, y0))
+    rects = _svg_rows(codes, cell, x0, y0)
+    if rects:
+        parts.append(rects)
 
     # ellipse outline marks the map boundary; everything beyond it is empty
     cx = x0 + width * cell / 2

@@ -179,6 +179,18 @@ def test_unknown_model_is_config_error(dataset_path, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sphere-map", "repeats"])
+def test_paper_divisor_without_rotations_is_config_error(dataset_path, tmp_path, capsys, command):
+    # the paper mean divides by N: rejected with the configuration, before any prediction
+    out = tmp_path / "out"
+    code = main([command, *_noisy(dataset_path, out), "--divisor", "paper", "--rotations", "0"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: paper divisor mode cannot evaluate N = 0\n"
+    assert not out.exists()
+
+
 def test_corrupt_dataset_is_data_error(tmp_path, capsys):
     path = tmp_path / "bad.ndjson"
     path.write_text("{not json\n")

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -244,6 +245,8 @@ def test_voronoi_input_validation():
         voronoi_rasterize([])
     with pytest.raises(ValueError):
         voronoi_rasterize(seeds, grid=(0, 10))
+    with pytest.raises(ValueError, match="NaN"):
+        voronoi_rasterize(seeds + [ProjectedPoint(0.5, math.nan, 2.0)])
 
 
 def test_raster_cell_centers():
@@ -573,17 +576,23 @@ def test_render_svg_constant_field_matches_oracle(colormap):
 
 
 _coord = st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0]) | st.floats(-6.0, 6.0, allow_nan=False)
+# far outside the ellipse (|x| <= 5.66, |y| <= 2.83 at R = 2), where squares reach 1e12
+_far_coord = st.sampled_from([-1e6, -40.0, 25.0, 1e6]) | st.floats(-1e6, 1e6, allow_nan=False)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
-    points=st.lists(st.tuples(_coord, _coord), min_size=1, max_size=12),
+    points=st.lists(st.tuples(_coord | _far_coord, _coord | _far_coord), min_size=1, max_size=12),
     repeats=st.lists(st.integers(0, 11), max_size=6),
-    grid=st.tuples(st.integers(1, 24), st.integers(1, 12)),
-    budget=st.integers(1, 300),
+    one_point=st.booleans(),
+    # tiles are 8 cells a side: sides of 1, 7, 9, 17 and 40 cut tiles short or fill them
+    grid=st.just((1, 1)) | st.tuples(st.integers(1, 40), st.integers(1, 20)),
+    budget=st.integers(1, 300) | st.just(1 << 16),
 )
-def test_voronoi_chunks_and_duplicates_match_oracle(points, repeats, grid, budget):
+def test_voronoi_chunks_and_duplicates_match_oracle(points, repeats, one_point, grid, budget):
     # duplicated positions carry different values: ties must go to the lowest index
+    if one_point:
+        points = [points[0]] * len(points)
     points = points + [points[k % len(points)] for k in repeats]
     seeds = [ProjectedPoint(x, y, float(k)) for k, (x, y) in enumerate(points)]
     with mock.patch.object(spheremap, "_RASTER_CHUNK_ELEMENTS", budget):
@@ -591,3 +600,93 @@ def test_voronoi_chunks_and_duplicates_match_oracle(points, repeats, grid, budge
     expected = _brute_force_oracle(seeds, raster)
     assert np.array_equal(np.isnan(raster.values), ~raster.inside)
     assert np.array_equal(raster.values[raster.inside], expected[raster.inside])
+
+
+def _block_loop_oracle(seeds, grid, radius):
+    """The nearest-seed fill the tiled search replaced: every inside cell against every seed, in blocks."""
+    width, height = grid
+    half_x = 2.0 * math.sqrt(2.0) * radius
+    half_y = math.sqrt(2.0) * radius
+    xc = spheremap._cell_centers(width, -half_x, half_x)
+    yc = spheremap._cell_centers(height, -half_y, half_y)
+    gx, gy = np.meshgrid(xc, yc)
+    inside = (gx / half_x) ** 2 + (gy / half_y) ** 2 <= 1.0
+    sx = np.array([s.x for s in seeds])
+    sy = np.array([s.y for s in seeds])
+    sv = np.array([s.value for s in seeds])
+    values = np.full((height, width), np.nan)
+    px = gx[inside]
+    py = gy[inside]
+    idx = np.empty(px.shape[0], dtype=np.intp)
+    chunk = max(1, (1 << 16) // sx.size)
+    d2 = np.empty((min(chunk, px.shape[0]), sx.size))
+    dy2 = np.empty_like(d2)
+    for start in range(0, px.shape[0], chunk):
+        stop = min(start + chunk, px.shape[0])
+        d, e = d2[:stop - start], dy2[:stop - start]
+        np.square(np.subtract(px[start:stop, None], sx, out=d), out=d)
+        np.square(np.subtract(py[start:stop, None], sy, out=e), out=e)
+        idx[start:stop] = np.argmin(np.add(d, e, out=d), axis=1)
+    values[inside] = sv[idx]
+    return values, inside
+
+
+def test_voronoi_matches_block_loop_on_a_dense_map():
+    # 400 sampled rotations and the identity, every fifth seed repeated with another value
+    seeds = project_rotations(rotation_list(RotationStream(37), 400), np.sin(np.arange(401.0)) ** 2)
+    seeds = seeds + [ProjectedPoint(s.x, s.y, -s.value) for s in seeds[::5]]
+    raster = voronoi_rasterize(seeds, grid=(360, 180))
+    values, inside = _block_loop_oracle(seeds, (360, 180), 2.0)
+    assert np.array_equal(raster.inside, inside)
+    assert np.array_equal(raster.values, values, equal_nan=True)
+
+
+def test_voronoi_peak_memory_stays_within_its_tables_and_blocks():
+    width, height, n = 720, 360, 1001
+    seeds = project_rotations(rotation_list(RotationStream(38), n - 1), np.linspace(0.0, 1.0, n))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        voronoi_rasterize(seeds, grid=(width, height))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    tables = 1.25 * (width + height) * n * 8  # dx2, dy2 and their per-tile bounds
+    cells = width * height * (8 + 1 + 8)  # values, inside mask and seed index of every cell
+    blocks = 4 * 8 * spheremap._RASTER_CHUNK_ELEMENTS
+    assert peak <= tables + cells + blocks
+    assert peak < width * height * n * 8 / 100  # far from one distance per cell and seed
+
+
+def _svg_rows_per_rect(codes, cell, x0, y0):
+    """The rect lines as they were formatted before: one f-string per run."""
+    height, width = codes.shape
+    change = np.ones(codes.shape, dtype=bool)
+    change[:, 1:] = codes[:, 1:] != codes[:, :-1]
+    starts = np.flatnonzero(change)
+    lengths = np.diff(starts, append=codes.size)
+    colors = codes.ravel()[starts]
+    keep = colors >= 0
+    rows, cols = np.divmod(starts[keep], width)
+    tops = y0 + (height - 1 - rows) * cell
+    return [
+        f'<rect x="{x0 + col * cell}" y="{top}" width="{n * cell}" height="{cell}" fill="#{c:06x}"/>'
+        for col, top, n, c in zip(cols.tolist(), tops.tolist(), lengths[keep].tolist(), colors[keep].tolist())
+    ]
+
+
+@st.composite
+def _code_grids(draw):
+    """Packed colors with -1 outside cells; a small palette makes runs, free colors make single cells."""
+    width, height = draw(st.integers(1, 30)), draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    palette = np.array([-1, 0, 0x440154, 0xFFFFFF])
+    codes = palette[rng.integers(0, palette.size, (height, width))]
+    free = rng.random((height, width)) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    return np.where(free, rng.integers(-1, 0x1000000, (height, width)), codes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes=_code_grids(), cell=st.integers(1, 3), x0=st.integers(0, 40), y0=st.integers(0, 40))
+def test_svg_rows_match_per_rect_format(codes, cell, x0, y0):
+    assert spheremap._svg_rows(codes, cell, x0, y0) == "\n".join(_svg_rows_per_rect(codes, cell, x0, y0))
