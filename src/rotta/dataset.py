@@ -15,12 +15,11 @@ ranges) raises :class:`InvariantViolation` naming the sample and field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 import numpy as np
 
-from .models import EquivariantOracle, ModelInput
+from .models import CheckedRecord, EquivariantOracle, ModelInput
 from .rotations import (
     RotationStream,
     sample_orientation_tensor,
@@ -51,23 +50,15 @@ class InvariantViolation(ValueError):
         self.field = field
 
 
-@dataclass(frozen=True)
-class Sample:
+class Sample(CheckedRecord, namedtuple("Sample", "id a vf strain target_stress")):
     """One loading case: microstructure descriptors, strain path, optional target."""
 
-    id: str
-    a: np.ndarray
-    vf: float
-    strain: np.ndarray
-    target_stress: Optional[np.ndarray] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "strain", np.asarray(self.strain, dtype=float))
-        if self.target_stress is not None:
-            object.__setattr__(
-                self, "target_stress", np.asarray(self.target_stress, dtype=float)
-            )
+    def __new__(cls, id, a, vf, strain, target_stress=None):
+        if target_stress is not None:
+            target_stress = np.asarray(target_stress, dtype=float)
+        return super().__new__(cls, id, np.asarray(a, dtype=float), vf, np.asarray(strain, dtype=float), target_stress)
 
     @property
     def n_steps(self):

@@ -15,8 +15,8 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ class ConfigError(ValueError):
     """An experiment configuration is invalid or references missing paths."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Complete description of one run; see module docstring for the contract.
 
     ``model`` is ``"equivariant"``, ``"noisy"``, or ``"external:<command>"``
@@ -94,8 +93,6 @@ class ExperimentConfig:
             raise ConfigError("n_rotations must be >= 0")
         if self.divisor_mode not in ("count", "paper"):
             raise ConfigError(f"divisor_mode must be 'count' or 'paper', got {self.divisor_mode!r}")
-        if self.divisor_mode == "paper" and self.n_rotations == 0:
-            raise ConfigError("paper divisor mode cannot evaluate N = 0")
         if self.bin_width <= 0:
             raise ConfigError("bin_width must be positive")
         if self.radius <= 0:
@@ -129,6 +126,12 @@ class ExperimentConfig:
             "colormap": self.colormap,
             "external_timeout": self.external_timeout,
         }
+
+
+def _check_divisor(cfg: ExperimentConfig, n):
+    """Reject the paper divisor (N) for a mean over N = ``n`` random rotations when ``n`` is 0."""
+    if cfg.divisor_mode == "paper" and n == 0:
+        raise ConfigError("paper divisor mode cannot evaluate N = 0")
 
 
 def build_model(cfg: ExperimentConfig):
@@ -275,6 +278,7 @@ def _evaluate(cfg: ExperimentConfig, samples, results):
 def _evaluated_run(cfg: ExperimentConfig):
     """Augmented inference over the configured dataset, evaluated: ``(samples, results, report)``."""
     cfg.validate()
+    _check_divisor(cfg, cfg.n_rotations)
     samples = _load_evaluable(cfg)
     with _open_model(cfg) as model:
         results = compute_results(cfg, model, samples)
@@ -363,8 +367,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         raise ConfigError("sweep needs at least one rotation count")
     if checkpoints[0] < 0:
         raise ConfigError("rotation counts must be >= 0")
-    if cfg.divisor_mode == "paper" and checkpoints[0] == 0:
-        raise ConfigError("paper divisor mode cannot evaluate N = 0")
+    _check_divisor(cfg, checkpoints[0])
 
     samples = _load_evaluable(cfg)
     rotations = rotation_list(RotationStream(cfg.seed), checkpoints[-1])
@@ -401,6 +404,7 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
     ``repeats.csv`` when ``write`` is set.
     """
     cfg.validate()
+    _check_divisor(cfg, cfg.n_rotations)
     if n_repeats < 1:
         raise ConfigError("n_repeats must be >= 1")
     samples = _load_evaluable(cfg)
@@ -408,7 +412,7 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
     with _open_model(cfg) as model:
         for k in range(n_repeats):
             seed = cfg.seed + k
-            report = _evaluate(cfg, samples, compute_results(replace(cfg, seed=seed), model, samples))
+            report = _evaluate(cfg, samples, compute_results(cfg._replace(seed=seed), model, samples))
             rows.append((k + 1, seed, report.mere_i0, report.mere_av, report.sd_mere, report.mere_tta, report.mare_tta))
     values = np.asarray([row[5] for row in rows])
     mean = float(np.mean(values))

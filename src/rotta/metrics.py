@@ -23,7 +23,7 @@ excluded steps instead of dropping them silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +122,7 @@ def sd_mere(values, center):
     return float(np.sqrt(np.mean((values - center) ** 2)))
 
 
-@dataclass(frozen=True)
-class Histogram:
+class Histogram(NamedTuple):
     """Density histogram of error values with a moment-fit normal overlay."""
 
     bin_edges: np.ndarray
@@ -225,8 +224,7 @@ def pearson_r(x, y):
     return float(r)
 
 
-@dataclass(frozen=True)
-class ShapeRatio:
+class ShapeRatio(NamedTuple):
     """Shape-consistency comparison of one predicted channel against its target.
 
     ``r_initial`` and ``r_aggregated`` correlate the first-order differences
@@ -276,8 +274,7 @@ def shape_ratio(target, initial, aggregated) -> ShapeRatio:
     return ShapeRatio(float(r0), float(rt), float(c_ratio), bool(perfect))
 
 
-@dataclass(frozen=True)
-class ShapeReport:
+class ShapeReport(NamedTuple):
     """Per-sample, per-channel shape ratios and their dataset summary.
 
     Arrays are (M, 7) over channels :data:`CHANNEL_NAMES`.  Channels whose
@@ -348,8 +345,7 @@ def shape_report(target_paths, initial_paths, aggregated_paths) -> ShapeReport:
     )
 
 
-@dataclass(frozen=True)
-class UncertaintyReport:
+class UncertaintyReport(NamedTuple):
     """Dataset-averaged per-step spread and error curves plus their correlation.
 
     ``sd_curve`` and ``e_abs_curve`` cover every step; the relative curves
@@ -486,27 +482,26 @@ def jsonable(value):
     return value
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     """Full evaluation bundle of one augmented-inference run over a dataset."""
 
-    mere_per_rotation: dict = field(default_factory=dict)
-    mare_per_rotation: dict = field(default_factory=dict)
-    mere_av: float = math.nan
-    sd_mere: float = math.nan
-    mere_tta: float = math.nan
-    mare_tta: float = math.nan
-    mere_i0: float = math.nan
-    mare_i0: float = math.nan
-    mere_tta_percentile: float = math.nan
-    histogram: Histogram | None = None
-    shape: ShapeReport | None = None
-    uncertainty: UncertaintyReport | None = None
-    component_r: float = math.nan
-    component_r_degenerate: bool = False
-    n_samples: int = 0
-    n_steps: int = 0
-    n_rotations: int = 0
+    mere_per_rotation: dict
+    mare_per_rotation: dict
+    mere_av: float
+    sd_mere: float
+    mere_tta: float
+    mare_tta: float
+    mere_i0: float
+    mare_i0: float
+    mere_tta_percentile: float
+    histogram: Histogram | None
+    shape: ShapeReport | None
+    uncertainty: UncertaintyReport | None
+    component_r: float
+    component_r_degenerate: bool
+    n_samples: int
+    n_steps: int
+    n_rotations: int
 
     def to_dict(self):
         d = {

@@ -32,7 +32,7 @@ import select
 import shlex
 import subprocess
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Optional
 
 import numpy as np
@@ -48,20 +48,30 @@ class ExternalModelError(RuntimeError):
         self.row = row
 
 
-@dataclass(frozen=True)
-class ModelInput:
+class CheckedRecord:
+    """Base of a named tuple whose ``__new__`` converts or checks its fields.
+
+    A named tuple's ``_replace`` builds through ``_make``, which would skip
+    ``__new__``; here it runs it, so a copy is converted and checked too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class ModelInput(CheckedRecord, namedtuple("ModelInput", "a vf strain")):
     """One prediction request: orientation tensor, volume fraction, strain path.
 
     ``a`` is a Voigt 6-vector, ``strain`` a ``(T, 6)`` path with T >= 1.
     """
 
-    a: np.ndarray
-    vf: float
-    strain: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "strain", np.asarray(self.strain, dtype=float))
+    def __new__(cls, a, vf, strain):
+        return super().__new__(cls, np.asarray(a, dtype=float), vf, np.asarray(strain, dtype=float))
 
     @property
     def n_steps(self):
@@ -79,8 +89,8 @@ class ModelInput:
         return self
 
 
-@dataclass(frozen=True)
-class OracleParams:
+class OracleParams(CheckedRecord, namedtuple("OracleParams", "lam mu kappa sigma_y noise_amp noise_seed",
+                                             defaults=(2400.0, 1100.0, 30000.0, 120.0, 0.0, 0))):
     """Material-like parameters of the built-in oracles (stresses in MPa).
 
     ``lam``/``mu`` are Lame-style stiffnesses, ``kappa`` couples the fiber
@@ -88,18 +98,15 @@ class OracleParams:
     ``noise_amp``/``noise_seed`` control the frame-noise perturbation.
     """
 
-    lam: float = 2400.0
-    mu: float = 1100.0
-    kappa: float = 30000.0
-    sigma_y: float = 120.0
-    noise_amp: float = 0.0
-    noise_seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if min(self.lam, self.mu, self.kappa, self.sigma_y) <= 0:
             raise ValueError("lam, mu, kappa and sigma_y must all be > 0")
         if self.noise_amp < 0:
             raise ValueError("noise_amp must be >= 0")
+        return self
 
 
 class EquivariantOracle:
@@ -229,7 +236,8 @@ def _frame_noise(seed, a, vf, strain):
     t_hash ^= np.arange(1, eps_words.shape[-2] + 1, dtype=np.uint64)
     _mix(t_hash, scratch)
     comp_hash = t_hash[..., None] ^ np.arange(1, 7, dtype=np.uint64)
-    _mix(comp_hash, np.empty_like(comp_hash))
+    _mix(comp_hash, eps_words)  # the strain words are spent: their buffer takes the shifts
+    del eps_words, t_hash, scratch  # freed before the float result is made
     comp_hash >>= np.uint64(11)
     u = comp_hash * 2.0**-52  # uniform [0, 2): 53-bit words, scaled exactly by a power of two
     u -= 1.0

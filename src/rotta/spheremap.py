@@ -14,7 +14,7 @@ nearest-seed fill are measured in the projection plane.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class NonConvergence(RuntimeError):
     """The auxiliary-angle Newton iteration failed to meet tolerance."""
 
 
-@dataclass(frozen=True)
-class ProjectedPoint:
+class ProjectedPoint(NamedTuple):
     """A seed in the projection plane carrying an error value."""
 
     x: float
@@ -130,8 +129,7 @@ def project_rotations(rotations, values, radius=DEFAULT_RADIUS):
     return [ProjectedPoint(*p) for p in zip(x.tolist(), y.tolist(), values.tolist())]
 
 
-@dataclass(frozen=True)
-class RasterMap:
+class RasterMap(NamedTuple):
     """Nearest-seed raster of the projection ellipse.
 
     ``values`` is (height, width) with NaN outside the ellipse; ``inside``

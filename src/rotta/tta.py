@@ -21,11 +21,12 @@ float64 ndarrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .models import ExternalModelError, ModelInput
+from .models import CheckedRecord, ExternalModelError, ModelInput
 from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
 from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises
 
@@ -46,8 +47,8 @@ class EmptyInput(ValueError):
     """Aggregation was asked to reduce zero predictions."""
 
 
-@dataclass(frozen=True)
-class TTAConfig:
+class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor_mode sd_include_identity",
+                                          defaults=(0, DIVISOR_COUNT, False))):
     """Settings of one augmented-inference pass.
 
     Parameters
@@ -65,20 +66,18 @@ class TTAConfig:
         set True to include index 0 with divisor N+1 instead.
     """
 
-    n_rotations: int
-    seed: int = 0
-    divisor_mode: str = DIVISOR_COUNT
-    sd_include_identity: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_rotations < 0:
             raise ValueError("n_rotations must be >= 0")
         if self.divisor_mode not in _DIVISOR_MODES:
             raise ValueError(f"unknown divisor_mode {self.divisor_mode!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class TTAResult:
+class TTAResult(NamedTuple):
     """Back-rotated predictions of one input and their aggregates.
 
     ``predictions`` has shape ``(P, T, 6)`` in rotation-index order (index 0
@@ -273,8 +272,7 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult
     return reduce_predictions(augment(model, inp, rotations)[None], cfg, rotations)[0]
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     """Mean of per-sample max-abs rotate/back-rotate round-trip errors."""
 
     input_err: float

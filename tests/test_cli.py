@@ -6,7 +6,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -191,6 +190,19 @@ def test_paper_divisor_without_rotations_is_config_error(dataset_path, tmp_path,
     assert not out.exists()
 
 
+def test_sweep_ignores_rotations_under_the_paper_divisor(tmp_path, capsys):
+    # sweep reads its counts from --n-values; --rotations only lands in the config echo
+    path = tmp_path / "small.ndjson"
+    save_dataset(generate_synthetic(2, 5, stream=RotationStream(44)), path)
+    args = ["--dataset", str(path), "--divisor", "paper", "--rotations", "0"]
+    assert main(["sweep", *args, "--out", str(tmp_path / "ok"), "--n-values", "5"]) == 0
+    assert (tmp_path / "ok" / "sweep.csv").is_file()
+    capsys.readouterr()
+    assert main(["sweep", *args, "--out", str(tmp_path / "bad"), "--n-values", "0,5"]) == 2
+    assert capsys.readouterr().err == "configuration error: paper divisor mode cannot evaluate N = 0\n"
+    assert not (tmp_path / "bad").exists()
+
+
 def test_corrupt_dataset_is_data_error(tmp_path, capsys):
     path = tmp_path / "bad.ndjson"
     path.write_text("{not json\n")
@@ -200,7 +212,7 @@ def test_corrupt_dataset_is_data_error(tmp_path, capsys):
 
 
 def test_dataset_without_targets_is_data_error(tmp_path, capsys):
-    samples = [replace(s, target_stress=None)
+    samples = [s._replace(target_stress=None)
                for s in generate_synthetic(2, 6, stream=RotationStream(42))]
     path = tmp_path / "untargeted.ndjson"
     save_dataset(samples, path)
@@ -292,7 +304,7 @@ def test_external_echo_model_round_trip(tmp_path, capsys):
     # sigma = eps is an equivariant map, so augmentation reproduces the
     # targets up to conjugation round-off
     samples = generate_synthetic(2, 8, stream=RotationStream(43))
-    echoed = [replace(s, target_stress=s.strain.copy()) for s in samples]
+    echoed = [s._replace(target_stress=s.strain.copy()) for s in samples]
     path = tmp_path / "echo.ndjson"
     save_dataset(echoed, path)
     out = tmp_path / "out"

@@ -8,7 +8,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from dataclasses import replace
 
 import rotta.experiment as experiment
 import rotta.models as models
@@ -94,7 +93,7 @@ def test_run_experiment_writes_expected_files(dataset_path, tmp_path):
 
 def test_rerun_is_byte_identical_across_directories(dataset_path, tmp_path):
     cfg1 = _cfg(dataset_path, tmp_path / "one", sphere_map=True, grid=(120, 60))
-    cfg2 = replace(cfg1, out_dir=str(tmp_path / "two"))
+    cfg2 = cfg1._replace(out_dir=str(tmp_path / "two"))
     run_experiment(cfg1)
     run_experiment(cfg2)
     names1 = sorted(p.name for p in (tmp_path / "one").iterdir())
@@ -208,7 +207,7 @@ def test_sweep_rows_and_zero_checkpoint(dataset_path, tmp_path):
     cfg = _cfg(dataset_path, tmp_path / "sweep")
     rows = run_sweep(cfg, [8, 0, 4])
     assert [r[0] for r in rows] == [0, 4, 8]
-    report, _ = run_experiment(replace(cfg, out_dir=str(tmp_path / "ref0"), n_rotations=0))
+    report, _ = run_experiment(cfg._replace(out_dir=str(tmp_path / "ref0"), n_rotations=0))
     assert rows[0][1] == pytest.approx(report.mere_i0, abs=1e-12)
     csv = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
     assert csv[0] == "n,mere_tta,mare_tta"
@@ -228,7 +227,7 @@ def test_sweep_agrees_with_full_run(dataset_path, tmp_path):
         assert not (tmp_path / divisor_mode / "sweep").exists()
         assert [n for n, _, _ in rows] == sorted(n_values)
         for n, mere_tta, mare_tta in rows:
-            report, _ = run_experiment(replace(cfg, n_rotations=n, out_dir=str(tmp_path / divisor_mode / str(n))))
+            report, _ = run_experiment(cfg._replace(n_rotations=n, out_dir=str(tmp_path / divisor_mode / str(n))))
             assert (mere_tta, mare_tta) == (report.mere_tta, report.mare_tta), (divisor_mode, n)
 
 
@@ -239,7 +238,7 @@ def test_sweep_rejects_bad_requests(dataset_path, tmp_path):
     with pytest.raises(ConfigError):
         run_sweep(cfg, [-1, 4])
     with pytest.raises(ConfigError):
-        run_sweep(replace(cfg, divisor_mode="paper"), [0, 4])
+        run_sweep(cfg._replace(divisor_mode="paper"), [0, 4])
 
 
 # --------------------------------------------------------------- repeats
@@ -309,24 +308,24 @@ def test_config_validation_errors(dataset_path, tmp_path):
     good = _cfg(dataset_path, out)
     good.validate()
     cases = [
-        replace(good, model="magic"),
-        replace(good, model="external:   "),
-        replace(good, model="noisy", noise_amp=0.0),
-        replace(good, n_rotations=-1),
-        replace(good, divisor_mode="median"),
-        replace(good, bin_width=0.0),
-        replace(good, radius=-2.0),
-        replace(good, grid=(0, 10)),
-        replace(good, grid=(10,)),
-        replace(good, colormap="jet"),
-        replace(good, external_timeout=0.0),
-        replace(good, dataset=str(tmp_path / "nope.ndjson")),
+        good._replace(model="magic"),
+        good._replace(model="external:   "),
+        good._replace(model="noisy", noise_amp=0.0),
+        good._replace(n_rotations=-1),
+        good._replace(divisor_mode="median"),
+        good._replace(bin_width=0.0),
+        good._replace(radius=-2.0),
+        good._replace(grid=(0, 10)),
+        good._replace(grid=(10,)),
+        good._replace(colormap="jet"),
+        good._replace(external_timeout=0.0),
+        good._replace(dataset=str(tmp_path / "nope.ndjson")),
     ]
     for bad in cases:
         with pytest.raises(ConfigError):
             bad.validate()
     # path checking can be deferred for configs built before the dataset exists
-    replace(good, dataset=str(tmp_path / "nope.ndjson")).validate(check_paths=False)
+    good._replace(dataset=str(tmp_path / "nope.ndjson")).validate(check_paths=False)
 
 
 def test_config_roundtrip_dict(dataset_path, tmp_path):
@@ -339,7 +338,7 @@ def test_config_roundtrip_dict(dataset_path, tmp_path):
 
 def test_dataset_without_targets_rejected(tmp_path):
     samples = generate_synthetic(2, 6, stream=RotationStream(33))
-    stripped = [replace(s, target_stress=None) for s in samples]
+    stripped = [s._replace(target_stress=None) for s in samples]
     path = tmp_path / "untargeted.ndjson"
     save_dataset(stripped, path)
     cfg = _cfg(str(path), tmp_path / "out")

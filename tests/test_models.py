@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -280,6 +281,20 @@ def test_in_place_noise_has_the_words_of_the_allocating_form(seed, shape, expone
     got = _frame_noise(seed, a, vf, strain)
     assert got.shape == strain.shape
     assert np.array_equal(got.view(np.uint64), _frame_noise_allocating(seed, a, vf, strain).view(np.uint64))
+
+
+def test_noise_peak_memory_stays_below_three_results():
+    # an (81, 100, 6) kernel chunk: the spent strain words serve as the last mix's scratch
+    rng = np.random.default_rng(5)
+    a, strain = rng.standard_normal((81, 6)), rng.standard_normal((81, 100, 6))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        noise = _frame_noise(3, a, 0.2, strain)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * noise.nbytes  # 3.5 results when the last mix allocated its own scratch
 
 
 # ------------------------------------------------------- external adapter

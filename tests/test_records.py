@@ -1,0 +1,78 @@
+"""The package's records: immutable named tuples, checked where they convert or check fields."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import rotta
+from rotta.dataset import Sample
+from rotta.experiment import ExperimentConfig
+from rotta.metrics import Histogram, MetricsReport, ShapeRatio, ShapeReport, UncertaintyReport
+from rotta.models import ModelInput, OracleParams
+from rotta.spheremap import ProjectedPoint, RasterMap
+from rotta.tta import AuditReport, TTAConfig, TTAResult
+
+SRC = Path(rotta.__file__).parents[1]
+
+PLAIN = (Histogram, ShapeRatio, ShapeReport, UncertaintyReport, MetricsReport, ProjectedPoint, RasterMap,
+         TTAResult, AuditReport, ExperimentConfig)
+
+
+def _sample():
+    return Sample(id="s", a=[1.0, 0, 0, 0, 0, 0], vf=0.1, strain=[[0, 0, 0, 0, 0, 0]])
+
+
+RECORDS = [pytest.param(lambda cls=cls: cls(*range(len(cls._fields))), id=cls.__name__) for cls in PLAIN] + [
+    pytest.param(_sample, id="Sample"),
+    pytest.param(lambda: ModelInput(a=np.zeros(6), vf=0.1, strain=np.zeros((2, 6))), id="ModelInput"),
+    pytest.param(lambda: TTAConfig(3), id="TTAConfig"),
+    pytest.param(lambda: OracleParams(), id="OracleParams"),
+]
+
+
+@pytest.mark.parametrize("make", RECORDS)
+def test_records_refuse_assignment(make):
+    record = make()
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[1])
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert record._replace() == record
+
+
+def test_checked_records_check_their_copies():
+    with pytest.raises(ValueError):
+        TTAConfig(3)._replace(n_rotations=-1)
+    with pytest.raises(ValueError):
+        TTAConfig(3)._replace(divisor_mode="median")
+    with pytest.raises(ValueError):
+        OracleParams()._replace(mu=0.0)
+    with pytest.raises(ValueError):
+        OracleParams()._replace(noise_amp=-1.0)
+    assert TTAConfig(3)._replace(seed=5) == TTAConfig(n_rotations=3, seed=5)
+
+
+def test_checked_records_convert_their_copies():
+    sample = _sample()._replace(target_stress=[[1, 2, 3, 4, 5, 6]], a=[1, 0, 0, 0, 0, 0])
+    for values in (sample.a, sample.target_stress):
+        assert isinstance(values, np.ndarray) and values.dtype == np.float64
+    inp = sample.model_input()._replace(strain=[[0, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0]])
+    assert inp.strain.dtype == np.float64 and inp.n_steps == 2
+    assert _sample()._replace(target_stress=None).target_stress is None
+
+
+def test_importing_rotta_generates_no_dataclass_code():
+    # a frozen dataclass execs its generated methods at every import; named tuples do not
+    modules = sorted(f"rotta.{p.stem}" for p in (SRC / "rotta").glob("*.py") if p.stem != "__init__")
+    code = (f"import importlib, json, sys\nfor name in {modules!r}: importlib.import_module(name)\n"
+            "print(json.dumps(['dataclasses' in sys.modules, sorted(m for m in sys.modules if m.startswith('rotta.'))]))")
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    has_dataclasses, imported = json.loads(out)
+    assert imported == modules
+    assert not has_dataclasses
