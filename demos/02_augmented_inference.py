@@ -25,11 +25,13 @@ print("sample %s: %d steps, vf = %.3f, peak von Mises %.1f MPa" %
 
 config = TTAConfig(n_rotations=64, seed=1)
 
-# Equivariant case: the aggregate reproduces the direct prediction (row 0
-# of the predictions, under the identity) and the per-step spread
-# collapses to rounding noise.
-result = run_tta(EquivariantOracle(), sample.model_input(), config)
-spread = np.max(np.abs(result.aggregated - result.predictions[0]))
+# run_tta takes a dataset, a list of samples, and keeps the sample axis
+# first in every result array; this dataset has one sample, index 0.
+# Equivariant case: the aggregate reproduces the direct prediction
+# (rotation index 0, the identity) and the per-step spread collapses to
+# rounding noise.
+result = run_tta(EquivariantOracle(), [sample], config)
+spread = np.max(np.abs(result.aggregated[0] - result.predictions[0, 0]))
 print("\nequivariant model, 64 rotations:")
 print("  |aggregate - direct| = %.2e (pure round-off)" % spread)
 print("  max von Mises SD     = %.2e" % result.vm_sd.max())
@@ -38,10 +40,12 @@ print("  max von Mises SD     = %.2e" % result.vm_sd.max())
 # perturbations, so the copies disagree and their mean is better than
 # any single one.
 noisy = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=2))
-result = run_tta(noisy, sample.model_input(), config)
+result = run_tta(noisy, [sample], config)
+direct_vm = result.vm_individual[0, 0]
+tta_vm = result.vm_aggregated[0]
 
-direct_err = np.abs(von_mises_path(result.predictions[0]) - target_vm)
-tta_err = np.abs(result.vm_aggregated - target_vm)
+direct_err = np.abs(direct_vm - target_vm)
+tta_err = np.abs(tta_vm - target_vm)
 print("\nnoisy model (amplitude 5 MPa), 64 rotations:")
 print("  mean |error| direct    = %.3f MPa" % direct_err.mean())
 print("  mean |error| aggregate = %.3f MPa" % tta_err.mean())
@@ -56,5 +60,4 @@ print("  mean prediction SD     = %.3f MPa (noise amplitude was 5)" %
 print("\n  t   target_vm   direct_vm   tta_vm")
 for t in (0, 15, 30, 45, 59):
     print("  %2d   %8.3f    %8.3f  %8.3f" %
-          (t, target_vm[t], von_mises_path(result.predictions[0])[t],
-           result.vm_aggregated[t]))
+          (t, target_vm[t], direct_vm[t], tta_vm[t]))

@@ -24,9 +24,9 @@ targets = np.stack([s.target_stress for s in samples])
 
 model = NoisyOracle(OracleParams(noise_amp=4.0, noise_seed=1))
 config = TTAConfig(n_rotations=48, seed=3)
-results = [run_tta(model, s.model_input(), config) for s in samples]
+result = run_tta(model, samples, config)  # every array keeps the sample axis first
 
-report = evaluate_dataset(targets, results)
+report = evaluate_dataset(targets, result)
 print(report.to_text())
 
 # Headline numbers, unpacked:

@@ -14,7 +14,7 @@ import numpy as np
 from rotta.dataset import generate_synthetic
 from rotta.metrics import mere
 from rotta.models import NoisyOracle, OracleParams
-from rotta.rotations import RotationStream, rotation_list
+from rotta.rotations import RotationStream
 from rotta.spheremap import project_rotations, render_svg, seeds_csv, voronoi_rasterize
 from rotta.tta import TTAConfig, run_tta
 from rotta.voigt import von_mises_path
@@ -31,25 +31,23 @@ target_vm = np.stack([von_mises_path(s.target_stress) for s in samples])
 n_rotations = 96
 config = TTAConfig(n_rotations=n_rotations, seed=4)
 model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=6))
-results = [run_tta(model, s.model_input(), config) for s in samples]
+result = run_tta(model, samples, config)
 
 # Per-rotation error: mean over the dataset of each rotation's own
-# back-rotated prediction error.
-per_rotation = [
-    mere(target_vm, np.stack([r.vm_individual[i] for r in results]))
-    for i in range(n_rotations + 1)
-]
+# back-rotated prediction error.  The (M, P, T) von Mises stack keeps its
+# rotation axis through mere, which returns one value per rotation.
+per_rotation = mere(target_vm, result.vm_individual)
 print("per-rotation error: min %.5f, max %.5f over %d rotations"
-      % (min(per_rotation), max(per_rotation), n_rotations + 1))
+      % (per_rotation.min(), per_rotation.max(), n_rotations + 1))
 
-# The rotations are reproduced from the same stream the augmentation
-# used (identity first, then the sampled ones), projected, and rendered.
-rotations = rotation_list(RotationStream(4), n_rotations)
-seeds = project_rotations(rotations, per_rotation, radius=2.0)
+# The result carries the rotation list the augmentation used (identity
+# first, then the sampled ones); it is projected and rendered.  Each seed
+# is a row (x, y, error) of one (P, 3) array.
+seeds = project_rotations(result.rotations, per_rotation, radius=2.0)
 raster = voronoi_rasterize(seeds, grid=(360, 180), radius=2.0)
 
 texts = {
-    "error_map.svg": render_svg(raster, seeds, title="per-rotation mean relative error"),
+    "error_map.svg": render_svg(raster, title="per-rotation mean relative error"),
     "error_map_seeds.csv": seeds_csv(seeds),
 }
 for name, text in texts.items():

@@ -44,12 +44,12 @@ with tempfile.TemporaryDirectory() as work:
     command = [sys.executable, stub_path]
     print("external command:", " ".join(command))
     with ExternalModel(command, timeout=10.0) as model:
-        result = run_tta(model, sample.model_input(), TTAConfig(n_rotations=16, seed=8))
+        result = run_tta(model, [sample], TTAConfig(n_rotations=16, seed=8))
 
 expected = 2.0 * sample.strain
 print("\n16 rotations through the subprocess, all answers validated")
 print("aggregate vs 2*eps: max |difference| = %.2e"
-      % np.max(np.abs(result.aggregated - expected)))
+      % np.max(np.abs(result.aggregated[0] - expected)))
 print("per-step SD is round-off sized: max %.2e" % result.sd.max())
 print("\nthe same command string works everywhere a model is selected,")
 print("as 'external:<command>' in configs and on the command line")

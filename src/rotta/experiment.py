@@ -9,8 +9,6 @@ configuration echo, the dataset content hash, and a content hash per
 output file) and removes partial outputs if it fails midway.
 """
 
-from __future__ import annotations
-
 import hashlib
 import json
 import os
@@ -22,13 +20,7 @@ import numpy as np
 
 from .dataset import InvariantViolation, csv_text, format_path, load_dataset
 from .metrics import DEFAULT_BIN_WIDTH, MetricsReport, evaluate_dataset, mare, mere
-from .models import (
-    EquivariantOracle,
-    ExternalModel,
-    ExternalModelError,
-    NoisyOracle,
-    OracleParams,
-)
+from .models import EquivariantOracle, ExternalModel, NoisyOracle, OracleParams
 from .rotations import RotationStream, rotation_list
 from .spheremap import (
     COLORMAPS,
@@ -39,7 +31,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, reduce_predictions
+from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
 from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -108,23 +100,11 @@ class ExperimentConfig(NamedTuple):
         return self
 
     def to_dict(self):
-        return {
+        """The fields in order, as JSON-ready builtins."""
+        return self._asdict() | {
             "dataset": str(self.dataset),
             "out_dir": str(self.out_dir),
-            "model": self.model,
-            "n_rotations": self.n_rotations,
-            "seed": self.seed,
-            "divisor_mode": self.divisor_mode,
-            "sd_include_identity": self.sd_include_identity,
-            "mare_abs": self.mare_abs,
-            "bin_width": self.bin_width,
-            "noise_amp": self.noise_amp,
-            "noise_seed": self.noise_seed,
-            "sphere_map": self.sphere_map,
             "grid": [int(self.grid[0]), int(self.grid[1])],
-            "radius": self.radius,
-            "colormap": self.colormap,
-            "external_timeout": self.external_timeout,
         }
 
 
@@ -245,13 +225,10 @@ def _load_evaluable(cfg: ExperimentConfig):
 
 
 def compute_results(cfg: ExperimentConfig, model, samples):
-    """Run augmented inference of ``model`` for every sample; returns the results.
+    """:func:`~rotta.tta.run_tta` of ``model`` over ``samples`` with the run settings of ``cfg``.
 
-    The rotation list is drawn once and shared by every sample, so rotation
-    index i refers to one common rotation across the dataset (a requirement
-    for per-rotation error maps).  Every sample's rows fill one ``(M, P, T,
-    6)`` stack, which :func:`~rotta.tta.reduce_predictions` reduces in one
-    pass.  The caller owns ``model`` and closes it.
+    The rotation list is drawn once from ``cfg.seed`` and shared by every
+    sample.  The caller owns ``model`` and closes it.
     """
     tta_cfg = TTAConfig(
         n_rotations=cfg.n_rotations,
@@ -259,40 +236,32 @@ def compute_results(cfg: ExperimentConfig, model, samples):
         divisor_mode=cfg.divisor_mode,
         sd_include_identity=cfg.sd_include_identity,
     )
-    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    backrotated = np.empty((len(samples), len(rotations)) + samples[0].strain.shape)
-    for m, sample in enumerate(samples):
-        try:
-            for lo, block in augment_chunks(model, sample.model_input(), rotations):
-                backrotated[m, lo:lo + len(block)] = block
-        except ExternalModelError as exc:
-            raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
-    return reduce_predictions(backrotated, tta_cfg, rotations)
+    return run_tta(model, samples, tta_cfg)
 
 
-def _evaluate(cfg: ExperimentConfig, samples, results):
+def _evaluate(cfg: ExperimentConfig, samples, result):
     targets = np.stack([s.target_stress for s in samples])
-    return evaluate_dataset(targets, results, mare_abs=cfg.mare_abs, bin_width=cfg.bin_width)
+    return evaluate_dataset(targets, result, mare_abs=cfg.mare_abs, bin_width=cfg.bin_width)
 
 
 def _evaluated_run(cfg: ExperimentConfig):
-    """Augmented inference over the configured dataset, evaluated: ``(samples, results, report)``."""
+    """Augmented inference over the configured dataset, evaluated: ``(samples, result, report)``."""
     cfg.validate()
     _check_divisor(cfg, cfg.n_rotations)
     samples = _load_evaluable(cfg)
     with _open_model(cfg) as model:
-        results = compute_results(cfg, model, samples)
-    return samples, results, _evaluate(cfg, samples, results)
+        result = compute_results(cfg, model, samples)
+    return samples, result, _evaluate(cfg, samples, result)
 
 
-def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: MetricsReport):
+def _write_run_outputs(writer: _OutputWriter, cfg, samples, result, report: MetricsReport):
     writer.write_json("metrics.json", report.to_dict())
     writer.write_text("metrics.txt", report.to_text() + "\n")
 
+    keys = ("sigma_tta", "sd", "vm_tta", "vm_sd")
     lines = []
-    for sample, res in zip(samples, results):
-        fields = {"sigma_tta": res.aggregated, "sd": res.sd, "vm_tta": res.vm_aggregated, "vm_sd": res.vm_sd}
-        parts = [f'"id": {json.dumps(sample.id)}'] + [f'"{key}": {format_path(v)}' for key, v in fields.items()]
+    for sample, *paths in zip(samples, result.aggregated, result.sd, result.vm_aggregated, result.vm_sd):
+        parts = [f'"id": {json.dumps(sample.id)}'] + [f'"{key}": {format_path(v)}' for key, v in zip(keys, paths)]
         lines.append("{" + ", ".join(parts) + "}")
     writer.write_text("aggregated.ndjson", "\n".join(lines) + "\n")
 
@@ -308,17 +277,14 @@ def _write_run_outputs(writer: _OutputWriter, cfg, samples, results, report: Met
         )
 
     if cfg.sphere_map:
-        _write_sphere_map(writer, cfg, report, results[0].rotations)
+        _write_sphere_map(writer, cfg, report, result.rotations)
 
 
 def _write_sphere_map(writer: _OutputWriter, cfg: ExperimentConfig, report: MetricsReport, rotations):
-    """Map of per-rotation error; ``rotations`` is the list the results were computed with."""
-    values = [report.mere_per_rotation[i] for i in range(cfg.n_rotations + 1)]
-    seeds = project_rotations(rotations, values, radius=cfg.radius)
+    """Map of per-rotation error; ``rotations`` is the list the result was computed with."""
+    seeds = project_rotations(rotations, report.mere_per_rotation, radius=cfg.radius)
     raster = voronoi_rasterize(seeds, grid=cfg.grid, radius=cfg.radius)
-    writer.write_text(
-        "map.svg", render_svg(raster, seeds, colormap=cfg.colormap, title="per-rotation mean relative error")
-    )
+    writer.write_text("map.svg", render_svg(raster, colormap=cfg.colormap, title="per-rotation mean relative error"))
     writer.write_text("map_seeds.csv", seeds_csv(seeds))
 
 
@@ -330,15 +296,15 @@ def run_experiment(cfg: ExperimentConfig):
     error histogram, optionally the spherical error map, and finally the
     manifest.  On any failure all files written so far are removed.
     """
-    samples, results, report = _evaluated_run(cfg)
-    manifest_path = _write_outputs(cfg, lambda writer: _write_run_outputs(writer, cfg, samples, results, report))
+    samples, result, report = _evaluated_run(cfg)
+    manifest_path = _write_outputs(cfg, lambda writer: _write_run_outputs(writer, cfg, samples, result, report))
     return report, manifest_path
 
 
 def run_sphere_map(cfg: ExperimentConfig):
     """The run of :func:`run_experiment` writing only the spherical error map; returns the manifest path."""
-    _, results, report = _evaluated_run(cfg)
-    return _write_outputs(cfg, lambda writer: _write_sphere_map(writer, cfg, report, results[0].rotations))
+    _, result, report = _evaluated_run(cfg)
+    return _write_outputs(cfg, lambda writer: _write_sphere_map(writer, cfg, report, result.rotations))
 
 
 def run_audit(cfg: ExperimentConfig, identity_only=False):

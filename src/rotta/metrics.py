@@ -20,8 +20,6 @@ pass.  Relative quantities guard divisions with ``EPS_DIV`` and report
 excluded steps instead of dropping them silently.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -48,11 +46,16 @@ class AllStepsExcluded(ValueError):
 
 
 def _as_paths(target_vm, predicted_vm):
+    """``(target, prediction)`` with the targets broadcast over the prediction's middle axes.
+
+    A ``(T,)`` target pairs with a ``(T,)`` prediction as one sample; an
+    ``(M, T)`` target pairs with an ``(M, ..., T)`` prediction.
+    """
     t = np.atleast_2d(np.asarray(target_vm, dtype=float))
     p = np.atleast_2d(np.asarray(predicted_vm, dtype=float))
-    if t.shape != p.shape:
+    if t.ndim != 2 or p.shape[:1] + p.shape[-1:] != t.shape:
         raise ValueError(f"target {t.shape} and prediction {p.shape} shapes differ")
-    return t, p
+    return t.reshape(t.shape[:1] + (1,) * (p.ndim - 2) + t.shape[1:]), p
 
 
 def _target_max(target_paths):
@@ -60,6 +63,17 @@ def _target_max(target_paths):
     if np.any(m <= 0.0):
         raise ZeroTargetMax("a target von Mises path has no positive values")
     return m
+
+
+def _sample_mean(per_sample):
+    """Mean over the sample axis: a float for ``(M,)`` values, an array for ``(M, ...)``.
+
+    ``mean(axis=0)`` sums a 1-d vector pairwise but the rows of a table in
+    sample order, so from M = 8 on a column of an ``(M, P)`` table can
+    differ in the last bits from the same call on that column alone.
+    """
+    mean = np.mean(per_sample, axis=0)
+    return float(mean) if mean.ndim == 0 else mean
 
 
 def mere(target_vm, predicted_vm, rms=False):
@@ -73,19 +87,25 @@ def mere(target_vm, predicted_vm, rms=False):
 
     Parameters
     ----------
-    target_vm, predicted_vm : array_like, shape (M, T) or (T,)
-        Von Mises paths; a single path is treated as a one-sample dataset.
+    target_vm : array_like, shape (M, T) or (T,)
+        Target von Mises paths; a single path is a one-sample dataset.
+    predicted_vm : array_like, shape (M, ..., T) or (T,)
+        Predicted paths.  Axes between the sample and step axes (rotation
+        indices, say) are kept: each target is compared with every path of
+        its sample, and the result has the shape of those axes instead of
+        being a float.
     rms : bool
         Use the per-step-normalized variant rather than the verbatim form.
     """
     t, p = _as_paths(target_vm, predicted_vm)
     n_steps = t.shape[-1]
-    root = np.sqrt(np.sum((t - p) ** 2, axis=-1))
+    sq = t - p
+    root = np.sqrt(np.sum(np.square(sq, out=sq), axis=-1))
     if rms:
         per_sample = root / (np.sqrt(n_steps) * _target_max(t))
     else:
         per_sample = root / (_target_max(t) * n_steps)
-    return float(np.mean(per_sample))
+    return _sample_mean(per_sample)
 
 
 def mare(target_vm, predicted_vm, absolute=False):
@@ -94,11 +114,13 @@ def mare(target_vm, predicted_vm, absolute=False):
 
     The difference is signed by default (a prediction that only overshoots
     gives a negative value); ``absolute=True`` takes |target - prediction|.
+    Shapes are those of :func:`mere`, middle axes included.
     """
     t, p = _as_paths(target_vm, predicted_vm)
-    diff = np.abs(t - p) if absolute else t - p
-    per_sample = np.max(diff, axis=-1) / _target_max(t)
-    return float(np.mean(per_sample))
+    diff = t - p
+    if absolute:
+        np.abs(diff, out=diff)
+    return _sample_mean(np.max(diff, axis=-1) / _target_max(t))
 
 
 def mere_av(values):
@@ -483,10 +505,14 @@ def jsonable(value):
 
 
 class MetricsReport(NamedTuple):
-    """Full evaluation bundle of one augmented-inference run over a dataset."""
+    """Full evaluation bundle of one augmented-inference run over a dataset.
 
-    mere_per_rotation: dict
-    mare_per_rotation: dict
+    ``mere_per_rotation`` and ``mare_per_rotation`` are ``(P,)`` arrays over
+    rotation indices 0..N.
+    """
+
+    mere_per_rotation: np.ndarray
+    mare_per_rotation: np.ndarray
     mere_av: float
     sd_mere: float
     mere_tta: float
@@ -508,8 +534,8 @@ class MetricsReport(NamedTuple):
             "n_samples": self.n_samples,
             "n_steps": self.n_steps,
             "n_rotations": self.n_rotations,
-            "mere_per_rotation": {str(k): jsonable(v) for k, v in self.mere_per_rotation.items()},
-            "mare_per_rotation": {str(k): jsonable(v) for k, v in self.mare_per_rotation.items()},
+            "mere_per_rotation": {str(i): v for i, v in enumerate(jsonable(self.mere_per_rotation))},
+            "mare_per_rotation": {str(i): v for i, v in enumerate(jsonable(self.mare_per_rotation))},
             "mere_av": jsonable(self.mere_av),
             "sd_mere": jsonable(self.sd_mere),
             "mere_tta": jsonable(self.mere_tta),
@@ -563,19 +589,19 @@ class MetricsReport(NamedTuple):
 
 def evaluate_dataset(
     target_paths,
-    results,
+    result,
     mare_abs=False,
     bin_width=DEFAULT_BIN_WIDTH,
 ) -> MetricsReport:
-    """Evaluate augmented-inference results of a whole dataset.
+    """Evaluate the augmented-inference result of a whole dataset.
 
     Parameters
     ----------
     target_paths : ndarray, shape (M, T, 6)
         Target stress paths, one per sample.
-    results : sequence of TTAResult
-        One result per sample, all with the identity prediction at index 0
-        and the same number of rotations.
+    result : TTAResult
+        The dataset's result, sample axis first, with the identity
+        prediction at rotation index 0.
     mare_abs : bool
         Take the absolute instead of the signed per-step difference in the
         maximum-relative-error family.
@@ -585,53 +611,33 @@ def evaluate_dataset(
     target_paths = np.asarray(target_paths, dtype=float)
     if target_paths.ndim != 3 or target_paths.shape[-1] != 6:
         raise ValueError(f"expected target paths of shape (M, T, 6), got {target_paths.shape}")
-    if len(results) != target_paths.shape[0]:
-        raise ValueError("one result per target path required")
-    if len(results) == 0:
+    if target_paths.shape[0] == 0:
         raise ValueError("empty dataset")
-    n_pred = results[0].predictions.shape[0]
-    if any(r.predictions.shape[0] != n_pred for r in results):
-        raise ValueError("all results must use the same number of rotations")
+    if result.aggregated.shape != target_paths.shape:
+        raise ValueError(f"result of shape {result.aggregated.shape} for target paths of shape {target_paths.shape}")
 
     target_vm = von_mises(target_paths)
-    vm_pred = np.stack([r.vm_individual for r in results])  # (M, P, T)
-    vm_tta = np.stack([r.vm_aggregated for r in results])  # (M, T)
-
-    tmax = _target_max(target_vm)  # (M,)
-    n_steps = target_vm.shape[-1]
-    err = vm_pred - target_vm[:, None, :]
-    per_sample = np.sqrt(np.sum(err * err, axis=-1)) / (tmax[:, None] * n_steps)
-    mere_vec = np.mean(per_sample, axis=0)  # (P,)
-    diff = np.abs(err) if mare_abs else -err
-    mare_vec = np.mean(np.max(diff, axis=-1) / tmax[:, None], axis=0)
+    mere_vec = mere(target_vm, result.vm_individual)  # (P,)
+    mare_vec = mare(target_vm, result.vm_individual, absolute=mare_abs)
+    n_pred = mere_vec.shape[0]
 
     av = mere_av(mere_vec)
     spread = sd_mere(mere_vec[1:], av) if n_pred > 1 else math.nan
-    tta_mere = mere(target_vm, vm_tta)
-    tta_mare = mare(target_vm, vm_tta, absolute=mare_abs)
+    tta_mere = mere(target_vm, result.vm_aggregated)
+    tta_mare = mare(target_vm, result.vm_aggregated, absolute=mare_abs)
     hist = mere_histogram(mere_vec, bin_width) if n_pred > 1 else None
 
-    shape = shape_report(
-        target_paths,
-        np.stack([r.predictions[0] for r in results]),
-        np.stack([r.aggregated for r in results]),
-    )
-    uncertainty = uncertainty_curves(
-        np.stack([r.vm_sd for r in results]), target_vm, vm_tta
-    )
+    shape = shape_report(target_paths, result.predictions[:, 0], result.aggregated)
+    uncertainty = uncertainty_curves(result.vm_sd, target_vm, result.vm_aggregated)
     try:
-        comp_r = component_error_correlation(
-            np.stack([r.sd for r in results]),
-            target_paths,
-            np.stack([r.aggregated for r in results]),
-        )
+        comp_r = component_error_correlation(result.sd, target_paths, result.aggregated)
         comp_degen = False
     except DegenerateSequence:
         comp_r, comp_degen = math.nan, True
 
     return MetricsReport(
-        mere_per_rotation={i: float(v) for i, v in enumerate(mere_vec)},
-        mare_per_rotation={i: float(v) for i, v in enumerate(mare_vec)},
+        mere_per_rotation=mere_vec,
+        mare_per_rotation=mare_vec,
         mere_av=av,
         sd_mere=spread,
         mere_tta=tta_mere,
@@ -645,6 +651,6 @@ def evaluate_dataset(
         component_r=comp_r,
         component_r_degenerate=comp_degen,
         n_samples=int(target_paths.shape[0]),
-        n_steps=int(n_steps),
+        n_steps=int(target_paths.shape[1]),
         n_rotations=int(n_pred - 1),
     )

@@ -11,8 +11,6 @@ single-argument form cannot cover the full sphere).  Distances for the
 nearest-seed fill are measured in the projection plane.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -38,14 +36,6 @@ _TILE = 8
 
 class NonConvergence(RuntimeError):
     """The auxiliary-angle Newton iteration failed to meet tolerance."""
-
-
-class ProjectedPoint(NamedTuple):
-    """A seed in the projection plane carrying an error value."""
-
-    x: float
-    y: float
-    value: float
 
 
 def solve_theta(lat):
@@ -102,6 +92,9 @@ def mollweide_project(lat, lon, radius=DEFAULT_RADIUS):
 def project_rotations(rotations, values, radius=DEFAULT_RADIUS):
     """Projected seeds of an (N, 3, 3) rotation stack with one value per rotation.
 
+    Returns the (N, 3) table of seeds: columns ``x``, ``y`` in the
+    projection plane and the rotation's ``value``.
+
     Each seed has the bits of projecting its rotation alone: directions come
     from the batched product ``rotations @ [0, 0, 1]`` (a column slice can
     flip the sign of a zero, which atan2 turns from pi into -pi), and norms,
@@ -126,7 +119,7 @@ def project_rotations(rotations, values, radius=DEFAULT_RADIUS):
     lon = np.array(list(map(math.atan2, xyz[:, 1].tolist(), xyz[:, 0].tolist())))
     lon[(xyz[:, 0] == 0.0) & (xyz[:, 1] == 0.0)] = 0.0
     x, y = mollweide_project(lat, lon, radius)
-    return [ProjectedPoint(*p) for p in zip(x.tolist(), y.tolist(), values.tolist())]
+    return np.column_stack((x, y, values))
 
 
 class RasterMap(NamedTuple):
@@ -244,7 +237,8 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
 
     Parameters
     ----------
-    seeds : sequence of ProjectedPoint
+    seeds : array_like, shape (N, 3)
+        Seeds of :func:`project_rotations`: rows of ``x``, ``y``, value.
     grid : (width, height)
         Cell counts across the ellipse's bounding box.
 
@@ -264,8 +258,11 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
     height) x seeds floats (tiles rounded up), the (height, width)
     outputs, and blocks of about ``_RASTER_CHUNK_ELEMENTS`` elements.
     """
-    if len(seeds) == 0:
+    seeds = np.asarray(seeds, dtype=float)
+    if seeds.size == 0:
         raise ValueError("need at least one seed")
+    if seeds.ndim != 2 or seeds.shape[1] != 3:
+        raise ValueError(f"expected seeds of shape (N, 3), got {seeds.shape}")
     width, height = int(grid[0]), int(grid[1])
     if width < 1 or height < 1:
         raise ValueError("grid dimensions must be >= 1")
@@ -275,11 +272,10 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
     yc = _cell_centers(height, -half_y, half_y)
     inside = (xc / half_x) ** 2 + ((yc / half_y) ** 2)[:, None] <= 1.0
 
-    sx = np.array([s.x for s in seeds])
-    sy = np.array([s.y for s in seeds])
+    sx, sy, seed_values = seeds.T
     if np.isnan(sx).any() or np.isnan(sy).any():
         raise ValueError("seed coordinates must not be NaN")
-    values = np.array([s.value for s in seeds])[_nearest_seeds(xc, yc, inside, sx, sy)]
+    values = seed_values[_nearest_seeds(xc, yc, inside, sx, sy)]
     values[~inside] = np.nan
     return RasterMap(values=values, inside=inside, x_centers=xc, y_centers=yc, radius=radius)
 
@@ -367,10 +363,10 @@ def _svg_rows(codes, cell, x0, y0):
     return "\n".join([rect] * len(fields)) % tuple(fields.ravel().tolist())
 
 
-def render_svg(raster, seeds, colormap="viridis", title=None):
+def render_svg(raster, colormap="viridis", title=None):
     """SVG document (string) of the raster with colorbar and ellipse outline.
 
-    Cell colors come from the named colormap scaled over the seed value
+    Cell colors come from the named colormap scaled over the raster's value
     range; outside-ellipse cells are left unpainted, marked only by the
     ellipse outline.  Output bytes depend only on the inputs.
     """
@@ -438,6 +434,6 @@ def render_svg(raster, seeds, colormap="viridis", title=None):
 
 
 def seeds_csv(seeds):
-    """CSV text of the projected seeds, header ``x,y,mere``."""
-    return csv_text("x,y,mere", np.array([(s.x, s.y, s.value) for s in seeds], dtype=float).reshape(-1, 3))
+    """CSV text of the (N, 3) seed table of :func:`project_rotations`, header ``x,y,mere``."""
+    return csv_text("x,y,mere", np.asarray(seeds, dtype=float).reshape(-1, 3))
 

@@ -14,12 +14,11 @@ it, and it calls nothing of a model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
 results do not depend on how predictions were scheduled.
-:func:`reduce_predictions` reduces the stacks of a whole dataset in one such
-pass; :func:`run_tta` is its one-sample call.  All result arrays are plain
-float64 ndarrays.
+:func:`run_tta` runs a whole dataset through the kernel into one ``(M, P, T,
+6)`` stack, and :func:`reduce_predictions` reduces it in one such pass into
+one :class:`TTAResult` whose arrays keep the sample axis.  All result arrays
+are plain float64 ndarrays.
 """
-
-from __future__ import annotations
 
 from collections import namedtuple
 from typing import NamedTuple
@@ -78,13 +77,15 @@ class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor
 
 
 class TTAResult(NamedTuple):
-    """Back-rotated predictions of one input and their aggregates.
+    """Back-rotated predictions of the M samples of a dataset and their aggregates.
 
-    ``predictions`` has shape ``(P, T, 6)`` in rotation-index order (index 0
-    is the identity prediction); ``aggregated`` and ``sd`` are
-    ``(T, 6)``; the von Mises channels are ``(P, T)`` and ``(T,)``.
-    ``vm_aggregated`` is the von Mises stress *of the aggregated path*, not
-    a mean of the individual von Mises values.
+    Every array keeps the sample axis first.  ``predictions`` has shape
+    ``(M, P, T, 6)`` in rotation-index order (index 0 is the identity
+    prediction); ``aggregated`` and ``sd`` are ``(M, T, 6)``; the von Mises
+    channels are ``(M, P, T)`` and ``(M, T)``.  ``vm_aggregated`` is the von
+    Mises stress *of the aggregated path*, not a mean of the individual von
+    Mises values.  ``rotations`` is the ``(P, 3, 3)`` list every sample
+    shares.
     """
 
     predictions: np.ndarray
@@ -181,13 +182,13 @@ def pointwise_sd(predictions, aggregated, include_first=False):
     return np.sqrt(compensated_sums(deviations(), [rows.shape[0] - 1])[0] / rows.shape[0])
 
 
-def reduce_predictions(backrotated, cfg: TTAConfig, rotations):
-    """:class:`TTAResult` of each of M inputs from their ``(M, P, T, 6)`` back-rotated stacks.
+def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
+    """:class:`TTAResult` of M inputs from their ``(M, P, T, 6)`` back-rotated stack.
 
     Every sample is reduced at once: one compensated pass over the rotation
     axis for the mean and one for each spread, each element with the
-    additions of its own sample's pass.  ``rotations`` is stored in every
-    result.
+    additions of its own sample's pass.  ``backrotated`` becomes the
+    result's ``predictions``.
     """
     by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
     aggregated = aggregate_mean(by_rotation, cfg.divisor_mode)
@@ -202,8 +203,7 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations):
     else:
         sd = np.zeros_like(aggregated)
         vm_sd = np.zeros_like(vm_aggregated)
-    per_sample = zip(backrotated, aggregated, sd, vm_individual, vm_aggregated, vm_sd)
-    return [TTAResult(*arrays, rotations=rotations) for arrays in per_sample]  # fields in TTAResult order
+    return TTAResult(backrotated, aggregated, sd, vm_individual, vm_aggregated, vm_sd, rotations)
 
 
 def augment_chunks(model, inp: ModelInput, rotations):
@@ -253,14 +253,16 @@ def augment(model, inp: ModelInput, rotations) -> np.ndarray:
     return out
 
 
-def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult:
-    """Full augmented-inference pass for one input.
+def run_tta(model, samples, cfg: TTAConfig, rotations=None) -> TTAResult:
+    """Full augmented-inference pass over the ``samples`` of a dataset.
 
-    Runs :func:`augment` over ``rotations``, the rotation list of ``cfg``
-    (drawn from ``cfg.seed`` when not given), and fills a :class:`TTAResult`.
-    Predictions are stored in rotation-index order.  External-model
-    failures are re-raised annotated with the offending row of
-    ``rotations``.
+    Every sample runs through :func:`augment_chunks` over one shared
+    rotation list, ``rotations`` or, when not given, the list of ``cfg``
+    drawn from ``cfg.seed``, so rotation index i is one rotation across the
+    dataset.  The rows fill one ``(M, P, T, 6)`` stack in rotation-index
+    order, which :func:`reduce_predictions` reduces.  Samples must share
+    one path length.  External-model failures are re-raised naming the
+    sample and the offending row of ``rotations``.
     """
     if rotations is None:
         rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
@@ -268,8 +270,19 @@ def run_tta(model, inp: ModelInput, cfg: TTAConfig, rotations=None) -> TTAResult
         raise ValueError(
             f"expected the {cfg.n_rotations + 1} rotations of the config, got shape {np.shape(rotations)}"
         )
-
-    return reduce_predictions(augment(model, inp, rotations)[None], cfg, rotations)[0]
+    if len(samples) == 0:
+        raise ValueError("augmented inference needs at least one sample")
+    backrotated = np.empty((len(samples), len(rotations)) + samples[0].strain.shape)
+    for m, sample in enumerate(samples):
+        if sample.strain.shape != samples[0].strain.shape:
+            raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
+                             f"the first sample's {samples[0].strain.shape}")
+        try:
+            for lo, block in augment_chunks(model, sample.model_input(), rotations):
+                backrotated[m, lo:lo + len(block)] = block
+        except ExternalModelError as exc:
+            raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
+    return reduce_predictions(backrotated, cfg, rotations)
 
 
 class AuditReport(NamedTuple):

@@ -60,11 +60,8 @@ def _five_seed_runs(uniaxial):
     start = time.perf_counter()
     for seed in SEEDS:
         model = NoisyOracle(OracleParams(noise_amp=amp, noise_seed=NOISE_SEED))
-        results = [
-            run_tta(model, s.model_input(), TTAConfig(N_ROTATIONS, seed=seed))
-            for s in samples
-        ]
-        reports.append(evaluate_dataset(targets, results))
+        result = run_tta(model, samples, TTAConfig(N_ROTATIONS, seed=seed))
+        reports.append(evaluate_dataset(targets, result))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(samples=samples, amp=amp, reports=reports, elapsed=elapsed)
 
@@ -106,11 +103,11 @@ def test_criterion_02_equivariant_no_op():
     samples = generate_synthetic(20, 100, stream=RotationStream(7))
     start = time.perf_counter()
     model = EquivariantOracle()
-    results = [run_tta(model, s.model_input(), TTAConfig(64, seed=0)) for s in samples]
-    report = evaluate_dataset(np.stack([s.target_stress for s in samples]), results)
+    result = run_tta(model, samples, TTAConfig(64, seed=0))
+    report = evaluate_dataset(np.stack([s.target_stress for s in samples]), result)
     elapsed = time.perf_counter() - start
-    spread = max(float(np.max(np.abs(r.aggregated - r.predictions[0]))) for r in results)
-    sd_max = max(float(np.max(r.vm_sd)) for r in results)
+    spread = float(np.max(np.abs(result.aggregated - result.predictions[:, 0])))
+    sd_max = float(np.max(result.vm_sd))
     mere_gap = abs(report.mere_tta - report.mere_i0)
     ok = spread <= 1e-9 and sd_max <= 1e-9 and mere_gap <= 1e-9 and elapsed < 10.0
     _verdict(
@@ -250,10 +247,10 @@ def test_criterion_10_projection_and_raster():
         for i, xc in enumerate(raster.x_centers):
             if not raster.inside[j, i]:
                 continue
-            d2 = [(xc - s.x) ** 2 + (yc - s.y) ** 2 for s in seeds]
+            d2 = [(xc - sx) ** 2 + (yc - sy) ** 2 for sx, sy, _ in seeds]
             order = sorted(range(len(seeds)), key=d2.__getitem__)
             min_gap = min(min_gap, d2[order[1]] - d2[order[0]])
-            if raster.values[j, i] != seeds[order[0]].value:
+            if raster.values[j, i] != seeds[order[0], 2]:
                 mismatches += 1
 
     ok = (

@@ -17,12 +17,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotta import tta
-from rotta.dataset import csv_text, format_float, format_path
+from rotta.dataset import Sample, csv_text, format_float, format_path
 from rotta.experiment import _OutputWriter
 from rotta.metrics import CHANNEL_NAMES, jsonable, shape_report
-from rotta.models import ModelInput, NoisyOracle, OracleParams
+from rotta.models import NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
-from rotta.spheremap import ProjectedPoint, seeds_csv
+from rotta.spheremap import seeds_csv
 from rotta.tta import EmptyInput, TTAConfig, augment, reduce_predictions, run_tta
 from rotta.voigt import von_mises
 
@@ -62,10 +62,10 @@ def _per_sample(stack, mode, include_identity):
     return aggregated, sd, vm, vm_aggregated, vm_sd
 
 
-def _input(seed, n_steps):
+def _sample(seed, n_steps):
     s = RotationStream(seed)
     strain = 0.02 * s.normals(6 * n_steps).reshape(n_steps, 6)
-    return ModelInput(a=sample_orientation_tensor(s), vf=0.15, strain=strain)
+    return Sample(id=f"s{seed}", a=sample_orientation_tensor(s), vf=0.15, strain=strain)
 
 
 reduction_cases = dict(
@@ -84,25 +84,26 @@ reduction_cases = dict(
 @example(seed=0, m=3, n=1, t=5, mode="count", include_identity=False, chunk=8192)
 @example(seed=1, m=2, n=0, t=4, mode="count", include_identity=True, chunk=8192)
 def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, include_identity, chunk):
-    inputs = [_input(seed + k, t) for k in range(m)]
+    samples = [_sample(seed + k, t) for k in range(m)]
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=seed))
     cfg = TTAConfig(n, seed=seed, divisor_mode=mode, sd_include_identity=include_identity)
     rotations = rotation_list(RotationStream(seed), n)
-    stack = np.stack([augment(model, inp, rotations) for inp in inputs])
+    stack = np.stack([augment(model, s.model_input(), rotations) for s in samples])
     with mock.patch.object(tta, "_CHUNK_STEPS", chunk):  # small blocks: many block boundaries
         if mode == "paper" and n == 0:
             with pytest.raises(EmptyInput):
-                reduce_predictions(stack, cfg, rotations)
+                run_tta(model, samples, cfg, rotations)
             return
-        batched = reduce_predictions(stack, cfg, rotations)
-    assert len(batched) == m
-    for k, (inp, got) in enumerate(zip(inputs, batched)):
-        want = run_tta(model, inp, cfg, rotations)
+        batched = run_tta(model, samples, cfg, rotations)
+    assert batched.predictions.shape == (m, n + 1, t, 6)
+    assert batched.rotations is rotations
+    assert_same_bits(batched.predictions, stack)
+    for k, sample in enumerate(samples):
+        alone = run_tta(model, [sample], cfg, rotations)
         for field in RESULT_FIELDS:
-            assert_same_bits(getattr(got, field), getattr(want, field))
-        assert got.rotations is rotations
+            assert_same_bits(getattr(batched, field)[k], getattr(alone, field)[0])
         for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode, include_identity)):
-            assert_same_bits(getattr(got, field), oracle)
+            assert_same_bits(getattr(batched, field)[k], oracle)
 
 
 @settings(max_examples=60, deadline=None)
@@ -128,10 +129,10 @@ def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, 
         return
     with np.errstate(all="ignore"), mock.patch.object(tta, "_CHUNK_STEPS", chunk):
         batched = reduce_predictions(stack, cfg, np.repeat(np.eye(3)[None], p, axis=0))
-        for k, got in enumerate(batched):
+        for k in range(m):
             aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack[k], mode, include_identity)
             for field, want in zip(RESULT_FIELDS, (stack[k], aggregated, sd, vm, vm_aggregated, vm_sd)):
-                assert_same_bits(getattr(got, field), want)
+                assert_same_bits(getattr(batched, field)[k], want)
 
 
 # --------------------------------------------------------- shape report
@@ -265,10 +266,11 @@ def test_csv_rows_have_the_bytes_of_the_per_value_rule(rows):
 def test_float_array_csv_and_seeds_csv_have_the_bytes_of_the_per_value_rule(values, ints):
     table = np.array(values, dtype=float).reshape(-1, 3)
     assert csv_text("a,b,c", table) == _csv_loop("a,b,c", values)
-    seeds = [ProjectedPoint(*v) for v in values]
+    seeds = values
     if ints:  # a seed built from Python ints is written as floats, 1 as 1.0
-        seeds = [ProjectedPoint(k, -k, 2 * k) for k in range(len(values))]
-    assert seeds_csv(seeds) == _csv_loop("x,y,mere", [(s.x, s.y, s.value) for s in seeds])
+        seeds = [(k, -k, 2 * k) for k in range(len(values))]
+    assert seeds_csv(seeds) == _csv_loop("x,y,mere", seeds)
+    assert seeds_csv(np.array(seeds, dtype=float).reshape(-1, 3)) == _csv_loop("x,y,mere", seeds)
 
 
 def test_artifact_formats_on_the_named_edge_values():

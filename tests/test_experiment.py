@@ -153,28 +153,25 @@ def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatc
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=7)
     samples = experiment._load_evaluable(cfg)
     draws = _count_draws(monkeypatch)
-    results = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
-    assert len(results) == 4 and draws == [7]
+    result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
+    assert result.predictions.shape[:2] == (4, 8) and draws == [7]
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    for res in results:
-        assert res.rotations.tobytes() == fresh.tobytes()
+    assert result.rotations.tobytes() == fresh.tobytes()
 
 
 def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=9, grid=(40, 20))
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     samples = experiment._load_evaluable(cfg)
-    results = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
-    for res in results:
-        assert np.array_equal(res.rotations, fresh)
+    result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
+    assert np.array_equal(result.rotations, fresh)
 
     # the map reuses the results' list: the run draws it once, for the results
     draws = _count_draws(monkeypatch)
     run_sphere_map(cfg)
     assert draws == [cfg.n_rotations]
-    report = evaluate_dataset(np.stack([s.target_stress for s in samples]), results)
-    values = [report.mere_per_rotation[i] for i in range(len(fresh))]
-    expected = seeds_csv(project_rotations(fresh, values, radius=cfg.radius))
+    report = evaluate_dataset(np.stack([s.target_stress for s in samples]), result)
+    expected = seeds_csv(project_rotations(fresh, report.mere_per_rotation, radius=cfg.radius))
     assert (tmp_path / "out" / "map_seeds.csv").read_text() == expected
 
 
@@ -334,6 +331,38 @@ def test_config_roundtrip_dict(dataset_path, tmp_path):
     assert d["grid"] == [12, 6]
     assert d["model"] == "noisy"
     json.dumps(d)
+
+
+def test_config_to_dict_pins_keys_order_and_values(tmp_path):
+    cfg = ExperimentConfig(
+        dataset=tmp_path / "d.ndjson", out_dir=tmp_path / "out", model="external:echo", n_rotations=17,
+        seed=4, divisor_mode="paper", sd_include_identity=True, mare_abs=True, bin_width=2e-5,
+        noise_amp=1.5, noise_seed=9, sphere_map=True, grid=(np.int64(12), 6), radius=3.0,
+        colormap="gray", external_timeout=7.5,
+    )
+    expected = {
+        "dataset": str(tmp_path / "d.ndjson"),
+        "out_dir": str(tmp_path / "out"),
+        "model": "external:echo",
+        "n_rotations": 17,
+        "seed": 4,
+        "divisor_mode": "paper",
+        "sd_include_identity": True,
+        "mare_abs": True,
+        "bin_width": 2e-5,
+        "noise_amp": 1.5,
+        "noise_seed": 9,
+        "sphere_map": True,
+        "grid": [12, 6],
+        "radius": 3.0,
+        "colormap": "gray",
+        "external_timeout": 7.5,
+    }
+    d = cfg.to_dict()
+    assert list(d) == list(expected) == list(ExperimentConfig._fields)
+    assert d == expected
+    assert type(d["grid"][0]) is int and type(d["dataset"]) is str
+    assert json.dumps(d) == json.dumps(expected)
 
 
 def test_dataset_without_targets_rejected(tmp_path):

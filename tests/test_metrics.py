@@ -2,10 +2,13 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from rotta.metrics import (
@@ -27,9 +30,10 @@ from rotta.metrics import (
     shape_report,
     uncertainty_curves,
 )
-from rotta.models import EquivariantOracle, ModelInput, NoisyOracle, OracleParams
+from rotta.dataset import Sample
+from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, sample_orientation_tensor
-from rotta.tta import TTAConfig, run_tta
+from rotta.tta import TTAConfig, TTAResult, run_tta
 from rotta.voigt import von_mises
 
 
@@ -364,26 +368,25 @@ def test_jsonable_handles_special_floats():
 
 def _mini_run(model, n_samples=3, n_steps=12, n_rotations=4, seed=0):
     root = RotationStream(900 + seed)
-    targets = []
-    results = []
+    samples = []
     oracle = EquivariantOracle()
     for m in range(n_samples):
         sub = root.substream(m)
         a = sample_orientation_tensor(sub)
         strain = 0.02 * sub.normals(6 * n_steps).reshape(n_steps, 6)
-        inp = ModelInput(a=a, vf=0.12, strain=strain)
-        targets.append(oracle.predict_batch(inp.a, inp.vf, inp.strain))
-        results.append(run_tta(model, inp, TTAConfig(n_rotations=n_rotations, seed=seed)))
-    return np.stack(targets), results
+        samples.append(Sample(f"m{m}", a=a, vf=0.12, strain=strain,
+                              target_stress=oracle.predict_batch(a, 0.12, strain)))
+    targets = np.stack([s.target_stress for s in samples])
+    return targets, run_tta(model, samples, TTAConfig(n_rotations=n_rotations, seed=seed))
 
 
 def test_evaluate_equivariant_dataset():
-    targets, results = _mini_run(EquivariantOracle())
-    report = evaluate_dataset(targets, results)
+    targets, result = _mini_run(EquivariantOracle())
+    report = evaluate_dataset(targets, result)
     assert report.n_samples == 3
     assert report.n_steps == 12
     assert report.n_rotations == 4
-    assert len(report.mere_per_rotation) == 5
+    assert report.mere_per_rotation.shape == report.mare_per_rotation.shape == (5,)
     # augmentation of an equivariant model changes nothing
     assert abs(report.mere_tta - report.mere_i0) <= 1e-9
     assert abs(report.mare_tta - report.mare_i0) <= 1e-9
@@ -395,18 +398,15 @@ def test_evaluate_equivariant_dataset():
 
 def test_evaluate_matches_scalar_metrics():
     model = NoisyOracle(OracleParams(noise_amp=1.0, noise_seed=2))
-    targets, results = _mini_run(model, seed=1)
-    report = evaluate_dataset(targets, results)
+    targets, result = _mini_run(model, seed=1)
+    report = evaluate_dataset(targets, result)
     target_vm = von_mises(targets)
     for i in (0, 2, 4):
-        vm_i = np.stack([r.vm_individual[i] for r in results])
+        vm_i = result.vm_individual[:, i]
         assert report.mere_per_rotation[i] == pytest.approx(mere(target_vm, vm_i), abs=1e-12)
         assert report.mare_per_rotation[i] == pytest.approx(mare(target_vm, vm_i), abs=1e-12)
-    vm_tta = np.stack([r.vm_aggregated for r in results])
-    assert report.mere_tta == pytest.approx(mere(target_vm, vm_tta), abs=1e-12)
-    assert report.mere_av == pytest.approx(
-        mere_av(list(report.mere_per_rotation.values())), abs=1e-12
-    )
+    assert report.mere_tta == pytest.approx(mere(target_vm, result.vm_aggregated), abs=1e-12)
+    assert report.mere_av == pytest.approx(mere_av(report.mere_per_rotation), abs=1e-12)
     assert report.sd_mere == pytest.approx(
         sd_mere([report.mere_per_rotation[i] for i in (1, 2, 3, 4)], report.mere_av),
         abs=1e-12,
@@ -416,37 +416,107 @@ def test_evaluate_matches_scalar_metrics():
 
 def test_evaluate_mare_abs_flag():
     model = NoisyOracle(OracleParams(noise_amp=1.0, noise_seed=3))
-    targets, results = _mini_run(model, seed=2)
-    signed = evaluate_dataset(targets, results)
-    absolute = evaluate_dataset(targets, results, mare_abs=True)
+    targets, result = _mini_run(model, seed=2)
+    signed = evaluate_dataset(targets, result)
+    absolute = evaluate_dataset(targets, result, mare_abs=True)
     assert absolute.mare_tta >= signed.mare_tta
     assert absolute.mare_per_rotation[1] >= signed.mare_per_rotation[1]
 
 
 def test_evaluate_report_serialization():
-    targets, results = _mini_run(EquivariantOracle(), n_samples=2)
-    report = evaluate_dataset(targets, results)
+    targets, result = _mini_run(EquivariantOracle(), n_samples=2)
+    report = evaluate_dataset(targets, result)
     text = report.to_text()
     for key in ("mere_tta", "mere_av", "r_abs", "component_r"):
         assert key in text
-    json.dumps(report.to_dict())
+    d = json.loads(json.dumps(report.to_dict()))
+    for key in ("mere_per_rotation", "mare_per_rotation"):
+        assert d[key] == {str(i): float(v) for i, v in enumerate(getattr(report, key))}
 
 
 def test_evaluate_validation():
-    targets, results = _mini_run(EquivariantOracle())
+    targets, result = _mini_run(EquivariantOracle())
     with pytest.raises(ValueError):
-        evaluate_dataset(targets[:, :, :5], results)
+        evaluate_dataset(targets[:, :, :5], result)
     with pytest.raises(ValueError):
-        evaluate_dataset(targets, results[:2])
+        evaluate_dataset(targets[:2], result)
     with pytest.raises(ValueError):
-        evaluate_dataset(targets[:0], [])
-    skewed = results[:2] + [
-        run_tta(
-            EquivariantOracle(),
-            ModelInput(a=results[0].predictions[0, 0] * 0.0 + np.array([1, 0, 0, 0, 0, 0.0]),
-                       vf=0.1, strain=np.zeros((12, 6)) + 0.01),
-            TTAConfig(n_rotations=2, seed=0),
-        )
-    ]
+        evaluate_dataset(targets[:0], result)
     with pytest.raises(ValueError):
-        evaluate_dataset(targets, skewed)
+        evaluate_dataset(targets[:, :6], result)
+
+
+def _per_rotation_loop(target_vm, vm_pred, mare_abs):
+    """The inline per-rotation MeRE/MaRE of ``evaluate_dataset`` that ``mere``/``mare`` replaced."""
+    tmax = np.max(target_vm, axis=-1)  # (M,)
+    n_steps = target_vm.shape[-1]
+    err = vm_pred - target_vm[:, None, :]
+    per_sample = np.sqrt(np.sum(err * err, axis=-1)) / (tmax[:, None] * n_steps)
+    mere_vec = np.mean(per_sample, axis=0)  # (P,)
+    diff = np.abs(err) if mare_abs else -err
+    mare_vec = np.mean(np.max(diff, axis=-1) / tmax[:, None], axis=0)
+    return mere_vec, mare_vec
+
+
+def _scalar_loop(target_vm, vm, rms, mare_abs):
+    """``mere``/``mare`` of ``(M, T)`` paths before they took middle axes."""
+    n_steps = target_vm.shape[-1]
+    tmax = np.max(target_vm, axis=-1)
+    root = np.sqrt(np.sum((target_vm - vm) ** 2, axis=-1))
+    per_sample = root / (np.sqrt(n_steps) * tmax) if rms else root / (tmax * n_steps)
+    diff = np.abs(target_vm - vm) if mare_abs else target_vm - vm
+    return float(np.mean(per_sample)), float(np.mean(np.max(diff, axis=-1) / tmax))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    m=st.integers(1, 40),
+    p=st.integers(1, 12),
+    t=st.integers(1, 30),
+    mare_abs=st.booleans(),
+    rms=st.booleans(),
+)
+@example(seed=1, m=26, p=41, t=100, mare_abs=False, rms=False)
+@example(seed=2, m=39, p=5, t=7, mare_abs=True, rms=True)
+def test_stacked_mere_mare_have_the_bits_of_the_per_rotation_formulas(seed, m, p, t, mare_abs, rms):
+    rng = np.random.default_rng(seed)
+    target_vm = rng.random((m, t)) * 10.0 ** rng.integers(-3, 4) + 1e-3
+    vm_pred = target_vm[:, None, :] * (1.0 + 0.05 * rng.standard_normal((m, p, t)))
+    vm_pred[:, 0, : t // 2] = target_vm[:, : t // 2]  # exact steps: differences of +-0
+    mere_vec, mare_vec = _per_rotation_loop(target_vm, vm_pred, mare_abs)
+    got_mere, got_mare = mere(target_vm, vm_pred), mare(target_vm, vm_pred, absolute=mare_abs)
+    assert got_mere.shape == got_mare.shape == (p,)
+    assert np.array_equal(_bits(got_mere), _bits(mere_vec))
+    assert np.array_equal(_bits(got_mare), _bits(mare_vec))
+    # an (M, T) prediction still gives the scalar of the 1-d sample mean
+    want_mere, want_mare = _scalar_loop(target_vm, vm_pred[:, -1], rms, mare_abs)
+    got = (mere(target_vm, vm_pred[:, -1], rms=rms), mare(target_vm, vm_pred[:, -1], absolute=mare_abs))
+    assert all(type(v) is float for v in got)
+    assert np.array_equal(_bits(got), _bits((want_mere, want_mare)))
+    # the middle axes keep their shape, and rms applies to them as well
+    assert mere(target_vm, vm_pred[:, None], rms=rms).shape == (1, p)
+
+
+def test_evaluate_dataset_peak_memory_stays_below_one_and_a_half_tables():
+    m, p, t = 26, 201, 100
+    rng = np.random.default_rng(5)
+    targets = rng.standard_normal((m, t, 6)) + 3.0
+    predictions = targets[:, None] * (1.0 + 0.01 * rng.standard_normal((m, p, t, 6)))
+    aggregated = predictions.mean(axis=1)
+    vm_individual, vm_aggregated = von_mises(predictions), von_mises(aggregated)
+    result = TTAResult(predictions, aggregated, predictions.std(axis=1), vm_individual, vm_aggregated,
+                       vm_individual.std(axis=1), np.repeat(np.eye(3)[None], p, axis=0))
+    table = m * p * t * 8  # bytes of one (M, P, T) float table
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        evaluate_dataset(targets, result)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table, f"peak {peak / table:.2f} (M, P, T) tables"

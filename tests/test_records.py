@@ -14,12 +14,12 @@ from rotta.dataset import Sample
 from rotta.experiment import ExperimentConfig
 from rotta.metrics import Histogram, MetricsReport, ShapeRatio, ShapeReport, UncertaintyReport
 from rotta.models import ModelInput, OracleParams
-from rotta.spheremap import ProjectedPoint, RasterMap
+from rotta.spheremap import RasterMap
 from rotta.tta import AuditReport, TTAConfig, TTAResult
 
 SRC = Path(rotta.__file__).parents[1]
 
-PLAIN = (Histogram, ShapeRatio, ShapeReport, UncertaintyReport, MetricsReport, ProjectedPoint, RasterMap,
+PLAIN = (Histogram, ShapeRatio, ShapeReport, UncertaintyReport, MetricsReport, RasterMap,
          TTAResult, AuditReport, ExperimentConfig)
 
 
@@ -76,3 +76,17 @@ def test_importing_rotta_generates_no_dataclass_code():
     has_dataclasses, imported = json.loads(out)
     assert imported == modules
     assert not has_dataclasses
+
+
+def test_importing_rotta_compiles_no_annotations(tmp_path):
+    # under `from __future__ import annotations` every NamedTuple field
+    # annotation is a string that typing compiles into a ForwardRef
+    code = ("import builtins, sys\nimport numpy\ncalls = []\n"
+            "def profile(frame, event, arg):\n"
+            "    if event == 'c_call' and arg is builtins.compile: calls.append(1)\n"
+            "sys.setprofile(profile)\nimport rotta.cli\nsys.setprofile(None)\nprint(len(calls))")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+    env.update(PYTHONPATH=str(SRC), PYTHONPYCACHEPREFIX=str(tmp_path))
+    runs = [subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+            for _ in range(2)]  # the first run caches the bytecode of every module the second imports
+    assert runs[1].stdout.split() == ["0"]

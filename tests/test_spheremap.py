@@ -16,7 +16,6 @@ from rotta.rotations import RotationStream, rotation_list, sample_rotations
 from rotta.spheremap import (
     COLORMAPS,
     NonConvergence,
-    ProjectedPoint,
     RasterMap,
     mollweide_project,
     project_rotations,
@@ -167,10 +166,10 @@ def test_project_rotations():
     rotations = [np.eye(3)] + list(sample_rotations(stream, 9))
     values = np.linspace(0.0, 1.0, 10)
     seeds = project_rotations(rotations, values, radius=2.0)
-    assert len(seeds) == 10
-    assert seeds[0].x == pytest.approx(0.0, abs=1e-12)
-    assert seeds[0].y == pytest.approx(2.0 * SQRT2, abs=1e-12)
-    assert_allclose([s.value for s in seeds], values, rtol=0, atol=0)
+    assert seeds.shape == (10, 3)
+    assert seeds[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert seeds[0, 1] == pytest.approx(2.0 * SQRT2, abs=1e-12)
+    assert_allclose(seeds[:, 2], values, rtol=0, atol=0)
     with pytest.raises(ValueError):
         project_rotations(rotations, values[:-1])
     with pytest.raises(ValueError):
@@ -189,7 +188,7 @@ def test_project_rotations():
 
 
 def test_voronoi_single_seed_fills_ellipse():
-    seeds = [ProjectedPoint(0.0, 0.0, 0.7)]
+    seeds = [(0.0, 0.0, 0.7)]
     raster = voronoi_rasterize(seeds, grid=(40, 20), radius=2.0)
     inside = raster.inside
     assert inside.any() and not inside.all()
@@ -198,7 +197,7 @@ def test_voronoi_single_seed_fills_ellipse():
 
 
 def test_voronoi_two_seeds_split_by_bisector():
-    seeds = [ProjectedPoint(-1.0, 0.0, 10.0), ProjectedPoint(1.0, 0.0, 20.0)]
+    seeds = [(-1.0, 0.0, 10.0), (1.0, 0.0, 20.0)]
     raster = voronoi_rasterize(seeds, grid=(64, 32), radius=2.0)
     xg, _ = np.meshgrid(raster.x_centers, raster.y_centers)
     inside = raster.inside
@@ -214,11 +213,11 @@ def _brute_force_oracle(seeds, raster):
             if not raster.inside[j, i]:
                 continue
             best, best_d = 0, math.inf
-            for k, s in enumerate(seeds):
-                d = (xc - s.x) ** 2 + (yc - s.y) ** 2
+            for k, (sx, sy, _) in enumerate(seeds):
+                d = (xc - sx) ** 2 + (yc - sy) ** 2
                 if d < best_d:
                     best, best_d = k, d
-            values[j, i] = seeds[best].value
+            values[j, i] = seeds[best][2]
     return values
 
 
@@ -234,23 +233,25 @@ def test_voronoi_matches_python_oracle():
 
 
 def test_voronoi_duplicate_seed_tie_goes_to_lowest_index():
-    seeds = [ProjectedPoint(0.5, 0.5, 1.0), ProjectedPoint(0.5, 0.5, 2.0)]
+    seeds = [(0.5, 0.5, 1.0), (0.5, 0.5, 2.0)]
     raster = voronoi_rasterize(seeds, grid=(32, 16), radius=2.0)
     assert np.all(raster.values[raster.inside] == 1.0)
 
 
 def test_voronoi_input_validation():
-    seeds = [ProjectedPoint(0.0, 0.0, 1.0)]
+    seeds = [(0.0, 0.0, 1.0)]
     with pytest.raises(ValueError):
         voronoi_rasterize([])
     with pytest.raises(ValueError):
         voronoi_rasterize(seeds, grid=(0, 10))
     with pytest.raises(ValueError, match="NaN"):
-        voronoi_rasterize(seeds + [ProjectedPoint(0.5, math.nan, 2.0)])
+        voronoi_rasterize(seeds + [(0.5, math.nan, 2.0)])
+    with pytest.raises(ValueError, match="shape"):
+        voronoi_rasterize([(0.0, 0.0)])
 
 
 def test_raster_cell_centers():
-    raster = voronoi_rasterize([ProjectedPoint(0.0, 0.0, 1.0)], grid=(10, 4), radius=2.0)
+    raster = voronoi_rasterize([(0.0, 0.0, 1.0)], grid=(10, 4), radius=2.0)
     half_w, half_h = 4.0 * SQRT2, 2.0 * SQRT2
     step_x = 2.0 * half_w / 10
     step_y = 2.0 * half_h / 4
@@ -267,13 +268,13 @@ def _small_raster(n=16):
     rotations = list(sample_rotations(stream, n))
     values = np.linspace(0.01, 0.05, n)
     seeds = project_rotations(rotations, values, radius=2.0)
-    return voronoi_rasterize(seeds, grid=(60, 30), radius=2.0), seeds
+    return voronoi_rasterize(seeds, grid=(60, 30), radius=2.0)
 
 
 def test_render_svg_deterministic_document():
-    raster, seeds = _small_raster()
-    svg1 = render_svg(raster, seeds, title="errors over orientations")
-    svg2 = render_svg(raster, seeds, title="errors over orientations")
+    raster = _small_raster()
+    svg1 = render_svg(raster, title="errors over orientations")
+    svg2 = render_svg(raster, title="errors over orientations")
     assert svg1 == svg2
     assert svg1.startswith("<svg")
     assert svg1.endswith("</svg>\n")
@@ -283,19 +284,19 @@ def test_render_svg_deterministic_document():
 
 
 def test_render_svg_constant_field_uses_low_end_color():
-    seeds = [ProjectedPoint(0.0, 0.0, 0.5)]
+    seeds = [(0.0, 0.0, 0.5)]
     raster = voronoi_rasterize(seeds, grid=(24, 12), radius=2.0)
-    svg = render_svg(raster, seeds)
+    svg = render_svg(raster)
     # a constant field maps every cell to the first color table entry
     assert "#440154" in svg
 
 
 def test_render_svg_gray_colormap():
-    raster, seeds = _small_raster(6)
-    svg = render_svg(raster, seeds, colormap="gray")
+    raster = _small_raster(6)
+    svg = render_svg(raster, colormap="gray")
     assert svg.endswith("</svg>\n")
     with pytest.raises(ValueError):
-        render_svg(raster, seeds, colormap="jet")
+        render_svg(raster, colormap="jet")
 
 
 def test_colormap_table_shapes():
@@ -305,7 +306,7 @@ def test_colormap_table_shapes():
 
 
 def test_seeds_csv_layout():
-    seeds = [ProjectedPoint(0.0, 0.0, 0.25), ProjectedPoint(1.5, -0.5, 0.75)]
+    seeds = [(0.0, 0.0, 0.25), (1.5, -0.5, 0.75)]
     text = seeds_csv(seeds)
     lines = text.splitlines()
     assert lines[0] == "x,y,mere"
@@ -337,7 +338,7 @@ def _project_rotations_oracle(rotations, values, radius=2.0):
     for r, v in zip(np.asarray(rotations, dtype=float), np.asarray(values, dtype=float)):
         lat, lon = _cart_to_latlon(_rotation_to_sphere(r))
         x, y = mollweide_project(lat, lon, radius)
-        seeds.append(ProjectedPoint(x=x, y=y, value=float(v)))
+        seeds.append((x, y, float(v)))
     return seeds
 
 
@@ -428,7 +429,7 @@ def _render_svg_oracle(raster, colormap="viridis", title=None):
 
 def _seed_bits(seeds):
     """Bit patterns of every seed field, so -0.0 and 0.0 differ."""
-    return np.array([(s.x, s.y, s.value) for s in seeds], dtype=float).reshape(-1, 3).view(np.uint64)
+    return np.array(seeds, dtype=float).reshape(-1, 3).view(np.uint64)
 
 
 def _quaternion_matrix(q):
@@ -494,7 +495,7 @@ def test_project_rotations_matches_per_point_oracle(stack, values, radius):
     values = values[:len(stack)]
     got = project_rotations(stack, values, radius=radius)
     want = _project_rotations_oracle(stack, values, radius=radius)
-    assert got == want
+    assert np.array_equal(got, want)
     assert np.array_equal(_seed_bits(got), _seed_bits(want))
 
 
@@ -511,7 +512,7 @@ def test_project_rotations_signed_zero_longitude():
     # r[:, 2] has y = -0.0, and atan2 gives pi for the one and -pi for the other
     r = np.array([[0.0, 0.0, -1.0], [0.0, 1.0, -0.0], [1.0, 0.0, 0.0]])
     (seed,) = project_rotations([r], [1.0])
-    assert seed.x == pytest.approx(4.0 * SQRT2)  # lon = +pi: the right edge, not the left
+    assert seed[0] == pytest.approx(4.0 * SQRT2)  # lon = +pi: the right edge, not the left
     assert np.array_equal(_seed_bits([seed]), _seed_bits(_project_rotations_oracle([r], [1.0])))
 
 
@@ -522,7 +523,7 @@ def test_render_svg_rounds_half_to_even():
     raster = RasterMap(values=values, inside=np.ones((1, 4), dtype=bool),
                        x_centers=np.arange(4.0), y_centers=np.zeros(1), radius=2.0)
     assert 255 * values[0, 1] == 2.5 and 255 * values[0, 2] == 126.5
-    svg = render_svg(raster, [], colormap="gray")
+    svg = render_svg(raster, colormap="gray")
     assert 'fill="#020202"' in svg and 'fill="#7e7e7e"' in svg
     assert svg == _render_svg_oracle(raster, colormap="gray")
 
@@ -546,7 +547,7 @@ def _rasters(draw):
 @given(raster=_rasters(), colormap=st.sampled_from(sorted(COLORMAPS)),
        title=st.sampled_from([None, "", "per-rotation error"]))
 def test_render_svg_matches_per_cell_oracle(raster, colormap, title):
-    assert render_svg(raster, [], colormap=colormap, title=title) == _render_svg_oracle(
+    assert render_svg(raster, colormap=colormap, title=title) == _render_svg_oracle(
         raster, colormap=colormap, title=title
     )
 
@@ -563,16 +564,16 @@ def test_render_svg_matches_oracle_on_maps(grid, n_seeds, colormap, title):
     rotations = rotation_list(RotationStream(29), n_seeds - 1)
     seeds = project_rotations(rotations, np.sin(np.arange(n_seeds)) ** 2)
     raster = voronoi_rasterize(seeds, grid=grid)
-    assert render_svg(raster, seeds, colormap=colormap, title=title) == _render_svg_oracle(
+    assert render_svg(raster, colormap=colormap, title=title) == _render_svg_oracle(
         raster, colormap=colormap, title=title
     )
 
 
 @pytest.mark.parametrize("colormap", sorted(COLORMAPS))
 def test_render_svg_constant_field_matches_oracle(colormap):
-    seeds = [ProjectedPoint(0.3, -0.2, 0.5), ProjectedPoint(-1.0, 0.4, 0.5)]
+    seeds = [(0.3, -0.2, 0.5), (-1.0, 0.4, 0.5)]
     raster = voronoi_rasterize(seeds, grid=(33, 17))
-    assert render_svg(raster, seeds, colormap=colormap) == _render_svg_oracle(raster, colormap=colormap)
+    assert render_svg(raster, colormap=colormap) == _render_svg_oracle(raster, colormap=colormap)
 
 
 _coord = st.sampled_from([-3.0, -1.5, -0.5, 0.0, 0.5, 1.5, 3.0]) | st.floats(-6.0, 6.0, allow_nan=False)
@@ -594,7 +595,7 @@ def test_voronoi_chunks_and_duplicates_match_oracle(points, repeats, one_point, 
     if one_point:
         points = [points[0]] * len(points)
     points = points + [points[k % len(points)] for k in repeats]
-    seeds = [ProjectedPoint(x, y, float(k)) for k, (x, y) in enumerate(points)]
+    seeds = [(x, y, float(k)) for k, (x, y) in enumerate(points)]
     with mock.patch.object(spheremap, "_RASTER_CHUNK_ELEMENTS", budget):
         raster = voronoi_rasterize(seeds, grid=grid, radius=2.0)
     expected = _brute_force_oracle(seeds, raster)
@@ -611,9 +612,7 @@ def _block_loop_oracle(seeds, grid, radius):
     yc = spheremap._cell_centers(height, -half_y, half_y)
     gx, gy = np.meshgrid(xc, yc)
     inside = (gx / half_x) ** 2 + (gy / half_y) ** 2 <= 1.0
-    sx = np.array([s.x for s in seeds])
-    sy = np.array([s.y for s in seeds])
-    sv = np.array([s.value for s in seeds])
+    sx, sy, sv = np.array(seeds).T
     values = np.full((height, width), np.nan)
     px = gx[inside]
     py = gy[inside]
@@ -634,7 +633,7 @@ def _block_loop_oracle(seeds, grid, radius):
 def test_voronoi_matches_block_loop_on_a_dense_map():
     # 400 sampled rotations and the identity, every fifth seed repeated with another value
     seeds = project_rotations(rotation_list(RotationStream(37), 400), np.sin(np.arange(401.0)) ** 2)
-    seeds = seeds + [ProjectedPoint(s.x, s.y, -s.value) for s in seeds[::5]]
+    seeds = np.concatenate((seeds, seeds[::5] * [1.0, 1.0, -1.0]))
     raster = voronoi_rasterize(seeds, grid=(360, 180))
     values, inside = _block_loop_oracle(seeds, (360, 180), 2.0)
     assert np.array_equal(raster.inside, inside)

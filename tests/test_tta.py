@@ -36,6 +36,11 @@ def _sample_input(seed=0, n_steps=8, scale=0.02):
     return ModelInput(a=a, vf=0.13, strain=strain)
 
 
+def _samples(*seeds, n_steps=8):
+    """One-path dataset per seed: samples ``s<seed>`` of the inputs of :func:`_sample_input`."""
+    return [Sample(f"s{seed}", *_sample_input(seed=seed, n_steps=n_steps)) for seed in seeds]
+
+
 # ------------------------------------------------------------ input rotation
 
 
@@ -206,18 +211,17 @@ def test_sd_needs_two_rows():
 
 
 def test_equivariant_predictions_all_agree():
-    res = run_tta(EquivariantOracle(), _sample_input(), TTAConfig(n_rotations=8, seed=3))
-    spread = res.predictions.max(axis=0) - res.predictions.min(axis=0)
+    res = run_tta(EquivariantOracle(), _samples(0, 1), TTAConfig(n_rotations=8, seed=3))
+    spread = res.predictions.max(axis=1) - res.predictions.min(axis=1)
     assert np.max(spread) <= 1e-10
     assert np.max(res.sd) <= 1e-10
     assert np.max(res.vm_sd) <= 1e-10
 
 
 def test_zero_rotations_is_identity_prediction():
-    inp = _sample_input(seed=4)
-    res = run_tta(EquivariantOracle(), inp, TTAConfig(n_rotations=0))
-    assert res.predictions.shape[0] == 1
-    assert np.array_equal(res.aggregated, res.predictions[0])
+    res = run_tta(EquivariantOracle(), _samples(4), TTAConfig(n_rotations=0))
+    assert res.predictions.shape[1] == 1
+    assert np.array_equal(res.aggregated, res.predictions[:, 0])
     assert np.array_equal(res.sd, np.zeros_like(res.aggregated))
     assert np.array_equal(res.rotations[0], np.eye(3))
 
@@ -225,38 +229,39 @@ def test_zero_rotations_is_identity_prediction():
 def test_noisy_sd_scales_with_amplitude():
     amp = 2.0
     model = NoisyOracle(OracleParams(noise_amp=amp, noise_seed=1))
-    res = run_tta(model, _sample_input(seed=5, n_steps=20), TTAConfig(n_rotations=64, seed=6))
+    res = run_tta(model, _samples(5, n_steps=20), TTAConfig(n_rotations=64, seed=6))
     mean_sd = float(np.mean(res.sd))
     assert 0.2 * amp <= mean_sd <= 3.0 * amp
 
 
 def test_result_shapes_and_vm_channels():
-    inp = _sample_input(seed=6, n_steps=7)
-    res = run_tta(EquivariantOracle(), inp, TTAConfig(n_rotations=5, seed=7))
-    assert res.predictions.shape == (6, 7, 6)
-    assert res.aggregated.shape == (7, 6)
-    assert res.vm_individual.shape == (6, 7)
-    assert res.vm_aggregated.shape == (7,)
-    assert res.vm_sd.shape == (7,)
+    res = run_tta(EquivariantOracle(), _samples(6, 7, n_steps=7), TTAConfig(n_rotations=5, seed=7))
+    assert res.predictions.shape == (2, 6, 7, 6)
+    assert res.aggregated.shape == (2, 7, 6)
+    assert res.sd.shape == (2, 7, 6)
+    assert res.vm_individual.shape == (2, 6, 7)
+    assert res.vm_aggregated.shape == (2, 7)
+    assert res.vm_sd.shape == (2, 7)
     assert res.rotations.shape == (6, 3, 3)
     # the aggregated von Mises channel is derived from the aggregated path
-    assert_allclose(res.vm_aggregated, von_mises_path(res.aggregated), rtol=0, atol=0)
+    for aggregated, vm_aggregated in zip(res.aggregated, res.vm_aggregated):
+        assert_allclose(vm_aggregated, von_mises_path(aggregated), rtol=0, atol=0)
 
 
 def test_run_is_deterministic():
-    inp = _sample_input(seed=7)
+    samples = _samples(7)
     cfg = TTAConfig(n_rotations=5, seed=11)
-    a = run_tta(EquivariantOracle(), inp, cfg)
-    b = run_tta(EquivariantOracle(), inp, cfg)
+    a = run_tta(EquivariantOracle(), samples, cfg)
+    b = run_tta(EquivariantOracle(), samples, cfg)
     assert np.array_equal(a.aggregated, b.aggregated)
     assert np.array_equal(a.predictions, b.predictions)
     assert np.array_equal(a.rotations, b.rotations)
 
 
 def test_paper_divisor_scales_mean():
-    inp = _sample_input(seed=9)
-    count = run_tta(EquivariantOracle(), inp, TTAConfig(n_rotations=2, seed=1))
-    paper = run_tta(EquivariantOracle(), inp, TTAConfig(n_rotations=2, seed=1, divisor_mode="paper"))
+    samples = _samples(9)
+    count = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=2, seed=1))
+    paper = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=2, seed=1, divisor_mode="paper"))
     # same 3-term sum, divisors 3 versus 2
     assert_allclose(paper.aggregated, count.aggregated * 1.5, atol=1e-12)
 
@@ -266,27 +271,31 @@ def test_external_error_is_annotated_with_rotation_index():
         def predict_batch(self, a, vf, strain):
             raise ExternalModelError("boom", row=2)
 
-    with pytest.raises(ExternalModelError, match=r"^rotation index 2: boom$") as err:
-        run_tta(Flaky(), _sample_input(), TTAConfig(n_rotations=5, seed=2))
+    with pytest.raises(ExternalModelError, match=r"^sample s0: rotation index 2: boom$") as err:
+        run_tta(Flaky(), _samples(0), TTAConfig(n_rotations=5, seed=2))
     assert err.value.row is None
 
 
 def test_given_rotation_list_matches_own_draw():
-    inp = _sample_input(seed=4)
+    samples = _samples(4)
     cfg = TTAConfig(n_rotations=6, seed=11)
     rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    given = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), inp, cfg, rotations)
-    own = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), inp, cfg)
+    given = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), samples, cfg, rotations)
+    own = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), samples, cfg)
     assert given.predictions.tobytes() == own.predictions.tobytes()
     assert given.rotations.tobytes() == own.rotations.tobytes()
     with pytest.raises(ValueError, match="7 rotations"):
-        run_tta(EquivariantOracle(), inp, cfg, rotations[:-1])
+        run_tta(EquivariantOracle(), samples, cfg, rotations[:-1])
 
 
 def test_rejects_invalid_input():
-    bad = ModelInput(a=np.zeros(6), vf=2.0, strain=np.zeros((3, 6)))
+    bad = Sample("bad", a=np.zeros(6), vf=2.0, strain=np.zeros((3, 6)))
     with pytest.raises(ValueError):
-        run_tta(EquivariantOracle(), bad, TTAConfig(n_rotations=2))
+        run_tta(EquivariantOracle(), [bad], TTAConfig(n_rotations=2))
+    with pytest.raises(ValueError, match="at least one sample"):
+        run_tta(EquivariantOracle(), [], TTAConfig(n_rotations=2))
+    with pytest.raises(ValueError, match="sample s1: strain path shape"):
+        run_tta(EquivariantOracle(), _samples(0) + _samples(1, n_steps=5), TTAConfig(n_rotations=2))
 
 
 # ------------------------------------------------------------------- audit
