@@ -27,11 +27,13 @@ config = TTAConfig(n_rotations=64, seed=1)
 
 # run_tta takes a dataset, a list of samples, and keeps the sample axis
 # first in every result array; this dataset has one sample, index 0.
+# result.initial holds the identity prediction of each sample; one sample's
+# per-rotation paths are augment(model, sample.model_input(), result.rotations).
 # Equivariant case: the aggregate reproduces the direct prediction
 # (rotation index 0, the identity) and the per-step spread collapses to
 # rounding noise.
 result = run_tta(EquivariantOracle(), [sample], config)
-spread = np.max(np.abs(result.aggregated[0] - result.predictions[0, 0]))
+spread = np.max(np.abs(result.aggregated[0] - result.initial[0]))
 print("\nequivariant model, 64 rotations:")
 print("  |aggregate - direct| = %.2e (pure round-off)" % spread)
 print("  max von Mises SD     = %.2e" % result.vm_sd.max())

@@ -31,7 +31,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
+from .tta import TTAConfig, _sample_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
 from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -320,8 +320,8 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
 
     All requested counts are evaluated in a single pass: the rotation list
     of the largest N is generated once and every smaller N uses its prefix,
-    so the curve is internally consistent.  Aggregation is the running
-    compensated sum of :func:`~rotta.tta.compensated_sums`, read at each
+    so the curve is internally consistent.  Each sample's rows stream into
+    the running sum of :func:`~rotta.tta.compensated_sums`, read at each
     requested count, with the divisor of :func:`~rotta.tta.aggregate_mean`,
     so row ``n`` has the bits of a full run with N = n.  Returns rows of
     ``(n, mere_tta, mare_tta)`` and, when ``write`` is set, persists
@@ -343,7 +343,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
     vm_by_checkpoint = np.empty((len(samples), len(checkpoints), n_steps))
     with _open_model(cfg) as model:
         for m, sample in enumerate(samples):
-            backrotated = (row for _, block in augment_chunks(model, sample.model_input(), rotations) for row in block)
+            backrotated = (row for _, block in _sample_chunks(model, sample, rotations) for row in block)
             for k, (n, total) in enumerate(zip(checkpoints, compensated_sums(backrotated, checkpoints))):
                 vm_by_checkpoint[m, k] = von_mises_path(total / mean_divisor(n + 1, cfg.divisor_mode))
 

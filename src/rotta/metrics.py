@@ -600,7 +600,7 @@ def evaluate_dataset(
     target_paths : ndarray, shape (M, T, 6)
         Target stress paths, one per sample.
     result : TTAResult
-        The dataset's result, sample axis first, with the identity
+        The dataset's result, sample axis first; its ``initial`` is the
         prediction at rotation index 0.
     mare_abs : bool
         Take the absolute instead of the signed per-step difference in the
@@ -627,7 +627,7 @@ def evaluate_dataset(
     tta_mare = mare(target_vm, result.vm_aggregated, absolute=mare_abs)
     hist = mere_histogram(mere_vec, bin_width) if n_pred > 1 else None
 
-    shape = shape_report(target_paths, result.predictions[:, 0], result.aggregated)
+    shape = shape_report(target_paths, result.initial, result.aggregated)
     uncertainty = uncertainty_curves(result.vm_sd, target_vm, result.vm_aggregated)
     try:
         comp_r = component_error_correlation(result.sd, target_paths, result.aggregated)

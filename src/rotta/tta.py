@@ -13,11 +13,10 @@ is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
 it, and it calls nothing of a model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
-results do not depend on how predictions were scheduled.
-:func:`run_tta` runs a whole dataset through the kernel into one ``(M, P, T,
-6)`` stack, and :func:`reduce_predictions` reduces it in one such pass into
-one :class:`TTAResult` whose arrays keep the sample axis.  All result arrays
-are plain float64 ndarrays.
+results do not depend on how predictions were scheduled.  :func:`run_tta`
+runs a dataset through the kernel in groups of samples within a byte budget,
+and :func:`reduce_predictions` reduces each group's stack in one such pass;
+one :class:`TTAResult` of float64 arrays keeps the identity rows, not the stack.
 """
 
 from collections import namedtuple
@@ -40,6 +39,9 @@ _DIVISOR_MODES = (DIVISOR_COUNT, DIVISOR_PAPER)
 # above that, and more again from 25,600 on, where a chunk's six-component
 # arrays (1.2 MB each) outgrow the core's cache.
 _CHUNK_STEPS = 8192
+
+# Bytes of the stack run_tta reduces at once (one sample at least): 1001 x 100 x 6 floats are 4.8 MB.
+_GROUP_BYTES = 8 << 20
 
 
 class EmptyInput(ValueError):
@@ -79,16 +81,15 @@ class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor
 class TTAResult(NamedTuple):
     """Back-rotated predictions of the M samples of a dataset and their aggregates.
 
-    Every array keeps the sample axis first.  ``predictions`` has shape
-    ``(M, P, T, 6)`` in rotation-index order (index 0 is the identity
-    prediction); ``aggregated`` and ``sd`` are ``(M, T, 6)``; the von Mises
-    channels are ``(M, P, T)`` and ``(M, T)``.  ``vm_aggregated`` is the von
-    Mises stress *of the aggregated path*, not a mean of the individual von
-    Mises values.  ``rotations`` is the ``(P, 3, 3)`` list every sample
-    shares.
+    Every array keeps the sample axis first.  ``initial`` (the prediction at
+    rotation index 0, the identity), ``aggregated`` and ``sd`` are ``(M, T,
+    6)``; ``augment(model, sample.model_input(), rotations)`` gives one
+    sample's ``(P, T, 6)`` paths.  The von Mises channels are ``(M, P, T)``
+    and ``(M, T)``; ``vm_aggregated`` is the von Mises stress *of the
+    aggregated path*.  ``rotations`` is the ``(P, 3, 3)`` list of all.
     """
 
-    predictions: np.ndarray
+    initial: np.ndarray
     aggregated: np.ndarray
     sd: np.ndarray
     vm_individual: np.ndarray
@@ -150,10 +151,10 @@ def aggregate_mean(predictions, mode=DIVISOR_COUNT):
     return compensated_sums(stack, [stack.shape[0] - 1])[0] / divisor
 
 
-def _row_blocks(stack):
-    """Slices of consecutive rows of a ``(P, ...)`` stack, each block at most one kernel chunk's elements."""
-    size = max(1, 6 * _CHUNK_STEPS // max(1, stack[0].size))
-    return [slice(lo, lo + size) for lo in range(0, stack.shape[0], size)]
+def _row_blocks(n_rows, row_size, budget=None):
+    """Slices of ``n_rows`` rows of ``row_size`` elements, at most ``budget`` (a kernel chunk's) or one row each."""
+    size = max(1, (6 * _CHUNK_STEPS if budget is None else budget) // max(1, row_size))
+    return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 
 
 def pointwise_sd(predictions, aggregated, include_first=False):
@@ -170,7 +171,7 @@ def pointwise_sd(predictions, aggregated, include_first=False):
         raise ValueError("spread needs at least 2 predictions")
     rows = stack if include_first else stack[1:]
     aggregated = np.asarray(aggregated, dtype=float)
-    blocks = _row_blocks(rows)
+    blocks = _row_blocks(len(rows), rows[0].size)
     buffer = np.empty(rows[blocks[0]].shape)
 
     def deviations():  # each row is summed before the buffer is refilled
@@ -187,14 +188,14 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
 
     Every sample is reduced at once: one compensated pass over the rotation
     axis for the mean and one for each spread, each element with the
-    additions of its own sample's pass.  ``backrotated`` becomes the
-    result's ``predictions``.
+    additions of its own sample's pass.  The result's ``initial`` is a copy
+    of ``backrotated[:, 0]``.
     """
     by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
     aggregated = aggregate_mean(by_rotation, cfg.divisor_mode)
     vm_individual = np.empty(backrotated.shape[:-1])
     vm_by_rotation = vm_individual.swapaxes(0, 1)
-    for block in _row_blocks(by_rotation):
+    for block in _row_blocks(len(by_rotation), by_rotation[0].size):
         vm_by_rotation[block] = von_mises(by_rotation[block])
     vm_aggregated = von_mises(aggregated)
     if backrotated.shape[1] >= 2:
@@ -203,7 +204,7 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
     else:
         sd = np.zeros_like(aggregated)
         vm_sd = np.zeros_like(vm_aggregated)
-    return TTAResult(backrotated, aggregated, sd, vm_individual, vm_aggregated, vm_sd, rotations)
+    return TTAResult(backrotated[:, 0].copy(), aggregated, sd, vm_individual, vm_aggregated, vm_sd, rotations)
 
 
 def augment_chunks(model, inp: ModelInput, rotations):
@@ -253,16 +254,24 @@ def augment(model, inp: ModelInput, rotations) -> np.ndarray:
     return out
 
 
+def _sample_chunks(model, sample, rotations):
+    """:func:`augment_chunks` of ``sample``'s input; external-model failures are re-raised naming the sample."""
+    try:
+        yield from augment_chunks(model, sample.model_input(), rotations)
+    except ExternalModelError as exc:
+        raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
+
+
 def run_tta(model, samples, cfg: TTAConfig, rotations=None) -> TTAResult:
     """Full augmented-inference pass over the ``samples`` of a dataset.
 
     Every sample runs through :func:`augment_chunks` over one shared
     rotation list, ``rotations`` or, when not given, the list of ``cfg``
     drawn from ``cfg.seed``, so rotation index i is one rotation across the
-    dataset.  The rows fill one ``(M, P, T, 6)`` stack in rotation-index
-    order, which :func:`reduce_predictions` reduces.  Samples must share
-    one path length.  External-model failures are re-raised naming the
-    sample and the offending row of ``rotations``.
+    dataset.  Each group of samples within a byte budget fills one reused
+    buffer in rotation-index order for :func:`reduce_predictions`.  Samples
+    must share one path length.  External-model failures are re-raised
+    naming the sample and the offending row of ``rotations``.
     """
     if rotations is None:
         rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
@@ -272,17 +281,21 @@ def run_tta(model, samples, cfg: TTAConfig, rotations=None) -> TTAResult:
         )
     if len(samples) == 0:
         raise ValueError("augmented inference needs at least one sample")
-    backrotated = np.empty((len(samples), len(rotations)) + samples[0].strain.shape)
-    for m, sample in enumerate(samples):
-        if sample.strain.shape != samples[0].strain.shape:
-            raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
-                             f"the first sample's {samples[0].strain.shape}")
-        try:
-            for lo, block in augment_chunks(model, sample.model_input(), rotations):
-                backrotated[m, lo:lo + len(block)] = block
-        except ExternalModelError as exc:
-            raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
-    return reduce_predictions(backrotated, cfg, rotations)
+    m, p, (t, _) = len(samples), len(rotations), samples[0].strain.shape
+    groups = _row_blocks(m, p * t * 6, _GROUP_BYTES // 8)
+    buffer = np.empty((len(samples[groups[0]]), p, t, 6))
+    whole = TTAResult(*(np.empty((m,) + shape) for shape in [(t, 6)] * 3 + [(p, t), (t,), (t,)]), rotations)
+    for group in groups:
+        stack = buffer[:len(samples[group])]
+        for k, sample in enumerate(samples[group]):
+            if sample.strain.shape != samples[0].strain.shape:
+                raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
+                                 f"the first sample's {samples[0].strain.shape}")
+            for lo, block in _sample_chunks(model, sample, rotations):
+                stack[k, lo:lo + len(block)] = block
+        for array, rows in zip(whole[:-1], reduce_predictions(stack, cfg, rotations)):
+            array[group] = rows
+    return whole
 
 
 class AuditReport(NamedTuple):
@@ -315,7 +328,7 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
     input tensors (orientation + strain path), the target stress path, and
     the model's predicted stress path; each of the three is averaged over
     the dataset.  Distinguishes genuine prediction variation from rounding.
-    The prediction is row 0 of :func:`augment` over the identity alone.
+    The prediction is row 0 of the kernel over the identity alone.
     ``identity_only`` swaps every rotation for the identity, a sanity mode
     whose errors must be exactly zero.  External-model failures are
     re-raised naming the sample.
@@ -325,15 +338,11 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
     input_errs, target_errs, output_errs = [], [], []
     for sample in samples:
         r = identity_rotation() if identity_only else sample_rotation(stream)
-        inp = sample.model_input()
-        input_errs.append(max(_roundtrip_err(inp.a, r), _roundtrip_err(inp.strain, r)))
+        input_errs.append(max(_roundtrip_err(sample.a, r), _roundtrip_err(sample.strain, r)))
         if sample.target_stress is not None:
             target_errs.append(_roundtrip_err(sample.target_stress, r))
-        try:
-            prediction = augment(model, inp, identity_rotation()[None])[0]
-        except ExternalModelError as exc:
-            raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
-        output_errs.append(_roundtrip_err(prediction, r))
+        _, prediction = next(_sample_chunks(model, sample, identity_rotation()[None]))
+        output_errs.append(_roundtrip_err(prediction[0], r))
     return AuditReport(
         input_err=float(np.mean(input_errs)),
         target_err=float(np.mean(target_errs)) if target_errs else float("nan"),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotta
@@ -91,14 +92,19 @@ def test_audit_table_is_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == AUDIT_TABLE
 
 
-def test_audit_external_failure_names_the_sample(dataset_path, capsys):
-    code = main(["audit", "--dataset", dataset_path,
-                 "--model", f"external:{sys.executable} {FIXTURE} quit"])
+@pytest.mark.parametrize("command", ["audit", "run", "sweep", "repeats", "sphere-map"])
+def test_audit_external_failure_names_the_sample(dataset_path, tmp_path, capsys, command):
+    extra = {"audit": [], "sweep": ["--n-values", "0,2"]}.get(command, ["--rotations", "2"])
+    if command != "audit":
+        extra += ["--out", str(tmp_path / "out")]
+    code = main([command, "--dataset", dataset_path,
+                 "--model", f"external:{sys.executable} {FIXTURE} quit", *extra])
     assert code == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("external model error: sample rve-0000: rotation index 0: ")
     assert "Traceback" not in captured.err
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep(dataset_path, tmp_path, capsys):
@@ -219,6 +225,32 @@ def test_dataset_without_targets_is_data_error(tmp_path, capsys):
     code = main(["run", "--dataset", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "sigma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "repeats", "sphere-map"])
+def test_all_zero_target_is_data_error(tmp_path, capsys, command):
+    samples = generate_synthetic(3, 6, stream=RotationStream(42))
+    samples[1] = samples[1]._replace(target_stress=np.zeros_like(samples[1].target_stress))
+    path = tmp_path / "zero_sigma.ndjson"
+    save_dataset(samples, path)
+    extra = ["--n-values", "0,2"] if command == "sweep" else ["--rotations", "2"]
+    code = main([command, "--dataset", str(path), "--out", str(tmp_path / "out"), *extra])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_all_zero_strain_is_data_error(tmp_path, capsys):
+    samples = generate_synthetic(3, 6, stream=RotationStream(42))
+    samples[1] = samples[1]._replace(strain=np.zeros_like(samples[1].strain))
+    path = tmp_path / "zero_eps.ndjson"
+    save_dataset(samples, path)
+    code = main(["run", "--dataset", str(path), "--out", str(tmp_path / "out"), "--rotations", "2"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
 def test_failing_external_model_is_external_error(dataset_path, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Property tests of the whole-dataset passes after the kernel.
 
-``run`` reduces every sample at once, computes every shape-consistency
+``run`` reduces a group of samples at once, computes every shape-consistency
 correlation as a row of one array, and writes each artifact array with one
 ``repr``.  Each pass must keep the bits of the per-sample, per-channel and
 per-value forms it replaced, which stay here as oracles.
@@ -9,6 +9,7 @@ per-value forms it replaced, which stay here as oracles.
 import json
 import math
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -20,13 +21,13 @@ from rotta import tta
 from rotta.dataset import Sample, csv_text, format_float, format_path
 from rotta.experiment import _OutputWriter
 from rotta.metrics import CHANNEL_NAMES, jsonable, shape_report
-from rotta.models import NoisyOracle, OracleParams
+from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
 from rotta.spheremap import seeds_csv
 from rotta.tta import EmptyInput, TTAConfig, augment, reduce_predictions, run_tta
 from rotta.voigt import von_mises
 
-RESULT_FIELDS = ("predictions", "aggregated", "sd", "vm_individual", "vm_aggregated", "vm_sd")
+RESULT_FIELDS = ("initial", "aggregated", "sd", "vm_individual", "vm_aggregated", "vm_sd")
 
 
 def assert_same_bits(got, want):
@@ -76,34 +77,56 @@ reduction_cases = dict(
     mode=st.sampled_from(["count", "paper"]),
     include_identity=st.booleans(),
     chunk=st.integers(1, 400),
+    group=st.integers(1, 6),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(**reduction_cases)
-@example(seed=0, m=3, n=1, t=5, mode="count", include_identity=False, chunk=8192)
-@example(seed=1, m=2, n=0, t=4, mode="count", include_identity=True, chunk=8192)
-def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, include_identity, chunk):
+@example(seed=0, m=3, n=1, t=5, mode="count", include_identity=False, chunk=8192, group=3)
+@example(seed=1, m=2, n=0, t=4, mode="count", include_identity=True, chunk=8192, group=1)
+@example(seed=2, m=5, n=3, t=6, mode="paper", include_identity=False, chunk=8192, group=2)
+def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, include_identity, chunk, group):
     samples = [_sample(seed + k, t) for k in range(m)]
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=seed))
     cfg = TTAConfig(n, seed=seed, divisor_mode=mode, sd_include_identity=include_identity)
     rotations = rotation_list(RotationStream(seed), n)
     stack = np.stack([augment(model, s.model_input(), rotations) for s in samples])
-    with mock.patch.object(tta, "_CHUNK_STEPS", chunk):  # small blocks: many block boundaries
+    sample_bytes = (n + 1) * t * 6 * 8  # one sample's stack: groups of `group` samples, the last one shorter
+    with mock.patch.object(tta, "_CHUNK_STEPS", chunk), mock.patch.object(tta, "_GROUP_BYTES", group * sample_bytes):
         if mode == "paper" and n == 0:
             with pytest.raises(EmptyInput):
                 run_tta(model, samples, cfg, rotations)
             return
         batched = run_tta(model, samples, cfg, rotations)
-    assert batched.predictions.shape == (m, n + 1, t, 6)
+    assert batched.initial.shape == (m, t, 6)
     assert batched.rotations is rotations
-    assert_same_bits(batched.predictions, stack)
+    assert_same_bits(batched.initial, stack[:, 0])
     for k, sample in enumerate(samples):
         alone = run_tta(model, [sample], cfg, rotations)
         for field in RESULT_FIELDS:
             assert_same_bits(getattr(batched, field)[k], getattr(alone, field)[0])
         for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode, include_identity)):
             assert_same_bits(getattr(batched, field)[k], oracle)
+
+
+def test_one_sample_groups_peak_well_below_the_dataset_stack():
+    m, n, t = 8, 200, 40
+    samples = [_sample(k, t) for k in range(m)]
+    cfg = TTAConfig(n, seed=3)
+    stack = m * (n + 1) * t * 6 * 8  # bytes of the (M, P, T, 6) back-rotated stack
+    run_tta(EquivariantOracle(), samples[:1], cfg)  # warm up
+    # one sample per group, ten rotations per kernel chunk: what stays is the
+    # (M, P, T) von Mises table (1/6 of the stack) and one sample's buffer (1/M)
+    with mock.patch.multiple(tta, _GROUP_BYTES=stack // m, _CHUNK_STEPS=10 * t):
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_tta(EquivariantOracle(), samples, cfg)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+    assert peak < 0.5 * stack, f"peak {peak / stack:.2f} (M, P, T, 6) stacks"
 
 
 @settings(max_examples=60, deadline=None)
@@ -131,7 +154,7 @@ def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, 
         batched = reduce_predictions(stack, cfg, np.repeat(np.eye(3)[None], p, axis=0))
         for k in range(m):
             aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack[k], mode, include_identity)
-            for field, want in zip(RESULT_FIELDS, (stack[k], aggregated, sd, vm, vm_aggregated, vm_sd)):
+            for field, want in zip(RESULT_FIELDS, (stack[k, 0], aggregated, sd, vm, vm_aggregated, vm_sd)):
                 assert_same_bits(getattr(batched, field)[k], want)
 
 

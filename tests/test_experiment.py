@@ -154,7 +154,7 @@ def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatc
     samples = experiment._load_evaluable(cfg)
     draws = _count_draws(monkeypatch)
     result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
-    assert result.predictions.shape[:2] == (4, 8) and draws == [7]
+    assert result.vm_individual.shape[:2] == (4, 8) and draws == [7]
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     assert result.rotations.tobytes() == fresh.tobytes()
 

@@ -509,7 +509,7 @@ def test_evaluate_dataset_peak_memory_stays_below_one_and_a_half_tables():
     predictions = targets[:, None] * (1.0 + 0.01 * rng.standard_normal((m, p, t, 6)))
     aggregated = predictions.mean(axis=1)
     vm_individual, vm_aggregated = von_mises(predictions), von_mises(aggregated)
-    result = TTAResult(predictions, aggregated, predictions.std(axis=1), vm_individual, vm_aggregated,
+    result = TTAResult(predictions[:, 0], aggregated, predictions.std(axis=1), vm_individual, vm_aggregated,
                        vm_individual.std(axis=1), np.repeat(np.eye(3)[None], p, axis=0))
     table = m * p * t * 8  # bytes of one (M, P, T) float table
     tracemalloc.start()

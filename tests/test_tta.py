@@ -211,8 +211,10 @@ def test_sd_needs_two_rows():
 
 
 def test_equivariant_predictions_all_agree():
-    res = run_tta(EquivariantOracle(), _samples(0, 1), TTAConfig(n_rotations=8, seed=3))
-    spread = res.predictions.max(axis=1) - res.predictions.min(axis=1)
+    samples = _samples(0, 1)
+    res = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=8, seed=3))
+    stack = np.stack([augment(EquivariantOracle(), s.model_input(), res.rotations) for s in samples])
+    spread = stack.max(axis=1) - stack.min(axis=1)
     assert np.max(spread) <= 1e-10
     assert np.max(res.sd) <= 1e-10
     assert np.max(res.vm_sd) <= 1e-10
@@ -220,8 +222,8 @@ def test_equivariant_predictions_all_agree():
 
 def test_zero_rotations_is_identity_prediction():
     res = run_tta(EquivariantOracle(), _samples(4), TTAConfig(n_rotations=0))
-    assert res.predictions.shape[1] == 1
-    assert np.array_equal(res.aggregated, res.predictions[:, 0])
+    assert res.vm_individual.shape[1] == 1
+    assert np.array_equal(res.aggregated, res.initial)
     assert np.array_equal(res.sd, np.zeros_like(res.aggregated))
     assert np.array_equal(res.rotations[0], np.eye(3))
 
@@ -236,7 +238,7 @@ def test_noisy_sd_scales_with_amplitude():
 
 def test_result_shapes_and_vm_channels():
     res = run_tta(EquivariantOracle(), _samples(6, 7, n_steps=7), TTAConfig(n_rotations=5, seed=7))
-    assert res.predictions.shape == (2, 6, 7, 6)
+    assert res.initial.shape == (2, 7, 6)
     assert res.aggregated.shape == (2, 7, 6)
     assert res.sd.shape == (2, 7, 6)
     assert res.vm_individual.shape == (2, 6, 7)
@@ -254,7 +256,8 @@ def test_run_is_deterministic():
     a = run_tta(EquivariantOracle(), samples, cfg)
     b = run_tta(EquivariantOracle(), samples, cfg)
     assert np.array_equal(a.aggregated, b.aggregated)
-    assert np.array_equal(a.predictions, b.predictions)
+    assert np.array_equal(a.initial, b.initial)
+    assert np.array_equal(a.vm_individual, b.vm_individual)
     assert np.array_equal(a.rotations, b.rotations)
 
 
@@ -282,8 +285,8 @@ def test_given_rotation_list_matches_own_draw():
     rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     given = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), samples, cfg, rotations)
     own = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), samples, cfg)
-    assert given.predictions.tobytes() == own.predictions.tobytes()
-    assert given.rotations.tobytes() == own.rotations.tobytes()
+    for field in given._fields:
+        assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
     with pytest.raises(ValueError, match="7 rotations"):
         run_tta(EquivariantOracle(), samples, cfg, rotations[:-1])
 
