@@ -28,7 +28,7 @@ config = TTAConfig(n_rotations=64, seed=1)
 # run_tta takes a dataset, a list of samples, and keeps the sample axis
 # first in every result array; this dataset has one sample, index 0.
 # result.initial holds the identity prediction of each sample; one sample's
-# per-rotation paths are augment(model, sample.model_input(), result.rotations).
+# per-rotation paths are augment(model, sample, result.rotations).
 # Equivariant case: the aggregate reproduces the direct prediction
 # (rotation index 0, the identity) and the per-step spread collapses to
 # rounding noise.

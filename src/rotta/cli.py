@@ -38,7 +38,7 @@ from .experiment import (
     run_sphere_map,
     run_sweep,
 )
-from .metrics import DEFAULT_BIN_WIDTH, AllStepsExcluded, ZeroTargetMax
+from .metrics import DEFAULT_BIN_WIDTH, AllStepsExcluded
 from .models import ExternalModelError
 from .rotations import RotationStream
 from .spheremap import DEFAULT_GRID, DEFAULT_RADIUS
@@ -276,7 +276,7 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InvariantViolation, ZeroTargetMax, AllStepsExcluded) as exc:
+    except (ParseError, InvariantViolation, AllStepsExcluded) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ExternalModelError as exc:

@@ -19,7 +19,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .models import CheckedRecord, EquivariantOracle, ModelInput
+from .models import CheckedRecord, EquivariantOracle
 from .rotations import (
     RotationStream,
     sample_orientation_tensor,
@@ -63,9 +63,6 @@ class Sample(CheckedRecord, namedtuple("Sample", "id a vf strain target_stress")
     @property
     def n_steps(self):
         return self.strain.shape[0]
-
-    def model_input(self) -> ModelInput:
-        return ModelInput(a=self.a, vf=self.vf, strain=self.strain)
 
     def validate(self):
         """Check all invariants, raising :class:`InvariantViolation` on the first failure."""

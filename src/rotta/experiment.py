@@ -31,7 +31,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, _sample_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
+from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
 from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -209,7 +209,7 @@ def _write_outputs(cfg: ExperimentConfig, write, extra=None):
 
 
 def _load_evaluable(cfg: ExperimentConfig):
-    """Load the dataset and require targets and a uniform path length."""
+    """Load the dataset; require a uniform path length and targets with a positive von Mises value."""
     samples = load_dataset(cfg.dataset)
     if not samples:
         raise InvariantViolation("<dataset>", "samples", "dataset is empty")
@@ -217,6 +217,8 @@ def _load_evaluable(cfg: ExperimentConfig):
     for sample in samples:
         if sample.target_stress is None:
             raise InvariantViolation(sample.id, "sigma", "evaluation requires target stress paths")
+        if not np.max(von_mises_path(sample.target_stress)) > 0.0:
+            raise InvariantViolation(sample.id, "sigma", "the target von Mises path has no positive values")
         if sample.n_steps != n_steps:
             raise InvariantViolation(
                 sample.id, "eps", f"path length {sample.n_steps} differs from first sample ({n_steps})"
@@ -322,7 +324,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
     of the largest N is generated once and every smaller N uses its prefix,
     so the curve is internally consistent.  Each sample's rows stream into
     the running sum of :func:`~rotta.tta.compensated_sums`, read at each
-    requested count, with the divisor of :func:`~rotta.tta.aggregate_mean`,
+    requested count, with the divisor of :func:`~rotta.tta.mean_divisor`,
     so row ``n`` has the bits of a full run with N = n.  Returns rows of
     ``(n, mere_tta, mare_tta)`` and, when ``write`` is set, persists
     ``sweep.csv`` plus a manifest.
@@ -343,7 +345,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
     vm_by_checkpoint = np.empty((len(samples), len(checkpoints), n_steps))
     with _open_model(cfg) as model:
         for m, sample in enumerate(samples):
-            backrotated = (row for _, block in _sample_chunks(model, sample, rotations) for row in block)
+            backrotated = (row for _, block in augment_chunks(model, sample, rotations) for row in block)
             for k, (n, total) in enumerate(zip(checkpoints, compensated_sums(backrotated, checkpoints))):
                 vm_by_checkpoint[m, k] = von_mises_path(total / mean_divisor(n + 1, cfg.divisor_mode))
 

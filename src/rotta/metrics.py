@@ -418,8 +418,8 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
     samples at each step.  The relative curves divide both per sample by
     the aggregated von Mises value first; any step where that divisor is
     at or below ``EPS_DIV`` for some sample is excluded from the relative
-    curves (NaN) and counted.  Raises :class:`AllStepsExcluded` if no step
-    survives.
+    curves (NaN) and counted.  Raises :class:`AllStepsExcluded`, naming the
+    rows at or below the guard at every step, if no step survives.
     """
     sd_paths = np.atleast_2d(np.asarray(sd_paths, dtype=float))
     target_vm = np.atleast_2d(np.asarray(target_vm, dtype=float))
@@ -434,7 +434,9 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
     included = np.all(aggregated_vm > EPS_DIV, axis=0)
     n_excluded = int(np.count_nonzero(~included))
     if not np.any(included):
-        raise AllStepsExcluded("no step has all aggregated von Mises values above the guard")
+        at_guard = ", ".join(map(str, np.flatnonzero(np.all(aggregated_vm <= EPS_DIV, axis=1)))) or "none"
+        raise AllStepsExcluded("no step has all aggregated von Mises values above the guard; "
+                               f"dataset rows at or below it at every step: {at_guard}")
 
     e_rel_curve = np.full(included.shape, np.nan)
     sd_rel_curve = np.full(included.shape, np.nan)

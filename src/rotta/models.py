@@ -62,33 +62,6 @@ class CheckedRecord:
         return cls(*values)
 
 
-class ModelInput(CheckedRecord, namedtuple("ModelInput", "a vf strain")):
-    """One prediction request: orientation tensor, volume fraction, strain path.
-
-    ``a`` is a Voigt 6-vector, ``strain`` a ``(T, 6)`` path with T >= 1.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a, vf, strain):
-        return super().__new__(cls, np.asarray(a, dtype=float), vf, np.asarray(strain, dtype=float))
-
-    @property
-    def n_steps(self):
-        return self.strain.shape[0]
-
-    def validate(self):
-        if self.a.shape != (6,):
-            raise ValueError(f"orientation tensor must have shape (6,), got {self.a.shape}")
-        if self.strain.ndim != 2 or self.strain.shape[1] != 6 or self.strain.shape[0] < 1:
-            raise ValueError(f"strain must have shape (T, 6) with T >= 1, got {self.strain.shape}")
-        if not (0.0 < self.vf < 1.0):
-            raise ValueError(f"volume fraction must lie in (0, 1), got {self.vf}")
-        if not (np.all(np.isfinite(self.a)) and np.all(np.isfinite(self.strain))):
-            raise ValueError("model input contains non-finite values")
-        return self
-
-
 class OracleParams(CheckedRecord, namedtuple("OracleParams", "lam mu kappa sigma_y noise_amp noise_seed",
                                              defaults=(2400.0, 1100.0, 30000.0, 120.0, 0.0, 0))):
     """Material-like parameters of the built-in oracles (stresses in MPa).

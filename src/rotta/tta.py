@@ -1,6 +1,6 @@
 """Rotation-augmented inference: rotate, predict, back-rotate, aggregate.
 
-Given a predictor ``f`` and an input ``(a, vf, eps(t))``, the engine builds
+Given a predictor ``f`` and a sample ``(a, vf, eps(t))``, the engine builds
 a rotation list ``[I, R_1, ..., R_N]``, feeds ``f`` the rotated input for
 each ``R_i``, conjugates every predicted stress path back to the original
 frame, and reduces the back-rotated paths into a mean path with a per-step
@@ -9,8 +9,9 @@ is a no-op up to float round-off, which the test suite exploits.
 
 :func:`augment` (and :func:`augment_chunks`, the same rows chunk by chunk)
 is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
-``repeats``, ``sphere-map`` and :func:`numerics_audit` all predict through
-it, and it calls nothing of a model but ``predict_batch``.
+``repeats``, ``sphere-map`` and :func:`numerics_audit` all call it with a
+:class:`~rotta.dataset.Sample`, which it validates and names in its errors,
+and it calls nothing of a model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
 results do not depend on how predictions were scheduled.  :func:`run_tta`
@@ -24,7 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .models import CheckedRecord, ExternalModelError, ModelInput
+from .dataset import InvariantViolation
+from .models import CheckedRecord, ExternalModelError
 from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
 from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises
 
@@ -45,7 +47,7 @@ _GROUP_BYTES = 8 << 20
 
 
 class EmptyInput(ValueError):
-    """Aggregation was asked to reduce zero predictions."""
+    """A mean was asked for with a zero divisor: the paper divisor over the identity alone."""
 
 
 class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor_mode sd_include_identity",
@@ -83,10 +85,9 @@ class TTAResult(NamedTuple):
 
     Every array keeps the sample axis first.  ``initial`` (the prediction at
     rotation index 0, the identity), ``aggregated`` and ``sd`` are ``(M, T,
-    6)``; ``augment(model, sample.model_input(), rotations)`` gives one
-    sample's ``(P, T, 6)`` paths.  The von Mises channels are ``(M, P, T)``
-    and ``(M, T)``; ``vm_aggregated`` is the von Mises stress *of the
-    aggregated path*.  ``rotations`` is the ``(P, 3, 3)`` list of all.
+    6)``; ``augment(model, sample, rotations)`` gives one sample's ``(P, T,
+    6)`` paths.  The von Mises channels are ``(M, P, T)`` and ``(M, T)``;
+    ``vm_aggregated`` is the von Mises stress *of the aggregated path*.  ``rotations`` is the ``(P, 3, 3)`` list of all.
     """
 
     initial: np.ndarray
@@ -132,45 +133,18 @@ def mean_divisor(n_rows, mode):
     return divisor
 
 
-def aggregate_mean(predictions, mode=DIVISOR_COUNT):
-    """Per-step, per-component mean of back-rotated stress paths over axis 0 of a ``(P, ..., T, 6)`` stack.
-
-    ``mode="count"`` divides the sum of all P predictions by P.
-    ``mode="paper"`` divides the same sum by P-1 (the printed formula sums
-    indices 0..N but divides by N); it rejects a single-prediction stack.
-    Every element adds its P rows in index order, so a stack of several
-    inputs, ``(P, M, T, 6)``, gives each input the bits of its own
-    ``(P, T, 6)`` stack.
-    """
-    stack = np.asarray(predictions, dtype=float)
-    if stack.ndim < 3 or stack.shape[-1] != 6:
-        raise ValueError(f"expected predictions of shape (P, ..., T, 6), got {stack.shape}")
-    if stack.shape[0] == 0:
-        raise EmptyInput("no predictions to aggregate")
-    divisor = mean_divisor(stack.shape[0], mode)
-    return compensated_sums(stack, [stack.shape[0] - 1])[0] / divisor
-
-
 def _row_blocks(n_rows, row_size, budget=None):
     """Slices of ``n_rows`` rows of ``row_size`` elements, at most ``budget`` (a kernel chunk's) or one row each."""
     size = max(1, (6 * _CHUNK_STEPS if budget is None else budget) // max(1, row_size))
     return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 
 
-def pointwise_sd(predictions, aggregated, include_first=False):
-    """Elementwise spread of the P rows of a ``(P, ...)`` stack (paths or von Mises) about their aggregate.
+def _spread(rows, aggregated):
+    """Elementwise spread of the R rows of a ``(R, ...)`` stack (paths or von Mises) about ``aggregated``, divisor R.
 
-    By default rows 1..P-1 enter the sum with divisor P-1, matching the
-    printed formula that sums over the random rotations only; with
-    ``include_first`` all P rows enter with divisor P.  Requires P >= 2.
     Squared deviations are formed a block of rows at a time (see
     :func:`_row_blocks`), so no temporary is the size of the stack.
     """
-    stack = np.asarray(predictions, dtype=float)
-    if stack.shape[0] < 2:
-        raise ValueError("spread needs at least 2 predictions")
-    rows = stack if include_first else stack[1:]
-    aggregated = np.asarray(aggregated, dtype=float)
     blocks = _row_blocks(len(rows), rows[0].size)
     buffer = np.empty(rows[blocks[0]].shape)
 
@@ -180,108 +154,101 @@ def pointwise_sd(predictions, aggregated, include_first=False):
             dev = np.subtract(part, aggregated, out=buffer[:len(part)])
             yield from np.square(dev, out=dev)
 
-    return np.sqrt(compensated_sums(deviations(), [rows.shape[0] - 1])[0] / rows.shape[0])
+    return np.sqrt(compensated_sums(deviations(), [len(rows) - 1])[0] / len(rows))
 
 
 def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
     """:class:`TTAResult` of M inputs from their ``(M, P, T, 6)`` back-rotated stack.
 
     Every sample is reduced at once: one compensated pass over the rotation
-    axis for the mean and one for each spread, each element with the
-    additions of its own sample's pass.  The result's ``initial`` is a copy
-    of ``backrotated[:, 0]``.
+    axis for the mean (divided as :func:`mean_divisor` says) and one for each
+    spread, each element with the additions of its own sample's pass.  The
+    spreads sum rows 1..P-1 with divisor P-1, the printed formula over the
+    random rotations only, or all P rows with divisor P when
+    ``cfg.sd_include_identity`` is set; a single rotation has zero spread.
+    The result's ``initial`` is a copy of ``backrotated[:, 0]``.
     """
     by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
-    aggregated = aggregate_mean(by_rotation, cfg.divisor_mode)
+    p = len(by_rotation)
+    aggregated = compensated_sums(by_rotation, [p - 1])[0] / mean_divisor(p, cfg.divisor_mode)
     vm_individual = np.empty(backrotated.shape[:-1])
     vm_by_rotation = vm_individual.swapaxes(0, 1)
-    for block in _row_blocks(len(by_rotation), by_rotation[0].size):
+    for block in _row_blocks(p, by_rotation[0].size):
         vm_by_rotation[block] = von_mises(by_rotation[block])
     vm_aggregated = von_mises(aggregated)
-    if backrotated.shape[1] >= 2:
-        sd = pointwise_sd(by_rotation, aggregated, include_first=cfg.sd_include_identity)
-        vm_sd = pointwise_sd(vm_by_rotation, vm_aggregated, include_first=cfg.sd_include_identity)
+    if p >= 2:
+        first = 0 if cfg.sd_include_identity else 1
+        sd = _spread(by_rotation[first:], aggregated)
+        vm_sd = _spread(vm_by_rotation[first:], vm_aggregated)
     else:
         sd = np.zeros_like(aggregated)
         vm_sd = np.zeros_like(vm_aggregated)
     return TTAResult(backrotated[:, 0].copy(), aggregated, sd, vm_individual, vm_aggregated, vm_sd, rotations)
 
 
-def augment_chunks(model, inp: ModelInput, rotations):
+def augment_chunks(model, sample, rotations):
     """Yield ``(lo, block)`` in index order: rows ``lo..lo+len(block)-1`` of :func:`augment`.
 
-    Row ``i`` is the prediction on ``inp`` rotated by ``rotations[i]``,
-    rotated back.  ``model.predict_batch`` is called once per chunk of
-    rotations, each chunk rotated and back-rotated by one
+    Row ``i`` is the prediction on ``sample``'s input rotated by
+    ``rotations[i]``, rotated back.  ``model.predict_batch`` is called once
+    per chunk of rotations, each chunk rotated and back-rotated by one
     :func:`~rotta.voigt.conjugate` call per array.  Rows have the same bits
     as rotating, predicting one row and back-rotating one rotation at a
     time, for any chunk size: every conjugation sums its terms in one fixed
     order (another order differs in the last bits, which the noise hash
-    sees).  Non-finite rotated inputs raise ``ValueError``; a wrong output
-    shape and external-model failures raise :class:`ExternalModelError`
-    naming the rows (the row an error carries, if it carries one).
+    sees).  ``sample.validate()`` runs first, and a rotated input that is
+    no longer finite raises :class:`~rotta.dataset.InvariantViolation`
+    naming the rotation index.  A wrong output shape and external-model
+    failures raise :class:`ExternalModelError` naming the sample and the
+    rows (the row an error carries, if it carries one).
     """
-    inp.validate()
+    sample.validate()
     rotations = np.asarray(rotations, dtype=float)
-    chunk = max(1, _CHUNK_STEPS // inp.n_steps)
+    chunk = max(1, _CHUNK_STEPS // sample.n_steps)
     for lo in range(0, rotations.shape[0], chunk):
         rs = rotations[lo:lo + chunk]
-        a, strain = conjugate(rs, inp.a), conjugate(rs, inp.strain)
+        a, strain = conjugate(rs, sample.a), conjugate(rs, sample.strain)
         if not (np.all(np.isfinite(a)) and np.all(np.isfinite(strain))):
-            raise ValueError("model input contains non-finite values")
+            finite = np.all(np.isfinite(a), axis=1) & np.all(np.isfinite(strain), axis=(1, 2))
+            bad = lo + int(np.argmin(finite))
+            raise InvariantViolation(sample.id, "eps", f"rotation index {bad}: rotated input has non-finite values")
         try:
-            pred = np.asarray(model.predict_batch(a, inp.vf, strain), dtype=float)
+            pred = np.asarray(model.predict_batch(a, sample.vf, strain), dtype=float)
         except ExternalModelError as exc:
-            if exc.row is None:
-                raise
-            raise ExternalModelError(f"rotation index {lo + exc.row}: {exc}") from exc
+            where = "" if exc.row is None else f"rotation index {lo + exc.row}: "
+            raise ExternalModelError(f"sample {sample.id}: {where}{exc}") from exc
         if pred.shape != strain.shape:
             raise ExternalModelError(
-                f"rotation indices {lo}-{lo + len(rs) - 1}: "
+                f"sample {sample.id}: rotation indices {lo}-{lo + len(rs) - 1}: "
                 f"model returned shape {pred.shape}, expected {strain.shape}"
             )
         yield lo, conjugate(rs.transpose(0, 2, 1), pred)
 
 
-def augment(model, inp: ModelInput, rotations) -> np.ndarray:
-    """Back-rotated predictions for every rotated copy of ``inp``, shape ``(P, T, 6)``.
+def augment(model, sample, rotations) -> np.ndarray:
+    """Back-rotated predictions for every rotated copy of ``sample``'s input, shape ``(P, T, 6)``.
 
     The rows of :func:`augment_chunks` gathered into one array.
     """
-    out = np.empty((len(rotations),) + inp.strain.shape)
-    for lo, block in augment_chunks(model, inp, rotations):
+    out = np.empty((len(rotations),) + sample.strain.shape)
+    for lo, block in augment_chunks(model, sample, rotations):
         out[lo:lo + len(block)] = block
     return out
 
 
-def _sample_chunks(model, sample, rotations):
-    """:func:`augment_chunks` of ``sample``'s input; external-model failures are re-raised naming the sample."""
-    try:
-        yield from augment_chunks(model, sample.model_input(), rotations)
-    except ExternalModelError as exc:
-        raise ExternalModelError(f"sample {sample.id}: {exc}") from exc
-
-
-def run_tta(model, samples, cfg: TTAConfig, rotations=None) -> TTAResult:
+def run_tta(model, samples, cfg: TTAConfig) -> TTAResult:
     """Full augmented-inference pass over the ``samples`` of a dataset.
 
-    Every sample runs through :func:`augment_chunks` over one shared
-    rotation list, ``rotations`` or, when not given, the list of ``cfg``
-    drawn from ``cfg.seed``, so rotation index i is one rotation across the
-    dataset.  Each group of samples within a byte budget fills one reused
-    buffer in rotation-index order for :func:`reduce_predictions`.  Samples
-    must share one path length.  External-model failures are re-raised
-    naming the sample and the offending row of ``rotations``.
+    Every sample runs through :func:`augment_chunks` over one rotation
+    list, drawn from ``cfg.seed``, so rotation index i is one rotation
+    across the dataset.  Each group of samples within a byte budget fills
+    one reused buffer in rotation-index order for
+    :func:`reduce_predictions`.  Samples must share one path length.
     """
-    if rotations is None:
-        rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    elif np.shape(rotations) != (cfg.n_rotations + 1, 3, 3):
-        raise ValueError(
-            f"expected the {cfg.n_rotations + 1} rotations of the config, got shape {np.shape(rotations)}"
-        )
     if len(samples) == 0:
         raise ValueError("augmented inference needs at least one sample")
-    m, p, (t, _) = len(samples), len(rotations), samples[0].strain.shape
+    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    m, p, t = len(samples), len(rotations), samples[0].n_steps
     groups = _row_blocks(m, p * t * 6, _GROUP_BYTES // 8)
     buffer = np.empty((len(samples[groups[0]]), p, t, 6))
     whole = TTAResult(*(np.empty((m,) + shape) for shape in [(t, 6)] * 3 + [(p, t), (t,), (t,)]), rotations)
@@ -291,7 +258,7 @@ def run_tta(model, samples, cfg: TTAConfig, rotations=None) -> TTAResult:
             if sample.strain.shape != samples[0].strain.shape:
                 raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
                                  f"the first sample's {samples[0].strain.shape}")
-            for lo, block in _sample_chunks(model, sample, rotations):
+            for lo, block in augment_chunks(model, sample, rotations):
                 stack[k, lo:lo + len(block)] = block
         for array, rows in zip(whole[:-1], reduce_predictions(stack, cfg, rotations)):
             array[group] = rows
@@ -328,10 +295,9 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
     input tensors (orientation + strain path), the target stress path, and
     the model's predicted stress path; each of the three is averaged over
     the dataset.  Distinguishes genuine prediction variation from rounding.
-    The prediction is row 0 of the kernel over the identity alone.
-    ``identity_only`` swaps every rotation for the identity, a sanity mode
-    whose errors must be exactly zero.  External-model failures are
-    re-raised naming the sample.
+    The prediction is row 0 of the kernel over the identity alone, so
+    its errors name the sample.  ``identity_only`` swaps every rotation for
+    the identity, a sanity mode whose errors must be exactly zero.
     """
     if len(samples) == 0:
         raise ValueError("audit needs a non-empty dataset")
@@ -341,8 +307,8 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
         input_errs.append(max(_roundtrip_err(sample.a, r), _roundtrip_err(sample.strain, r)))
         if sample.target_stress is not None:
             target_errs.append(_roundtrip_err(sample.target_stress, r))
-        _, prediction = next(_sample_chunks(model, sample, identity_rotation()[None]))
-        output_errs.append(_roundtrip_err(prediction[0], r))
+        prediction = augment(model, sample, identity_rotation()[None])[0]
+        output_errs.append(_roundtrip_err(prediction, r))
     return AuditReport(
         input_err=float(np.mean(input_errs)),
         target_err=float(np.mean(target_errs)) if target_errs else float("nan"),

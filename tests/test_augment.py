@@ -20,11 +20,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rotta import tta
+from rotta.dataset import InvariantViolation, Sample
 from rotta.models import (
     EquivariantOracle,
     ExternalModel,
     ExternalModelError,
-    ModelInput,
     NoisyOracle,
     OracleParams,
 )
@@ -39,7 +39,7 @@ def _input(seed, n_steps, scale):
     s = RotationStream(seed)
     a = sample_orientation_tensor(s)
     strain = scale * s.normals(6 * n_steps).reshape(n_steps, 6)
-    return ModelInput(a=a, vf=0.1 + 0.05 * float(s.uniforms(1)[0]), strain=strain)
+    return Sample(id=f"s{seed}", a=a, vf=0.1 + 0.05 * float(s.uniforms(1)[0]), strain=strain)
 
 
 def _model(noisy, seed):
@@ -52,7 +52,7 @@ def _loop(model, inp, rotations):
     """The reference: one rotate -> predict a one-row batch -> back-rotate per rotation."""
     rows = []
     for r in rotations:
-        rotated = ModelInput(a=rotate_sym(inp.a, r), vf=inp.vf, strain=rotate_sym(inp.strain, r)).validate()
+        rotated = inp._replace(a=rotate_sym(inp.a, r), strain=rotate_sym(inp.strain, r)).validate()
         rows.append(inverse_rotate_sym(model.predict_batch(rotated.a[None], inp.vf, rotated.strain[None])[0], r))
     return np.stack(rows)
 
@@ -100,7 +100,7 @@ def test_wrong_batch_shape_is_an_external_error():
 
     inp = _input(1, 6, 0.02)
     rotations = rotation_list(RotationStream(2), 5)
-    with pytest.raises(ExternalModelError, match=r"rotation indices 0-2: model returned shape \(3, 5, 6\)"):
+    with pytest.raises(ExternalModelError, match=r"^sample s1: rotation indices 0-2: model returned shape \(3, 5, 6\)"):
         _augment(Short(), inp, rotations, chunk=3)
 
 
@@ -121,12 +121,34 @@ def test_non_finite_prediction_passes_through_as_in_the_loop():
 
 def test_rotated_input_must_be_finite():
     # finite in the sample frame, overflowing once rotated
-    inp = ModelInput(a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.12, strain=np.full((3, 6), 1.7e308))
+    inp = Sample(id="big", a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.12, strain=np.full((3, 6), 1.7e308))
     rotations = rotation_list(RotationStream(5), 3)
     with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore", invalid="ignore"):
         _loop(EquivariantOracle(), inp, rotations)  # row 0, the identity, predicts on the finite input
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(InvariantViolation, match=r"^sample 'big', field 'eps': rotation index 1: "
+                                                 r"rotated input has non-finite values$") as err:
         augment(EquivariantOracle(), inp, rotations)
+    assert isinstance(err.value, ValueError) and err.value.sample_id == "big"
+
+
+def test_invalid_sample_is_rejected_before_any_prediction():
+    class Counting(EquivariantOracle):
+        calls = 0
+
+        def predict_batch(self, a, vf, strain):
+            self.calls += 1
+            return super().predict_batch(a, vf, strain)
+
+    bad = _input(6, 4, 0.02)._replace(vf=1.5)
+    model = Counting()
+    with pytest.raises(InvariantViolation, match=r"^sample 's6', field 'vf'"):
+        augment(model, bad, rotation_list(RotationStream(7), 5))
+    with pytest.raises(InvariantViolation, match=r"^sample 's6', field 'vf'"):
+        tta.run_tta(model, [bad], tta.TTAConfig(5, seed=7))
+    flat = _input(8, 4, 0.02)._replace(strain=np.zeros(6))  # one step without its step axis
+    with pytest.raises(InvariantViolation, match=r"^sample 's8', field 'eps'"):
+        tta.run_tta(model, [flat], tta.TTAConfig(5, seed=7))
+    assert model.calls == 0
 
 
 def test_contraction_order_is_pinned():
@@ -332,6 +354,6 @@ def test_external_error_names_its_rotation_index(mode, message, k):
     inp = _input(11, 100, 0.02)
     rotations = rotation_list(RotationStream(12), 30)
     with ExternalModel([sys.executable, FIXTURE, mode, str(k)], timeout=10.0) as model:
-        with pytest.raises(ExternalModelError, match=rf"^rotation index {k}: {message}") as err:
+        with pytest.raises(ExternalModelError, match=rf"^sample s11: rotation index {k}: {message}") as err:
             augment(model, inp, rotations)
     assert err.value.row is None

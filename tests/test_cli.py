@@ -237,7 +237,22 @@ def test_all_zero_target_is_data_error(tmp_path, capsys, command):
     code = main([command, "--dataset", str(path), "--out", str(tmp_path / "out"), *extra])
     assert code == 3
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "Traceback" not in err
+    assert err.startswith("data error: sample 'rve-0001', field 'sigma': ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "repeats", "sphere-map"])
+def test_strain_that_overflows_once_rotated_is_data_error(tmp_path, capsys, command):
+    # finite in the sample frame, so it loads; the first random rotation overflows it
+    samples = generate_synthetic(3, 6, stream=RotationStream(42))
+    samples[1] = samples[1]._replace(strain=np.full_like(samples[1].strain, 1.7e308))
+    path = tmp_path / "huge_eps.ndjson"
+    save_dataset(samples, path)
+    extra = ["--n-values", "0,2"] if command == "sweep" else ["--rotations", "2"]
+    code = main([command, "--dataset", str(path), "--out", str(tmp_path / "out"), *extra])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err == "data error: sample 'rve-0001', field 'eps': rotation index 1: rotated input has non-finite values\n"
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
@@ -250,6 +265,7 @@ def test_all_zero_strain_is_data_error(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and "Traceback" not in err
+    assert err.endswith("dataset rows at or below it at every step: 1\n")
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 

@@ -12,7 +12,7 @@ from rotta.dataset import (
     load_dataset,
     save_dataset,
 )
-from rotta.models import EquivariantOracle, ModelInput, OracleParams
+from rotta.models import EquivariantOracle, OracleParams
 from rotta.rotations import RotationStream
 from rotta.voigt import trace
 
@@ -59,14 +59,6 @@ def test_sample_without_target_round_trips(tmp_path):
     assert loaded[0].n_steps == 5
 
 
-def test_model_input_passthrough():
-    sample = _valid_sample()
-    inp = sample.model_input()
-    assert isinstance(inp, ModelInput)
-    assert np.array_equal(inp.strain, sample.strain)
-    assert inp.vf == sample.vf
-
-
 # ------------------------------------------------------------ invariants
 
 
@@ -86,6 +78,19 @@ def test_validate_rejects_indefinite_orientation():
     with pytest.raises(InvariantViolation) as err:
         bad.validate()
     assert err.value.field == "a"
+
+
+def test_validate_rejects_bad_shapes():
+    a = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
+    for field, sample in [
+        ("a", Sample(id="x", a=np.zeros(5), vf=0.1, strain=np.zeros((3, 6)))),
+        ("eps", Sample(id="x", a=a, vf=0.1, strain=np.zeros((0, 6)))),
+        ("eps", Sample(id="x", a=a, vf=0.1, strain=np.zeros((3, 5)))),
+        ("eps", Sample(id="x", a=a, vf=0.1, strain=np.zeros(6))),
+    ]:
+        with pytest.raises(InvariantViolation) as err:
+            sample.validate()
+        assert err.value.field == field
 
 
 def test_validate_rejects_out_of_range_vf():

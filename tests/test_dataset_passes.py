@@ -91,19 +91,19 @@ def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, includ
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=seed))
     cfg = TTAConfig(n, seed=seed, divisor_mode=mode, sd_include_identity=include_identity)
     rotations = rotation_list(RotationStream(seed), n)
-    stack = np.stack([augment(model, s.model_input(), rotations) for s in samples])
+    stack = np.stack([augment(model, s, rotations) for s in samples])
     sample_bytes = (n + 1) * t * 6 * 8  # one sample's stack: groups of `group` samples, the last one shorter
     with mock.patch.object(tta, "_CHUNK_STEPS", chunk), mock.patch.object(tta, "_GROUP_BYTES", group * sample_bytes):
         if mode == "paper" and n == 0:
             with pytest.raises(EmptyInput):
-                run_tta(model, samples, cfg, rotations)
+                run_tta(model, samples, cfg)
             return
-        batched = run_tta(model, samples, cfg, rotations)
+        batched = run_tta(model, samples, cfg)
     assert batched.initial.shape == (m, t, 6)
-    assert batched.rotations is rotations
+    assert_same_bits(batched.rotations, rotations)
     assert_same_bits(batched.initial, stack[:, 0])
     for k, sample in enumerate(samples):
-        alone = run_tta(model, [sample], cfg, rotations)
+        alone = run_tta(model, [sample], cfg)
         for field in RESULT_FIELDS:
             assert_same_bits(getattr(batched, field)[k], getattr(alone, field)[0])
         for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode, include_identity)):

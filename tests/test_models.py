@@ -16,11 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from rotta.dataset import Sample
 from rotta.models import (
     EquivariantOracle,
     ExternalModel,
     ExternalModelError,
-    ModelInput,
     NoisyOracle,
     OracleParams,
     _frame_noise,
@@ -39,33 +39,19 @@ def _sample_input(seed=0, n_steps=6, scale=0.02):
     s = RotationStream(seed)
     a = sample_orientation_tensor(s)
     strain = scale * s.normals(6 * n_steps).reshape(n_steps, 6)
-    return ModelInput(a=a, vf=0.12, strain=strain)
+    return Sample(id=f"s{seed}", a=a, vf=0.12, strain=strain)
 
 
 def predict(model, inp):
-    """The stress path of one input: the model's batch of one row."""
+    """The stress path of one sample's input: the model's batch of one row."""
     return model.predict_batch(inp.a[None], inp.vf, inp.strain[None])[0]
 
 
 def _rotated(inp, r):
-    return ModelInput(a=rotate_sym(inp.a, r), vf=inp.vf, strain=rotate_sym(inp.strain, r))
+    return inp._replace(a=rotate_sym(inp.a, r), strain=rotate_sym(inp.strain, r))
 
 
-# ------------------------------------------------------------ model input
-
-
-def test_model_input_validate():
-    _sample_input().validate()
-    with pytest.raises(ValueError):
-        ModelInput(a=np.zeros(5), vf=0.1, strain=np.zeros((3, 6))).validate()
-    with pytest.raises(ValueError):
-        ModelInput(a=np.zeros(6), vf=0.1, strain=np.zeros((0, 6))).validate()
-    with pytest.raises(ValueError):
-        ModelInput(a=np.zeros(6), vf=1.5, strain=np.zeros((3, 6))).validate()
-    bad = np.zeros((3, 6))
-    bad[1, 2] = np.inf
-    with pytest.raises(ValueError):
-        ModelInput(a=np.zeros(6), vf=0.1, strain=bad).validate()
+# ------------------------------------------------------------ parameters
 
 
 def test_oracle_params_validation():
@@ -81,8 +67,8 @@ def test_oracle_params_validation():
 
 
 def test_zero_strain_gives_zero_stress():
-    inp = ModelInput(a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.12,
-                     strain=np.zeros((5, 6)))
+    inp = Sample(id="zero", a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.12,
+                 strain=np.zeros((5, 6)))
     out = predict(EquivariantOracle(), inp)
     assert out.shape == (5, 6)
     assert np.array_equal(out, np.zeros((5, 6)))
@@ -100,7 +86,7 @@ def test_oracle_hand_case():
     params = OracleParams(lam=1.0, mu=1.0, kappa=1.0, sigma_y=1e9)
     a = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
     eps = np.array([[0.01, 0.01, 0.01, 0.0, 0.0, 0.0]])
-    out = predict(EquivariantOracle(params), ModelInput(a=a, vf=0.1, strain=eps))
+    out = predict(EquivariantOracle(params), Sample(id="hand", a=a, vf=0.1, strain=eps))
     assert_allclose(out[0], [0.0510, 0.0506, 0.0504, 0.0, 0.0, 0.0], atol=1e-12)
 
 
@@ -112,7 +98,7 @@ def test_oracle_pure_shear_isotropic():
     e = 0.004
     eps = np.array([[0.0, 0.0, 0.0, e, 0.0, 0.0]])
     vf = 0.25
-    out = predict(EquivariantOracle(params), ModelInput(a=a, vf=vf, strain=eps))
+    out = predict(EquivariantOracle(params), Sample(id="shear", a=a, vf=vf, strain=eps))
     expected = (2.0 * params.mu + (2.0 / 3.0) * vf * params.kappa) * e
     assert_allclose(out[0], [0.0, 0.0, 0.0, expected, 0.0, 0.0], atol=1e-15)
 
@@ -422,7 +408,7 @@ def test_external_batch_out_of_order_with_lines_split_across_writes():
     a, vf, strain = _batch(16, 9, seed=5)
     with ExternalModel(_fixture_cmd("split"), timeout=10.0) as model:
         assert np.array_equal(model.predict_batch(a, vf, strain), strain)
-        assert np.array_equal(predict(model, ModelInput(a[2], vf, strain[2])), strain[2])
+        assert np.array_equal(predict(model, Sample("row", a[2], vf, strain[2])), strain[2])
 
 
 def test_external_batch_larger_than_the_pipes_does_not_deadlock():

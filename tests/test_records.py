@@ -1,5 +1,6 @@
 """The package's records: immutable named tuples, checked where they convert or check fields."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -11,28 +12,44 @@ import pytest
 
 import rotta
 from rotta.dataset import Sample
-from rotta.experiment import ExperimentConfig
-from rotta.metrics import Histogram, MetricsReport, ShapeRatio, ShapeReport, UncertaintyReport
-from rotta.models import ModelInput, OracleParams
-from rotta.spheremap import RasterMap
-from rotta.tta import AuditReport, TTAConfig, TTAResult
+from rotta.models import CheckedRecord, OracleParams
+from rotta.tta import TTAConfig
 
 SRC = Path(rotta.__file__).parents[1]
-
-PLAIN = (Histogram, ShapeRatio, ShapeReport, UncertaintyReport, MetricsReport, RasterMap,
-         TTAResult, AuditReport, ExperimentConfig)
+MODULES = sorted(f"rotta.{p.stem}" for p in (SRC / "rotta").glob("*.py") if p.stem != "__init__")
 
 
 def _sample():
     return Sample(id="s", a=[1.0, 0, 0, 0, 0, 0], vf=0.1, strain=[[0, 0, 0, 0, 0, 0]])
 
 
-RECORDS = [pytest.param(lambda cls=cls: cls(*range(len(cls._fields))), id=cls.__name__) for cls in PLAIN] + [
-    pytest.param(_sample, id="Sample"),
-    pytest.param(lambda: ModelInput(a=np.zeros(6), vf=0.1, strain=np.zeros((2, 6))), id="ModelInput"),
-    pytest.param(lambda: TTAConfig(3), id="TTAConfig"),
-    pytest.param(lambda: OracleParams(), id="OracleParams"),
-]
+# a record that converts or checks its fields needs valid ones; any other is built from 0, 1, ...
+CHECKED = {"Sample": _sample, "TTAConfig": lambda: TTAConfig(3), "OracleParams": OracleParams}
+
+
+def _defined_records():
+    """Every named-tuple class a ``rotta`` module defines, by name."""
+    modules = [importlib.import_module(name) for name in MODULES]
+    return {cls.__name__: cls for module in modules for cls in vars(module).values()
+            if isinstance(cls, type) and issubclass(cls, tuple) and cls.__module__ == module.__name__}
+
+
+def _maker(cls):
+    if cls.__name__ in CHECKED:
+        return CHECKED[cls.__name__]
+    if issubclass(cls, CheckedRecord):
+        return lambda: pytest.fail(f"{cls.__name__} checks its fields: add a record with valid ones to CHECKED")
+    return lambda: cls(*range(len(cls._fields)))
+
+
+RECORDS = [pytest.param(_maker(cls), id=name) for name, cls in sorted(_defined_records().items())]
+
+
+def test_every_checked_maker_builds_a_defined_record():
+    defined = _defined_records()
+    assert len(defined) == 12  # the count README gives
+    for name, make in CHECKED.items():
+        assert type(make()) is defined.get(name)
 
 
 @pytest.mark.parametrize("make", RECORDS)
@@ -61,20 +78,19 @@ def test_checked_records_convert_their_copies():
     sample = _sample()._replace(target_stress=[[1, 2, 3, 4, 5, 6]], a=[1, 0, 0, 0, 0, 0])
     for values in (sample.a, sample.target_stress):
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
-    inp = sample.model_input()._replace(strain=[[0, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0]])
-    assert inp.strain.dtype == np.float64 and inp.n_steps == 2
+    longer = sample._replace(strain=[[0, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0]])
+    assert longer.strain.dtype == np.float64 and longer.n_steps == 2
     assert _sample()._replace(target_stress=None).target_stress is None
 
 
 def test_importing_rotta_generates_no_dataclass_code():
     # a frozen dataclass execs its generated methods at every import; named tuples do not
-    modules = sorted(f"rotta.{p.stem}" for p in (SRC / "rotta").glob("*.py") if p.stem != "__init__")
-    code = (f"import importlib, json, sys\nfor name in {modules!r}: importlib.import_module(name)\n"
+    code = (f"import importlib, json, sys\nfor name in {MODULES!r}: importlib.import_module(name)\n"
             "print(json.dumps(['dataclasses' in sys.modules, sorted(m for m in sys.modules if m.startswith('rotta.'))]))")
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
     has_dataclasses, imported = json.loads(out)
-    assert imported == modules
+    assert imported == MODULES
     assert not has_dataclasses
 
 

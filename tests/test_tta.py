@@ -6,22 +6,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rotta.dataset import Sample, generate_synthetic
-from rotta.models import (
-    EquivariantOracle,
-    ExternalModelError,
-    ModelInput,
-    NoisyOracle,
-    OracleParams,
-)
-from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor, sample_rotation
+from rotta.models import EquivariantOracle, ExternalModelError, NoisyOracle, OracleParams
+from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotation
 from rotta.tta import (
     EmptyInput,
     TTAConfig,
-    aggregate_mean,
     augment,
     compensated_sums,
+    mean_divisor,
     numerics_audit,
-    pointwise_sd,
+    reduce_predictions,
     run_tta,
 )
 from rotta.voigt import trace, von_mises_path
@@ -29,16 +23,23 @@ from rotta.voigt import trace, von_mises_path
 R_X3_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def _sample_input(seed=0, n_steps=8, scale=0.02):
+def _sample(seed=0, n_steps=8, scale=0.02):
     s = RotationStream(seed)
     a = sample_orientation_tensor(s)
     strain = scale * s.normals(6 * n_steps).reshape(n_steps, 6)
-    return ModelInput(a=a, vf=0.13, strain=strain)
+    return Sample(id=f"s{seed}", a=a, vf=0.13, strain=strain)
 
 
 def _samples(*seeds, n_steps=8):
-    """One-path dataset per seed: samples ``s<seed>`` of the inputs of :func:`_sample_input`."""
-    return [Sample(f"s{seed}", *_sample_input(seed=seed, n_steps=n_steps)) for seed in seeds]
+    """One-path dataset per seed: the samples ``s<seed>`` of :func:`_sample`."""
+    return [_sample(seed=seed, n_steps=n_steps) for seed in seeds]
+
+
+def _reduce(paths, mode="count", include_first=False):
+    """:func:`reduce_predictions` of one sample's ``(P, T, 6)`` back-rotated paths, as a ``(1, P, T, 6)`` stack."""
+    paths = np.asarray(paths, dtype=float)
+    cfg = TTAConfig(len(paths) - 1, divisor_mode=mode, sd_include_identity=include_first)
+    return reduce_predictions(paths[None], cfg, None)
 
 
 # ------------------------------------------------------------ input rotation
@@ -60,7 +61,7 @@ def _rotated_input(inp, rotations):
 
 
 def test_rotate_input_identity():
-    inp = _sample_input()
+    inp = _sample()
     a, vf, strain = _rotated_input(inp, np.eye(3)[None])
     assert np.array_equal(a[0], inp.a)
     assert np.array_equal(strain[0], inp.strain)
@@ -69,7 +70,7 @@ def test_rotate_input_identity():
 
 def test_rotate_input_preserves_orientation_trace():
     for seed in range(10):
-        inp = _sample_input(seed=seed)
+        inp = _sample(seed=seed)
         r = RotationStream(seed)
         r.uniforms(3)  # desynchronize from the input draw
         a, _, _ = _rotated_input(inp, sample_rotation(r)[None])
@@ -78,7 +79,7 @@ def test_rotate_input_preserves_orientation_trace():
 
 def test_rotate_input_hand_case():
     a = np.array([0.6, 0.3, 0.1, 0.0, 0.0, 0.0])
-    inp = ModelInput(a=a, vf=0.1, strain=np.zeros((2, 6)))
+    inp = Sample(id="hand", a=a, vf=0.1, strain=np.zeros((2, 6)))
     rotated, _, _ = _rotated_input(inp, R_X3_90[None])
     assert_allclose(rotated[0], [0.3, 0.6, 0.1, 0.0, 0.0, 0.0], atol=1e-15)
 
@@ -98,26 +99,24 @@ def test_config_validation():
 
 def test_aggregate_identical_predictions():
     p = np.full((5, 3, 6), 2.5)
-    assert_allclose(aggregate_mean(p, "count"), np.full((3, 6), 2.5), rtol=0, atol=0)
+    assert_allclose(_reduce(p, "count").aggregated[0], np.full((3, 6), 2.5), rtol=0, atol=0)
 
 
 def test_aggregate_divisor_modes():
     # two single-step paths holding 0 and 2 in one component
     p = np.zeros((2, 1, 6))
     p[1, 0, 0] = 2.0
-    assert aggregate_mean(p, "count")[0, 0] == 1.0  # (0+2)/2
-    assert aggregate_mean(p, "paper")[0, 0] == 2.0  # (0+2)/1, sum over 0..N divided by N
+    assert _reduce(p, "count").aggregated[0, 0, 0] == 1.0  # (0+2)/2
+    assert _reduce(p, "paper").aggregated[0, 0, 0] == 2.0  # (0+2)/1, sum over 0..N divided by N
 
 
 def test_aggregate_rejects_bad_input():
     with pytest.raises(EmptyInput):
-        aggregate_mean(np.empty((0, 3, 6)))
+        _reduce(np.zeros((1, 3, 6)), "paper")  # N = 0 has no divisor
     with pytest.raises(EmptyInput):
-        aggregate_mean(np.zeros((1, 3, 6)), "paper")  # N = 0 has no divisor
+        mean_divisor(1, "paper")
     with pytest.raises(ValueError):
-        aggregate_mean(np.zeros((2, 6)))
-    with pytest.raises(ValueError):
-        aggregate_mean(np.zeros((2, 3, 6)), "banana")
+        mean_divisor(2, "banana")
 
 
 def test_aggregate_order_independence():
@@ -125,9 +124,9 @@ def test_aggregate_order_independence():
     # well-scaled predictions
     rng = np.random.default_rng(0)
     p = rng.standard_normal((64, 4, 6))
-    mean = aggregate_mean(p)
+    mean = _reduce(p).aggregated
     perm = rng.permutation(64)
-    assert_allclose(aggregate_mean(p[perm]), mean, atol=1e-14)
+    assert_allclose(_reduce(p[perm]).aggregated, mean, atol=1e-14)
 
 
 def test_compensated_sums_are_the_kahan_loop_at_each_checkpoint():
@@ -152,59 +151,58 @@ def test_compensated_sums_are_the_kahan_loop_at_each_checkpoint():
 
 
 def test_sd_of_identical_predictions_is_zero():
-    p = np.full((4, 3, 6), 1.25)
-    agg = aggregate_mean(p)
-    assert np.array_equal(pointwise_sd(p, agg), np.zeros((3, 6)))
+    res = _reduce(np.full((4, 3, 6), 1.25))
+    assert np.array_equal(res.sd[0], np.zeros((3, 6)))
+    assert np.array_equal(res.vm_sd[0], np.zeros(3))
+
+
+def _uniaxial(*values):
+    """Single-step paths holding ``values`` in the 11 component, whose von Mises stresses are ``abs(values)``."""
+    p = np.zeros((len(values), 1, 6))
+    p[:, 0, 0] = values
+    return p
 
 
 def test_sd_hand_case():
-    # rows 1..N hold 1 and 3 about an aggregated value of 2:
-    # sqrt(((1-2)^2 + (3-2)^2) / 2) = 1
-    p = np.zeros((3, 1, 6))
-    p[1, 0, 0] = 1.0
-    p[2, 0, 0] = 3.0
-    agg = np.full((1, 6), 2.0)
-    assert pointwise_sd(p, agg)[0, 0] == 1.0
-
-    vm = np.array([[5.0], [1.0], [3.0]])
-    assert pointwise_sd(vm, np.array([2.0]))[0] == 1.0
+    # rows 0..N hold 2, 1 and 3, aggregated value 2; rows 1..N about it:
+    # sqrt(((1-2)^2 + (3-2)^2) / 2) = 1, the same for the von Mises channel
+    res = _reduce(_uniaxial(2.0, 1.0, 3.0))
+    assert res.aggregated[0, 0, 0] == 2.0
+    assert res.sd[0, 0, 0] == 1.0
+    assert res.vm_sd[0, 0] == 1.0
 
 
 def test_sd_include_first():
-    p = np.zeros((3, 1, 1))
-    p[0, 0, 0] = 2.0
-    p[1, 0, 0] = 1.0
-    p[2, 0, 0] = 3.0
-    agg = np.full((1, 1), 2.0)
     # rows {1, 3} about 2 with divisor 2 vs rows {2, 1, 3} with divisor 3
-    assert pointwise_sd(p, agg)[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert pointwise_sd(p, agg, include_first=True)[0, 0] == pytest.approx(
-        np.sqrt(2.0 / 3.0), abs=1e-15
-    )
+    p = _uniaxial(2.0, 1.0, 3.0)
+    assert _reduce(p).sd[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+    both = _reduce(p, include_first=True)
+    assert both.sd[0, 0, 0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
+    assert both.vm_sd[0, 0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
 
 
 def test_sd_homogeneity():
     rng = np.random.default_rng(1)
     p = rng.standard_normal((6, 4, 6))
-    agg = aggregate_mean(p)
-    sd = pointwise_sd(p, agg)
+    sd = _reduce(p).sd
     for c in (3.0, -2.0):
-        assert_allclose(pointwise_sd(c * p, c * agg), abs(c) * sd, atol=1e-12)
+        assert_allclose(_reduce(c * p).sd, abs(c) * sd, atol=1e-12)
 
 
 def test_vm_sd_nonnegative_and_zero_on_identical():
     rng = np.random.default_rng(2)
-    vm = rng.uniform(1.0, 5.0, size=(5, 7))
-    assert np.all(pointwise_sd(vm, vm.mean(axis=0)) >= 0.0)
-    same = np.tile(vm[:1], (4, 1))
-    assert np.array_equal(pointwise_sd(same, vm[0]), np.zeros(7))
+    p = rng.uniform(1.0, 5.0, size=(5, 7, 6))
+    assert np.all(_reduce(p).vm_sd >= 0.0)
+    assert np.all(_reduce(p, include_first=True).vm_sd >= 0.0)
+    same = np.tile(rng.integers(-40, 40, size=(1, 7, 6)) / 8.0, (4, 1, 1))  # dyadic: every sum is exact
+    assert np.array_equal(_reduce(same).vm_sd, np.zeros((1, 7)))
 
 
 def test_sd_needs_two_rows():
-    with pytest.raises(ValueError):
-        pointwise_sd(np.zeros((1, 2, 6)), np.zeros((2, 6)))
-    with pytest.raises(ValueError):
-        pointwise_sd(np.zeros((1, 4)), np.zeros(4))
+    # a single prediction has no spread to form: both spreads are zeros
+    res = _reduce(np.full((1, 2, 6), 3.0))
+    assert np.array_equal(res.sd, np.zeros((1, 2, 6)))
+    assert np.array_equal(res.vm_sd, np.zeros((1, 2)))
 
 
 # ------------------------------------------------------------------ engine
@@ -213,7 +211,7 @@ def test_sd_needs_two_rows():
 def test_equivariant_predictions_all_agree():
     samples = _samples(0, 1)
     res = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=8, seed=3))
-    stack = np.stack([augment(EquivariantOracle(), s.model_input(), res.rotations) for s in samples])
+    stack = np.stack([augment(EquivariantOracle(), s, res.rotations) for s in samples])
     spread = stack.max(axis=1) - stack.min(axis=1)
     assert np.max(spread) <= 1e-10
     assert np.max(res.sd) <= 1e-10
@@ -277,18 +275,6 @@ def test_external_error_is_annotated_with_rotation_index():
     with pytest.raises(ExternalModelError, match=r"^sample s0: rotation index 2: boom$") as err:
         run_tta(Flaky(), _samples(0), TTAConfig(n_rotations=5, seed=2))
     assert err.value.row is None
-
-
-def test_given_rotation_list_matches_own_draw():
-    samples = _samples(4)
-    cfg = TTAConfig(n_rotations=6, seed=11)
-    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    given = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), samples, cfg, rotations)
-    own = run_tta(NoisyOracle(OracleParams(noise_amp=3.0)), samples, cfg)
-    for field in given._fields:
-        assert getattr(given, field).tobytes() == getattr(own, field).tobytes()
-    with pytest.raises(ValueError, match="7 rotations"):
-        run_tta(EquivariantOracle(), samples, cfg, rotations[:-1])
 
 
 def test_rejects_invalid_input():
