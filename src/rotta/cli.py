@@ -199,13 +199,16 @@ def _cmd_generate(args):
     count = args.samples
     if count is None:
         count = UNIAXIAL_COUNT if args.uniaxial else 26
-    samples = generate_synthetic(
-        count,
-        args.steps,
-        max_strain=args.max_strain,
-        stream=RotationStream(args.seed),
-        uniaxial=args.uniaxial,
-    )
+    try:
+        samples = generate_synthetic(
+            count,
+            args.steps,
+            max_strain=args.max_strain,
+            stream=RotationStream(args.seed),
+            uniaxial=args.uniaxial,
+        )
+    except ValueError as exc:  # generate reads no data: every invalid sample comes from its arguments
+        raise ConfigError(str(exc)) from exc
     save_dataset(samples, args.dataset)
     log.info("wrote %d samples to %s", len(samples), args.dataset)
     print(f"{args.dataset}: {len(samples)} samples x {args.steps} steps")

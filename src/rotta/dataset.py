@@ -271,8 +271,8 @@ def generate_synthetic(
     """
     if count < 1 or n_steps < 1:
         raise ValueError("count and n_steps must be >= 1")
-    if max_strain <= 0:
-        raise ValueError("max_strain must be positive")
+    if not 0.0 < max_strain < np.inf:
+        raise ValueError(f"max_strain must be positive and finite, got {max_strain}")
     if stream is None:
         stream = RotationStream(0)
     if oracle is None:

@@ -11,6 +11,7 @@ output file) and removes partial outputs if it fails midway.
 
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from pathlib import Path
@@ -55,7 +56,6 @@ class ExperimentConfig(NamedTuple):
     n_rotations: int = 200
     seed: int = 0
     divisor_mode: str = "count"
-    sd_include_identity: bool = False
     mare_abs: bool = False
     bin_width: float = DEFAULT_BIN_WIDTH
     noise_amp: float = 0.0
@@ -77,6 +77,9 @@ class ExperimentConfig(NamedTuple):
 
     def validate(self, check_paths=True):
         kind = self.model_kind()
+        for name in ("bin_width", "noise_amp", "radius", "external_timeout"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if kind == "external" and not self.model[len(EXTERNAL_PREFIX):].strip():
             raise ConfigError("external model command is empty")
         if kind == "noisy" and self.noise_amp <= 0:
@@ -208,8 +211,11 @@ def _write_outputs(cfg: ExperimentConfig, write, extra=None):
         raise
 
 
-def _load_evaluable(cfg: ExperimentConfig):
-    """Load the dataset; require a uniform path length and targets with a positive von Mises value."""
+def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
+    """Load the dataset; require a uniform path length and targets with a positive von Mises value.
+
+    Paths need ``min_steps``: 3 for the shape metrics' step differences; the sweep has none and passes 1.
+    """
     samples = load_dataset(cfg.dataset)
     if not samples:
         raise InvariantViolation("<dataset>", "samples", "dataset is empty")
@@ -223,6 +229,8 @@ def _load_evaluable(cfg: ExperimentConfig):
             raise InvariantViolation(
                 sample.id, "eps", f"path length {sample.n_steps} differs from first sample ({n_steps})"
             )
+    if n_steps < min_steps:
+        raise InvariantViolation(samples[0].id, "eps", f"shape metrics need at least {min_steps} steps, got {n_steps}")
     return samples
 
 
@@ -232,13 +240,7 @@ def compute_results(cfg: ExperimentConfig, model, samples):
     The rotation list is drawn once from ``cfg.seed`` and shared by every
     sample.  The caller owns ``model`` and closes it.
     """
-    tta_cfg = TTAConfig(
-        n_rotations=cfg.n_rotations,
-        seed=cfg.seed,
-        divisor_mode=cfg.divisor_mode,
-        sd_include_identity=cfg.sd_include_identity,
-    )
-    return run_tta(model, samples, tta_cfg)
+    return run_tta(model, samples, TTAConfig(cfg.n_rotations, cfg.seed, cfg.divisor_mode))
 
 
 def _evaluate(cfg: ExperimentConfig, samples, result):
@@ -337,7 +339,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         raise ConfigError("rotation counts must be >= 0")
     _check_divisor(cfg, checkpoints[0])
 
-    samples = _load_evaluable(cfg)
+    samples = _load_evaluable(cfg, min_steps=1)
     rotations = rotation_list(RotationStream(cfg.seed), checkpoints[-1])
     target_vm = np.stack([von_mises_path(s.target_stress) for s in samples])
     n_steps = samples[0].n_steps

@@ -216,7 +216,7 @@ def _pearson(x, y):
 
     Every reduction runs along the last axis, so a row of a C-contiguous
     array is summed pairwise exactly as the 1-d sequence alone would be and
-    gets the same bits.
+    gets the same bits.  A one-point row has zero variance: it is degenerate.
     """
     dx = x - np.mean(x, axis=-1, keepdims=True)
     dy = y - np.mean(y, axis=-1, keepdims=True)
@@ -375,7 +375,8 @@ class UncertaintyReport(NamedTuple):
     division guard (``included`` marks the usable steps).  ``r_abs`` and
     ``r_rel`` are correlation coefficients over steps of (spread, error)
     pairs; a NaN value with the matching ``*_degenerate`` flag means a
-    curve was constant and the coefficient is undefined.
+    curve was constant or had fewer than two steps, and the coefficient is
+    undefined.
     """
 
     sd_curve: np.ndarray
@@ -419,7 +420,8 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
     the aggregated von Mises value first; any step where that divisor is
     at or below ``EPS_DIV`` for some sample is excluded from the relative
     curves (NaN) and counted.  Raises :class:`AllStepsExcluded`, naming the
-    rows at or below the guard at every step, if no step survives.
+    rows at or below the guard at every step, if no step survives.  A
+    coefficient over a constant curve or fewer than two steps is NaN, flagged.
     """
     sd_paths = np.atleast_2d(np.asarray(sd_paths, dtype=float))
     target_vm = np.atleast_2d(np.asarray(target_vm, dtype=float))
@@ -444,14 +446,8 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
     e_rel_curve[included] = np.mean(e_abs[:, included] / safe, axis=0)
     sd_rel_curve[included] = np.mean(sd_paths[:, included] / safe, axis=0)
 
-    def _corr(a, b):
-        try:
-            return pearson_r(a, b), False
-        except DegenerateSequence:
-            return math.nan, True
-
-    r_abs, abs_degen = _corr(sd_curve, e_abs_curve)
-    r_rel, rel_degen = _corr(sd_rel_curve[included], e_rel_curve[included])
+    r_abs, abs_degen = _pearson(sd_curve, e_abs_curve)
+    r_rel, rel_degen = _pearson(sd_rel_curve[included], e_rel_curve[included])
     return UncertaintyReport(
         sd_curve=sd_curve,
         e_abs_curve=e_abs_curve,
@@ -459,27 +455,11 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
         sd_rel_curve=sd_rel_curve,
         included=included,
         n_excluded=n_excluded,
-        r_abs=r_abs,
-        r_rel=r_rel,
-        r_abs_degenerate=abs_degen,
-        r_rel_degenerate=rel_degen,
+        r_abs=float(r_abs),
+        r_rel=float(r_rel),
+        r_abs_degenerate=bool(abs_degen),
+        r_rel_degenerate=bool(rel_degen),
     )
-
-
-def component_error_correlation(sd_components, target_paths, aggregated_paths):
-    """Correlation of spread vs error pooled over samples, steps, and components.
-
-    Pairs (SD_c(t), |target_c(t) - aggregated_c(t)|) from every sample,
-    step, and tensor component are concatenated into two flat sequences
-    whose Pearson coefficient is returned.  This measures how well the
-    per-component spread tracks per-component error for individual
-    predictions rather than dataset averages.
-    """
-    sd = np.asarray(sd_components, dtype=float).ravel()
-    err = np.abs(
-        np.asarray(target_paths, dtype=float) - np.asarray(aggregated_paths, dtype=float)
-    ).ravel()
-    return pearson_r(sd, err)
 
 
 def jsonable(value):
@@ -510,7 +490,9 @@ class MetricsReport(NamedTuple):
     """Full evaluation bundle of one augmented-inference run over a dataset.
 
     ``mere_per_rotation`` and ``mare_per_rotation`` are ``(P,)`` arrays over
-    rotation indices 0..N.
+    rotation indices 0..N.  ``component_r`` correlates the spread with the
+    absolute error pooled over every sample, step and tensor component (NaN
+    with ``component_r_degenerate`` set when either is constant).
     """
 
     mere_per_rotation: np.ndarray
@@ -631,11 +613,7 @@ def evaluate_dataset(
 
     shape = shape_report(target_paths, result.initial, result.aggregated)
     uncertainty = uncertainty_curves(result.vm_sd, target_vm, result.vm_aggregated)
-    try:
-        comp_r = component_error_correlation(result.sd, target_paths, result.aggregated)
-        comp_degen = False
-    except DegenerateSequence:
-        comp_r, comp_degen = math.nan, True
+    comp_r, comp_degen = _pearson(result.sd.ravel(), np.abs(target_paths - result.aggregated).ravel())
 
     return MetricsReport(
         mere_per_rotation=mere_vec,
@@ -650,8 +628,8 @@ def evaluate_dataset(
         histogram=hist,
         shape=shape,
         uncertainty=uncertainty,
-        component_r=comp_r,
-        component_r_degenerate=comp_degen,
+        component_r=float(comp_r),
+        component_r_degenerate=bool(comp_degen),
         n_samples=int(target_paths.shape[0]),
         n_steps=int(target_paths.shape[1]),
         n_rotations=int(n_pred - 1),

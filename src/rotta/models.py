@@ -330,9 +330,12 @@ class ExternalModel:
                     payload, wfd = b"", None
             if readable:
                 chunk = os.read(rfd, 1 << 16)
-                if not chunk:
-                    status = self._proc.poll()
-                    raise ExternalModelError(f"external model closed its output (exit status {status})", first)
+                if not chunk:  # wait for the exit status, as long as progress may take
+                    try:
+                        status = f"exit status {self._proc.wait(max(0.0, deadline - time.monotonic()))}"
+                    except subprocess.TimeoutExpired:
+                        status = f"still running after the {self.timeout:.1f} s timeout"
+                    raise ExternalModelError(f"external model closed its output ({status})", first)
                 *lines, self._buffer = (self._buffer + chunk).split(b"\n")
                 for line in lines:
                     del waiting[self._store(line, waiting, out, min(waiting.values(), default=sent))]

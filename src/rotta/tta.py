@@ -50,8 +50,7 @@ class EmptyInput(ValueError):
     """A mean was asked for with a zero divisor: the paper divisor over the identity alone."""
 
 
-class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor_mode sd_include_identity",
-                                          defaults=(0, DIVISOR_COUNT, False))):
+class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor_mode", defaults=(0, DIVISOR_COUNT))):
     """Settings of one augmented-inference pass.
 
     Parameters
@@ -64,9 +63,9 @@ class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor
         "count" divides the (N+1)-term sum by the number of predictions;
         "paper" divides it by N, reproducing the printed mean formula
         verbatim (rejects N = 0).
-    sd_include_identity : bool
-        The printed spread formulas sum over the random rotations only;
-        set True to include index 0 with divisor N+1 instead.
+
+    The spread always follows the printed formula: rows 1..N, the random
+    rotations only, about the mean, with divisor N.
     """
 
     __slots__ = ()
@@ -164,8 +163,7 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
     axis for the mean (divided as :func:`mean_divisor` says) and one for each
     spread, each element with the additions of its own sample's pass.  The
     spreads sum rows 1..P-1 with divisor P-1, the printed formula over the
-    random rotations only, or all P rows with divisor P when
-    ``cfg.sd_include_identity`` is set; a single rotation has zero spread.
+    random rotations only; the identity alone (P = 1) has zero spread.
     The result's ``initial`` is a copy of ``backrotated[:, 0]``.
     """
     by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
@@ -177,9 +175,8 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
         vm_by_rotation[block] = von_mises(by_rotation[block])
     vm_aggregated = von_mises(aggregated)
     if p >= 2:
-        first = 0 if cfg.sd_include_identity else 1
-        sd = _spread(by_rotation[first:], aggregated)
-        vm_sd = _spread(vm_by_rotation[first:], vm_aggregated)
+        sd = _spread(by_rotation[1:], aggregated)
+        vm_sd = _spread(vm_by_rotation[1:], vm_aggregated)
     else:
         sd = np.zeros_like(aggregated)
         vm_sd = np.zeros_like(vm_aggregated)

@@ -19,6 +19,7 @@ modes answer requests 0..K-1 like echo and put their fault on request K
   silent   read requests but never answer (forces a timeout)
   deaf     never read stdin, never answer (a large request fills the pipe)
   quit     exit immediately without reading anything
+  hangup   close stdout, then exit with status 3 after a 0.2 s pause
   split    answer like echo, but hold the responses and write them in
            reverse order, in pieces that cut lines, several to one write
   stubborn answer like echo, ignore SIGTERM, and outlive the end of stdin
@@ -87,6 +88,10 @@ def main():
         mode, k = "exit", 1
     if mode == "quit":
         return
+    if mode == "hangup":
+        os.close(1)  # sys.stdout.close() would leave the descriptor open
+        time.sleep(0.2)
+        sys.exit(3)
     if mode == "deaf":
         time.sleep(3600)
     if mode == "split":

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import rotta
+from rotta import cli
 from rotta.cli import main
 from rotta.dataset import generate_synthetic, save_dataset
+from rotta.experiment import ExperimentConfig
+from rotta.models import EquivariantOracle
 from rotta.rotations import RotationStream
 
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
@@ -44,6 +47,22 @@ def test_generate(tmp_path, capsys):
     assert code == 0
     assert len(path.read_text().splitlines()) == 3
     assert "3 samples x 8 steps" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["--samples", "0"],
+    ["--steps", "0"],
+    ["--max-strain", "-1"],
+    ["--max-strain", "nan"],
+    ["--uniaxial", "--steps", "3"],
+], ids=" ".join)
+def test_generate_argument_errors_are_config_errors(tmp_path, capsys, args):
+    path = tmp_path / "gen.ndjson"
+    assert main(["generate", "--dataset", str(path), *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and "Traceback" not in captured.err
+    assert not path.exists()
 
 
 def test_generate_uniaxial_default_count(tmp_path):
@@ -209,6 +228,72 @@ def test_sweep_ignores_rotations_under_the_paper_divisor(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["--bin-width", "nan"],
+    ["--bin-width", "inf"],
+    ["--model", "noisy", "--noise-amp", "nan"],
+    ["--model", "noisy", "--noise-amp", "inf"],
+    ["--radius", "nan", "--sphere-map"],
+    ["--timeout", "nan"],
+    ["--timeout", "inf"],
+], ids=" ".join)
+def test_non_finite_setting_is_config_error(dataset_path, tmp_path, capsys, args):
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", dataset_path, "--out", str(out), "--rotations", "2", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: ") and "must be finite" in captured.err
+    assert not out.exists()
+
+
+def test_every_config_field_is_set_by_some_flag():
+    # an ExperimentConfig field no command's flags reach is an option nothing can set
+    required = ["--dataset", "d.ndjson", "--out", "out", "--n-values", "1"]
+    reached = set()
+    for command in cli._COMMANDS:
+        if command == "generate":
+            continue
+        parser = cli.build_parser([command])
+        args, _ = parser.parse_known_args([command, *required])
+        flags = {dest: ("flag", dest) for dest in vars(args) if dest != "command"}
+        cfg = cli._config_from(type(args)(**flags))
+        reached |= {field for field, value in cfg._asdict().items() if value in flags.values()}
+    assert reached == set(ExperimentConfig._fields)
+
+
+@pytest.mark.parametrize("command", ["run", "repeats", "sphere-map", "sweep"])
+def test_paths_shorter_than_three_steps(tmp_path, capsys, command):
+    # shape consistency correlates step differences; the sweep computes none
+    path = tmp_path / "short.ndjson"
+    save_dataset(generate_synthetic(3, 2, stream=RotationStream(45)), path)
+    out = tmp_path / "out"
+    extra = ["--n-values", "0,2"] if command == "sweep" else ["--rotations", "2"]
+    code = main([command, "--dataset", str(path), "--out", str(out), *extra])
+    captured = capsys.readouterr()
+    if command == "sweep":
+        assert code == 0 and (out / "sweep.csv").is_file()
+        return
+    assert code == 3
+    assert captured.err == "data error: sample 'rve-0000', field 'eps': shape metrics need at least 3 steps, got 2\n"
+    assert not out.exists()
+
+
+def test_relative_curve_of_one_step_has_a_degenerate_coefficient(tmp_path):
+    # strain, and so every stress, is zero but at the last step: one step clears the division guard
+    samples = []
+    for s in generate_synthetic(2, 10, stream=RotationStream(46)):
+        strain = np.zeros_like(s.strain)
+        strain[-1] = s.strain[-1]
+        samples.append(s._replace(strain=strain, target_stress=EquivariantOracle().predict_batch(s.a, s.vf, strain)))
+    path = tmp_path / "one_step.ndjson"
+    save_dataset(samples, path)
+    out = tmp_path / "out"
+    assert main(["run", "--dataset", str(path), "--out", str(out), "--rotations", "3"]) == 0
+    uncertainty = json.loads((out / "metrics.json").read_text())["uncertainty"]
+    assert uncertainty["n_excluded"] == 9
+    assert uncertainty["r_rel"] == "nan" and uncertainty["r_rel_degenerate"] is True
+
+
 def test_corrupt_dataset_is_data_error(tmp_path, capsys):
     path = tmp_path / "bad.ndjson"
     path.write_text("{not json\n")
@@ -277,6 +362,7 @@ def test_failing_external_model_is_external_error(dataset_path, tmp_path, capsys
     err = capsys.readouterr().err
     assert "external model error" in err
     assert "sample rve-0000" in err
+    assert err.endswith("closed its output (exit status 0)\n")
 
 
 def test_external_model_that_dies_is_external_error(dataset_path, tmp_path, capsys):

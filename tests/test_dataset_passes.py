@@ -50,16 +50,15 @@ def _kahan(rows):
     return total
 
 
-def _per_sample(stack, mode, include_identity):
+def _per_sample(stack, mode):
     """The per-sample reduction the batched pass replaced: ``(aggregated, sd, vm_individual, vm_aggregated, vm_sd)``."""
     n = stack.shape[0]
     aggregated = _kahan(stack) / (n if mode == "count" else n - 1)
     vm, vm_aggregated = von_mises(stack), von_mises(aggregated)
     if n < 2:
         return aggregated, np.zeros_like(aggregated), vm, vm_aggregated, np.zeros_like(vm_aggregated)
-    rows, vm_rows = (stack, vm) if include_identity else (stack[1:], vm[1:])
-    sd = np.sqrt(_kahan((rows - aggregated) ** 2) / rows.shape[0])
-    vm_sd = np.sqrt(_kahan((vm_rows - vm_aggregated) ** 2) / vm_rows.shape[0])
+    sd = np.sqrt(_kahan((stack[1:] - aggregated) ** 2) / (n - 1))
+    vm_sd = np.sqrt(_kahan((vm[1:] - vm_aggregated) ** 2) / (n - 1))
     return aggregated, sd, vm, vm_aggregated, vm_sd
 
 
@@ -75,7 +74,6 @@ reduction_cases = dict(
     n=st.integers(0, 12),
     t=st.integers(1, 30),
     mode=st.sampled_from(["count", "paper"]),
-    include_identity=st.booleans(),
     chunk=st.integers(1, 400),
     group=st.integers(1, 6),
 )
@@ -83,13 +81,13 @@ reduction_cases = dict(
 
 @settings(max_examples=60, deadline=None)
 @given(**reduction_cases)
-@example(seed=0, m=3, n=1, t=5, mode="count", include_identity=False, chunk=8192, group=3)
-@example(seed=1, m=2, n=0, t=4, mode="count", include_identity=True, chunk=8192, group=1)
-@example(seed=2, m=5, n=3, t=6, mode="paper", include_identity=False, chunk=8192, group=2)
-def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, include_identity, chunk, group):
+@example(seed=0, m=3, n=1, t=5, mode="count", chunk=8192, group=3)
+@example(seed=1, m=2, n=0, t=4, mode="count", chunk=8192, group=1)
+@example(seed=2, m=5, n=3, t=6, mode="paper", chunk=8192, group=2)
+def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, chunk, group):
     samples = [_sample(seed + k, t) for k in range(m)]
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=seed))
-    cfg = TTAConfig(n, seed=seed, divisor_mode=mode, sd_include_identity=include_identity)
+    cfg = TTAConfig(n, seed=seed, divisor_mode=mode)
     rotations = rotation_list(RotationStream(seed), n)
     stack = np.stack([augment(model, s, rotations) for s in samples])
     sample_bytes = (n + 1) * t * 6 * 8  # one sample's stack: groups of `group` samples, the last one shorter
@@ -106,7 +104,7 @@ def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, includ
         alone = run_tta(model, [sample], cfg)
         for field in RESULT_FIELDS:
             assert_same_bits(getattr(batched, field)[k], getattr(alone, field)[0])
-        for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode, include_identity)):
+        for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode)):
             assert_same_bits(getattr(batched, field)[k], oracle)
 
 
@@ -136,10 +134,9 @@ def test_one_sample_groups_peak_well_below_the_dataset_stack():
     p=st.integers(1, 9),
     t=st.integers(1, 12),
     mode=st.sampled_from(["count", "paper"]),
-    include_identity=st.booleans(),
     chunk=st.integers(1, 60),
 )
-def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, include_identity, chunk):
+def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, chunk):
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((m, p, t, 6)) * 10.0 ** rng.integers(-8, 8, (m, p, t, 6))
     u = rng.random(stack.shape)
@@ -147,13 +144,13 @@ def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, 
     stack[(u >= 0.1) & (u < 0.2)] = -0.0
     stack[(u >= 0.2) & (u < 0.22)] = np.inf
     stack[(u >= 0.22) & (u < 0.24)] = np.nan
-    cfg = TTAConfig(p - 1, divisor_mode=mode, sd_include_identity=include_identity)
+    cfg = TTAConfig(p - 1, divisor_mode=mode)
     if mode == "paper" and p == 1:
         return
     with np.errstate(all="ignore"), mock.patch.object(tta, "_CHUNK_STEPS", chunk):
         batched = reduce_predictions(stack, cfg, np.repeat(np.eye(3)[None], p, axis=0))
         for k in range(m):
-            aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack[k], mode, include_identity)
+            aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack[k], mode)
             for field, want in zip(RESULT_FIELDS, (stack[k, 0], aggregated, sd, vm, vm_aggregated, vm_sd)):
                 assert_same_bits(getattr(batched, field)[k], want)
 

@@ -336,7 +336,7 @@ def test_config_roundtrip_dict(dataset_path, tmp_path):
 def test_config_to_dict_pins_keys_order_and_values(tmp_path):
     cfg = ExperimentConfig(
         dataset=tmp_path / "d.ndjson", out_dir=tmp_path / "out", model="external:echo", n_rotations=17,
-        seed=4, divisor_mode="paper", sd_include_identity=True, mare_abs=True, bin_width=2e-5,
+        seed=4, divisor_mode="paper", mare_abs=True, bin_width=2e-5,
         noise_amp=1.5, noise_seed=9, sphere_map=True, grid=(np.int64(12), 6), radius=3.0,
         colormap="gray", external_timeout=7.5,
     )
@@ -347,7 +347,6 @@ def test_config_to_dict_pins_keys_order_and_values(tmp_path):
         "n_rotations": 17,
         "seed": 4,
         "divisor_mode": "paper",
-        "sd_include_identity": True,
         "mare_abs": True,
         "bin_width": 2e-5,
         "noise_amp": 1.5,

@@ -15,7 +15,6 @@ from rotta.metrics import (
     AllStepsExcluded,
     DegenerateSequence,
     ZeroTargetMax,
-    component_error_correlation,
     evaluate_dataset,
     first_differences,
     jsonable,
@@ -320,6 +319,23 @@ def test_uncertainty_excludes_guarded_steps():
     assert np.all(np.isfinite(report.e_rel_curve[report.included]))
 
 
+def test_uncertainty_single_included_step_is_degenerate():
+    # one step clears the division guard: a relative coefficient over one point is undefined
+    target = np.array([[0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
+    aggregated = np.array([[0.0, 0.0, 2.5], [0.0, 0.0, 2.0]])
+    sd = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.3]])
+    report = uncertainty_curves(sd, target, aggregated)
+    assert report.n_excluded == 2
+    assert math.isnan(report.r_rel) and report.r_rel_degenerate is True
+    assert report.r_abs == pytest.approx(1.0, abs=1e-12) and report.r_abs_degenerate is False
+    assert type(report.r_rel) is float and type(report.r_abs) is float
+    json.dumps(report.to_dict())
+    # a one-step dataset: both coefficients are over one point
+    one = uncertainty_curves(sd[:, 2:], target[:, 2:], aggregated[:, 2:])
+    assert one.r_abs_degenerate and one.r_rel_degenerate
+    assert math.isnan(one.r_abs) and math.isnan(one.r_rel)
+
+
 def test_uncertainty_all_steps_excluded():
     with pytest.raises(AllStepsExcluded):
         uncertainty_curves(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3)))
@@ -330,13 +346,23 @@ def test_uncertainty_shape_mismatch():
         uncertainty_curves(np.ones((2, 3)), np.ones((2, 3)), np.ones((2, 4)))
 
 
-def test_component_error_correlation_perfect_alignment():
+def _result_of(aggregated, sd):
+    """A :class:`TTAResult` of three predictions per sample, all equal to ``aggregated``, with spread ``sd``."""
+    vm = von_mises(aggregated)
+    return TTAResult(aggregated, aggregated, sd, np.repeat(vm[:, None], 3, axis=1), vm, von_mises(sd),
+                     np.repeat(np.eye(3)[None], 3, axis=0))
+
+
+def test_component_r_perfect_alignment():
     rng = np.random.default_rng(6)
     err = np.abs(rng.standard_normal((2, 6, 6)))
     target = rng.standard_normal((2, 6, 6))
     aggregated = target - err  # |target - aggregated| == err
-    r = component_error_correlation(err, target, aggregated)
-    assert r == pytest.approx(1.0, abs=1e-12)
+    report = evaluate_dataset(target, _result_of(aggregated, err))
+    assert report.component_r == pytest.approx(1.0, abs=1e-12)
+    assert report.component_r_degenerate is False
+    constant = evaluate_dataset(target, _result_of(aggregated, np.full_like(err, 0.5)))
+    assert math.isnan(constant.component_r) and constant.component_r_degenerate is True
 
 
 # -------------------------------------------------------------- jsonable

@@ -336,6 +336,27 @@ def test_external_early_exit_rejected():
             predict(model, _sample_input())
 
 
+def test_external_closed_output_reports_the_exit_status_of_a_child_still_exiting():
+    # the child closes stdout 0.2 s before it exits: the status is waited for, not polled
+    with ExternalModel(_fixture_cmd("hangup"), timeout=10.0) as model:
+        with pytest.raises(ExternalModelError, match=r"closed its output \(exit status 3\)"):
+            predict(model, _sample_input())
+
+
+def test_external_closed_output_of_a_child_that_keeps_running_says_so():
+    real_wait = subprocess.Popen.wait
+
+    def never_exits(self, timeout=None):  # every bounded wait runs out
+        if timeout is None:
+            return real_wait(self)
+        raise subprocess.TimeoutExpired(self.args, timeout)
+
+    with mock.patch.object(subprocess.Popen, "wait", never_exits):
+        with ExternalModel(_fixture_cmd("hangup"), timeout=10.0) as model:
+            with pytest.raises(ExternalModelError, match=r"closed its output \(still running after the 10\.0 s timeout\)"):
+                predict(model, _sample_input())
+
+
 def test_external_dead_child_is_not_respawned():
     inp = _sample_input(seed=3, n_steps=4)
     with ExternalModel(_fixture_cmd("once")) as model:

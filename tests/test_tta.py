@@ -35,11 +35,10 @@ def _samples(*seeds, n_steps=8):
     return [_sample(seed=seed, n_steps=n_steps) for seed in seeds]
 
 
-def _reduce(paths, mode="count", include_first=False):
+def _reduce(paths, mode="count"):
     """:func:`reduce_predictions` of one sample's ``(P, T, 6)`` back-rotated paths, as a ``(1, P, T, 6)`` stack."""
     paths = np.asarray(paths, dtype=float)
-    cfg = TTAConfig(len(paths) - 1, divisor_mode=mode, sd_include_identity=include_first)
-    return reduce_predictions(paths[None], cfg, None)
+    return reduce_predictions(paths[None], TTAConfig(len(paths) - 1, divisor_mode=mode), None)
 
 
 # ------------------------------------------------------------ input rotation
@@ -172,15 +171,6 @@ def test_sd_hand_case():
     assert res.vm_sd[0, 0] == 1.0
 
 
-def test_sd_include_first():
-    # rows {1, 3} about 2 with divisor 2 vs rows {2, 1, 3} with divisor 3
-    p = _uniaxial(2.0, 1.0, 3.0)
-    assert _reduce(p).sd[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
-    both = _reduce(p, include_first=True)
-    assert both.sd[0, 0, 0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
-    assert both.vm_sd[0, 0] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-15)
-
-
 def test_sd_homogeneity():
     rng = np.random.default_rng(1)
     p = rng.standard_normal((6, 4, 6))
@@ -193,7 +183,6 @@ def test_vm_sd_nonnegative_and_zero_on_identical():
     rng = np.random.default_rng(2)
     p = rng.uniform(1.0, 5.0, size=(5, 7, 6))
     assert np.all(_reduce(p).vm_sd >= 0.0)
-    assert np.all(_reduce(p, include_first=True).vm_sd >= 0.0)
     same = np.tile(rng.integers(-40, 40, size=(1, 7, 6)) / 8.0, (4, 1, 1))  # dyadic: every sum is exact
     assert np.array_equal(_reduce(same).vm_sd, np.zeros((1, 7)))
 
