@@ -38,10 +38,11 @@ from .experiment import (
     run_sphere_map,
     run_sweep,
 )
-from .metrics import DEFAULT_BIN_WIDTH, AllStepsExcluded
+from .metrics import AllStepsExcluded, TooManyBins
 from .models import ExternalModelError
 from .rotations import RotationStream
-from .spheremap import DEFAULT_GRID, DEFAULT_RADIUS
+from .spheremap import COLORMAPS
+from .tta import DIVISOR_MODES
 
 log = logging.getLogger("rotta")
 
@@ -73,37 +74,37 @@ def _n_values(text):
 
 
 def _add_common(parser, run_flags=True):
-    """Flags of every command that predicts; ``run_flags=False`` leaves out those only a run reads (audit)."""
+    """Flags of every command that predicts; ``run_flags=False`` leaves out those only a run reads (audit).
+
+    Each flag's ``dest`` is the :class:`~rotta.experiment.ExperimentConfig`
+    field it sets, and none has a default of its own: these parsers leave an
+    omitted flag out of the namespace (``argparse.SUPPRESS``), so the field
+    keeps the default the config gives it.
+    """
     parser.add_argument("--dataset", required=True, help="dataset file (newline-delimited JSON)")
     if run_flags:
-        parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, default=0, help="rotation stream seed")
+        parser.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
+    parser.add_argument("--seed", type=int, help="rotation stream seed")
     if run_flags:
-        parser.add_argument("--rotations", type=int, default=200, metavar="N",
+        parser.add_argument("--rotations", dest="n_rotations", type=int, metavar="N",
                             help="number of random rotations (identity is extra)")
-    parser.add_argument("--model", default="equivariant",
-                        help="equivariant | noisy | external:<command>")
-    parser.add_argument("--noise-amp", type=float, default=0.0,
-                        help="noise amplitude of the noisy model (MPa)")
-    parser.add_argument("--noise-seed", type=int, default=0, help="noise hash seed")
+    parser.add_argument("--model", help="equivariant | noisy | external:<command>")
+    parser.add_argument("--noise-amp", type=float, help="noise amplitude of the noisy model (MPa)")
+    parser.add_argument("--noise-seed", type=int, help="noise hash seed")
     if run_flags:
         parser.add_argument("--mare-abs", action="store_true",
                             help="absolute instead of signed step difference in max relative error")
-        parser.add_argument("--divisor", choices=("count", "paper"), default="count",
+        parser.add_argument("--divisor", dest="divisor_mode", choices=DIVISOR_MODES,
                             help="mean divisor: number of predictions, or N as printed")
-        parser.add_argument("--bin-width", type=float, default=DEFAULT_BIN_WIDTH,
-                            help="histogram bin width")
-    parser.add_argument("--timeout", type=float, default=30.0,
+        parser.add_argument("--bin-width", type=float, help="histogram bin width")
+    parser.add_argument("--timeout", dest="external_timeout", type=float, metavar="TIMEOUT",
                         help="external model timeout: longest wait without progress (s)")
 
 
 def _add_map_flags(parser):
-    parser.add_argument("--grid", type=_grid, default=DEFAULT_GRID, metavar="WxH",
-                        help="raster grid size")
-    parser.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
-                        help="projection radius R")
-    parser.add_argument("--colormap", choices=("viridis", "gray"), default="viridis",
-                        help="map colormap")
+    parser.add_argument("--grid", type=_grid, metavar="WxH", help="raster grid size")
+    parser.add_argument("--radius", type=float, help="projection radius R")
+    parser.add_argument("--colormap", choices=tuple(COLORMAPS), help="map colormap")
 
 
 def _add_generate_flags(p):
@@ -126,7 +127,7 @@ def _add_run_flags(p):
 
 def _add_audit_flags(p):
     _add_common(p, run_flags=False)
-    p.add_argument("--identity-only", action="store_true",
+    p.add_argument("--identity-only", action="store_true", default=False,
                    help="use identity rotations (errors must be exactly zero)")
 
 
@@ -162,37 +163,16 @@ def build_parser(argv):
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_flags, _) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        # a predicting command's omitted flag leaves its config field at the default
+        p = sub.add_parser(name, help=help_text, argument_default=None if name == "generate" else argparse.SUPPRESS)
         if name == named:
             add_flags(p)
     return parser
 
 
-# Flag destination -> ExperimentConfig field, for the flags not every command has;
-# a command without one runs with the field's default.
-_OPTIONAL_FIELDS = {
-    "rotations": "n_rotations",
-    "divisor": "divisor_mode",
-    "mare_abs": "mare_abs",
-    "bin_width": "bin_width",
-    "sphere_map": "sphere_map",
-    "grid": "grid",
-    "radius": "radius",
-    "colormap": "colormap",
-}
-
-
 def _config_from(args):
-    return ExperimentConfig(
-        dataset=args.dataset,
-        out_dir=getattr(args, "out", "."),
-        model=args.model,
-        seed=args.seed,
-        noise_amp=args.noise_amp,
-        noise_seed=args.noise_seed,
-        external_timeout=args.timeout,
-        **{field: getattr(args, dest) for dest, field in _OPTIONAL_FIELDS.items() if hasattr(args, dest)},
-    )
+    """The :class:`~rotta.experiment.ExperimentConfig` of the fields the command line gives."""
+    return ExperimentConfig(**{name: value for name, value in vars(args).items() if name in ExperimentConfig._fields})
 
 
 def _cmd_generate(args):
@@ -276,7 +256,7 @@ def main(argv=None):
     args = build_parser(argv).parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)
-    except ConfigError as exc:
+    except (ConfigError, TooManyBins) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, InvariantViolation, AllStepsExcluded) as exc:

@@ -51,49 +51,41 @@ class InvariantViolation(ValueError):
 
 
 class Sample(CheckedRecord, namedtuple("Sample", "id a vf strain target_stress")):
-    """One loading case: microstructure descriptors, strain path, optional target."""
+    """One loading case: microstructure descriptors, strain path, optional target.
+
+    Making one, a ``_replace`` copy too, converts the arrays to float64 and
+    checks every invariant, raising :class:`InvariantViolation` on the first
+    failure: a ``Sample`` that exists is valid.
+    """
 
     __slots__ = ()
 
     def __new__(cls, id, a, vf, strain, target_stress=None):
+        a, strain = np.asarray(a, dtype=float), np.asarray(strain, dtype=float)
         if target_stress is not None:
             target_stress = np.asarray(target_stress, dtype=float)
-        return super().__new__(cls, id, np.asarray(a, dtype=float), vf, np.asarray(strain, dtype=float), target_stress)
+        if not id:
+            raise InvariantViolation(id, "id", "must be a non-empty string")
+        try:
+            check_orientation_tensor(a)  # six finite components too
+        except ValueError as exc:
+            raise InvariantViolation(id, "a", str(exc)) from exc
+        if not (np.isfinite(vf) and 0.0 < vf < 1.0):
+            raise InvariantViolation(id, "vf", f"must lie in (0, 1), got {vf}")
+        if strain.ndim != 2 or strain.shape[1] != 6 or strain.shape[0] < 1:
+            raise InvariantViolation(id, "eps", f"expected shape (T, 6) with T >= 1, got {strain.shape}")
+        if not np.all(np.isfinite(strain)):
+            raise InvariantViolation(id, "eps", "non-finite component")
+        if target_stress is not None:
+            if target_stress.shape != strain.shape:
+                raise InvariantViolation(id, "sigma", f"shape {target_stress.shape} does not match eps {strain.shape}")
+            if not np.all(np.isfinite(target_stress)):
+                raise InvariantViolation(id, "sigma", "non-finite component")
+        return super().__new__(cls, id, a, vf, strain, target_stress)
 
     @property
     def n_steps(self):
         return self.strain.shape[0]
-
-    def validate(self):
-        """Check all invariants, raising :class:`InvariantViolation` on the first failure."""
-        if not self.id:
-            raise InvariantViolation(self.id, "id", "must be a non-empty string")
-        if self.a.shape != (6,):
-            raise InvariantViolation(self.id, "a", f"expected 6 components, got shape {self.a.shape}")
-        if not np.all(np.isfinite(self.a)):
-            raise InvariantViolation(self.id, "a", "non-finite component")
-        try:
-            check_orientation_tensor(self.a)
-        except ValueError as exc:
-            raise InvariantViolation(self.id, "a", str(exc)) from exc
-        if not (np.isfinite(self.vf) and 0.0 < self.vf < 1.0):
-            raise InvariantViolation(self.id, "vf", f"must lie in (0, 1), got {self.vf}")
-        if self.strain.ndim != 2 or self.strain.shape[1] != 6 or self.strain.shape[0] < 1:
-            raise InvariantViolation(
-                self.id, "eps", f"expected shape (T, 6) with T >= 1, got {self.strain.shape}"
-            )
-        if not np.all(np.isfinite(self.strain)):
-            raise InvariantViolation(self.id, "eps", "non-finite component")
-        if self.target_stress is not None:
-            if self.target_stress.shape != self.strain.shape:
-                raise InvariantViolation(
-                    self.id,
-                    "sigma",
-                    f"shape {self.target_stress.shape} does not match eps {self.strain.shape}",
-                )
-            if not np.all(np.isfinite(self.target_stress)):
-                raise InvariantViolation(self.id, "sigma", "non-finite component")
-        return self
 
 
 def _require(record, key, line_no):
@@ -144,7 +136,7 @@ def _parse_line(line, line_no) -> Sample:
 
 
 def load_dataset(path):
-    """Parse and validate a dataset file; returns a list of samples.
+    """Parse a dataset file into a list of samples, each checked once as it is made.
 
     Raises :class:`ParseError` on the first structurally bad line and
     :class:`InvariantViolation` on the first sample that parses but breaks
@@ -156,7 +148,7 @@ def load_dataset(path):
             stripped = line.strip()
             if not stripped:
                 raise ParseError(line_no, "blank line")
-            samples.append(_parse_line(stripped, line_no).validate())
+            samples.append(_parse_line(stripped, line_no))
     return samples
 
 
@@ -288,7 +280,5 @@ def generate_synthetic(
         else:
             strain = _random_walk_strain(sub, n_steps, max_strain)
         target = oracle.predict_batch(a, vf, strain)
-        samples.append(
-            Sample(id=f"{prefix}-{m:04d}", a=a, vf=vf, strain=strain, target_stress=target).validate()
-        )
+        samples.append(Sample(id=f"{prefix}-{m:04d}", a=a, vf=vf, strain=strain, target_stress=target))
     return samples

@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
@@ -32,7 +33,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
+from .tta import DIVISOR_MODES, TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
 from .voigt import von_mises_path
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -51,7 +52,7 @@ class ExperimentConfig(NamedTuple):
     """
 
     dataset: str
-    out_dir: str
+    out_dir: str = "."
     model: str = "equivariant"
     n_rotations: int = 200
     seed: int = 0
@@ -75,7 +76,7 @@ class ExperimentConfig(NamedTuple):
             f"unknown model {self.model!r}; expected one of {MODEL_KINDS} or 'external:<cmd>'"
         )
 
-    def validate(self, check_paths=True):
+    def validate(self):
         kind = self.model_kind()
         for name in ("bin_width", "noise_amp", "radius", "external_timeout"):
             if not math.isfinite(getattr(self, name)):
@@ -86,8 +87,8 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError("noisy model requires noise_amp > 0")
         if self.n_rotations < 0:
             raise ConfigError("n_rotations must be >= 0")
-        if self.divisor_mode not in ("count", "paper"):
-            raise ConfigError(f"divisor_mode must be 'count' or 'paper', got {self.divisor_mode!r}")
+        if self.divisor_mode not in DIVISOR_MODES:
+            raise ConfigError(f"divisor_mode must be one of {DIVISOR_MODES}, got {self.divisor_mode!r}")
         if self.bin_width <= 0:
             raise ConfigError("bin_width must be positive")
         if self.radius <= 0:
@@ -96,9 +97,10 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError(f"grid must be two counts >= 1, got {self.grid!r}")
         if self.colormap not in COLORMAPS:
             raise ConfigError(f"unknown colormap {self.colormap!r} (have {sorted(COLORMAPS)})")
-        if self.external_timeout <= 0:
-            raise ConfigError("external_timeout must be positive")
-        if check_paths and not Path(self.dataset).is_file():
+        if not 0 < self.external_timeout <= threading.TIMEOUT_MAX:
+            # a longer wait overflows the deadline that select() converts
+            raise ConfigError(f"external_timeout must lie in (0, {threading.TIMEOUT_MAX}] s, got {self.external_timeout}")
+        if not Path(self.dataset).is_file():
             raise ConfigError(f"dataset file not found: {self.dataset}")
         return self
 

@@ -30,6 +30,10 @@ from .voigt import COMPONENT_NAMES, von_mises
 EPS_DIV = 1e-9
 SHAPE_EPS = 1e-12
 DEFAULT_BIN_WIDTH = 1e-5
+# Most bins of an error histogram.  Near 10^6 bins a 2x10 run writes 44 MB of
+# CSV in 6 s and peaks at 455 MB (2-vCPU Xeon); the default width reaches the
+# limit only when the per-rotation errors span 10 (1,000 %).
+_MAX_BINS = 1_000_000
 CHANNEL_NAMES = ("von_mises",) + COMPONENT_NAMES
 
 
@@ -43,6 +47,10 @@ class DegenerateSequence(ValueError):
 
 class AllStepsExcluded(ValueError):
     """Every time step fell below the division guard for relative curves."""
+
+
+class TooManyBins(ValueError):
+    """A histogram's bin width is too fine for its values: see :func:`mere_histogram`."""
 
 
 def _as_paths(target_vm, predicted_vm):
@@ -174,14 +182,26 @@ def mere_histogram(values, bin_width=DEFAULT_BIN_WIDTH):
     The density integrates to 1 over the binned range.  The normal fit uses
     the sample mean and the population (divide-by-n) standard deviation of
     the raw values, so the fitted mean coincides with their plain average.
+    A ``bin_width`` so fine that the values need more than ``_MAX_BINS``
+    bins, or edges 2**53 widths or more from 0 (where multiples of the width
+    are no longer exact), raises :class:`TooManyBins` before anything is
+    allocated.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise ValueError("histogram needs at least 2 values")
     if bin_width <= 0:
         raise ValueError("bin_width must be positive")
-    first = math.floor(np.min(values) / bin_width)
-    last = math.floor(np.max(values) / bin_width)
+    lo, hi = float(np.min(values)), float(np.max(values))
+    n_bins = (hi - lo) / bin_width + 1  # the count within one, inf where it overflows
+    reach = max(-lo, hi) / bin_width  # edges are integer multiples of the width, exact below 2**53
+    if n_bins > _MAX_BINS or reach >= 2.0**53:
+        raise TooManyBins(
+            f"bin_width {bin_width!r} is too fine for the error range [{lo!r}, {hi!r}]: {n_bins:.3g} bins reaching "
+            f"{reach:.3g} widths from 0 (at most {_MAX_BINS} bins, below 2**53 widths)"
+        )
+    first = math.floor(lo / bin_width)
+    last = math.floor(hi / bin_width)
     edges = (first + np.arange(last - first + 2)) * bin_width
     counts, _ = np.histogram(values, bins=edges)
     density = counts / (values.size * bin_width)
@@ -216,13 +236,16 @@ def _pearson(x, y):
 
     Every reduction runs along the last axis, so a row of a C-contiguous
     array is summed pairwise exactly as the 1-d sequence alone would be and
-    gets the same bits.  A one-point row has zero variance: it is degenerate.
+    gets the same bits.  A constant row, a one-point row too, is degenerate,
+    and so is a row whose squared deviations all underflow to 0.
     """
     dx = x - np.mean(x, axis=-1, keepdims=True)
     dy = y - np.mean(y, axis=-1, keepdims=True)
     sxx = np.sum(dx * dx, axis=-1)
     syy = np.sum(dy * dy, axis=-1)
-    degenerate = (sxx == 0.0) | (syy == 0.0)
+    # the mean of a constant row can miss the constant by a rounding, which leaves sxx > 0
+    constant = (np.ptp(x, axis=-1) == 0.0) | (np.ptp(y, axis=-1) == 0.0)
+    degenerate = constant | (sxx == 0.0) | (syy == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = np.sum(dx * dy, axis=-1) / (np.sqrt(sxx) * np.sqrt(syy))
     return np.where(degenerate, np.nan, r), degenerate

@@ -10,8 +10,8 @@ is a no-op up to float round-off, which the test suite exploits.
 :func:`augment` (and :func:`augment_chunks`, the same rows chunk by chunk)
 is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
 ``repeats``, ``sphere-map`` and :func:`numerics_audit` all call it with a
-:class:`~rotta.dataset.Sample`, which it validates and names in its errors,
-and it calls nothing of a model but ``predict_batch``.
+:class:`~rotta.dataset.Sample`, valid since it was made, which it names in
+its errors, and it calls nothing of a model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
 results do not depend on how predictions were scheduled.  :func:`run_tta`
@@ -32,7 +32,7 @@ from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises
 
 DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
-_DIVISOR_MODES = (DIVISOR_COUNT, DIVISOR_PAPER)
+DIVISOR_MODES = (DIVISOR_COUNT, DIVISOR_PAPER)
 
 # Rotations x steps per predict_batch call (81 rotations of a 100-step path).
 # It bounds the kernel's temporary arrays, so peak memory does not grow with
@@ -74,7 +74,7 @@ class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor
         self = super().__new__(cls, *args, **kwargs)
         if self.n_rotations < 0:
             raise ValueError("n_rotations must be >= 0")
-        if self.divisor_mode not in _DIVISOR_MODES:
+        if self.divisor_mode not in DIVISOR_MODES:
             raise ValueError(f"unknown divisor_mode {self.divisor_mode!r}")
         return self
 
@@ -124,7 +124,7 @@ def mean_divisor(n_rows, mode):
     ``n_rows - 1`` (the printed formula sums indices 0..N but divides by N);
     a zero divisor raises :class:`EmptyInput`.
     """
-    if mode not in _DIVISOR_MODES:
+    if mode not in DIVISOR_MODES:
         raise ValueError(f"unknown divisor mode {mode!r}")
     divisor = n_rows if mode == DIVISOR_COUNT else n_rows - 1
     if divisor == 0:
@@ -193,13 +193,12 @@ def augment_chunks(model, sample, rotations):
     as rotating, predicting one row and back-rotating one rotation at a
     time, for any chunk size: every conjugation sums its terms in one fixed
     order (another order differs in the last bits, which the noise hash
-    sees).  ``sample.validate()`` runs first, and a rotated input that is
-    no longer finite raises :class:`~rotta.dataset.InvariantViolation`
+    sees).  ``sample`` was checked when it was made; a rotated input that
+    is no longer finite raises :class:`~rotta.dataset.InvariantViolation`
     naming the rotation index.  A wrong output shape and external-model
     failures raise :class:`ExternalModelError` naming the sample and the
     rows (the row an error carries, if it carries one).
     """
-    sample.validate()
     rotations = np.asarray(rotations, dtype=float)
     chunk = max(1, _CHUNK_STEPS // sample.n_steps)
     for lo in range(0, rotations.shape[0], chunk):

@@ -1,23 +1,29 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import hashlib
 import json
 import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rotta
-from rotta import cli
+from rotta import cli, dataset
 from rotta.cli import main
 from rotta.dataset import generate_synthetic, save_dataset
 from rotta.experiment import ExperimentConfig
 from rotta.models import EquivariantOracle
 from rotta.rotations import RotationStream
+from rotta.spheremap import COLORMAPS
+from rotta.tta import DIVISOR_MODES
 
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -246,19 +252,86 @@ def test_non_finite_setting_is_config_error(dataset_path, tmp_path, capsys, args
     assert not out.exists()
 
 
-def test_every_config_field_is_set_by_some_flag():
+@pytest.mark.parametrize("args, message", [
+    # select() cannot wait that long: it raised OverflowError once the child ran
+    pytest.param(["--timeout", "1e300"], f"external_timeout must lie in (0, {threading.TIMEOUT_MAX}] s, got 1e+300",
+                 id="--timeout 1e300"),
+    pytest.param(["--timeout", repr(1.01 * threading.TIMEOUT_MAX)], "external_timeout must lie in (0, ",
+                 id="--timeout 1.01 TIMEOUT_MAX"),
+    # numpy raised "Maximum allowed size exceeded" allocating the bins (noisy), or overflowed an edge index (echo)
+    pytest.param(["--model", "noisy", "--noise-amp", "2", "--bin-width", "1e-300"],
+                 "bin_width 1e-300 is too fine for the error range [", id="--bin-width 1e-300 noisy"),
+    pytest.param(["--bin-width", "1e-300"], "bin_width 1e-300 is too fine for the error range [",
+                 id="--bin-width 1e-300 echo"),
+])
+def test_out_of_range_setting_is_config_error(dataset_path, tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    echo = f"external:{sys.executable} {FIXTURE} echo"  # an args --model replaces it
+    assert main(["run", "--dataset", dataset_path, "--out", str(out), "--rotations", "6", "--model", echo, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"configuration error: {message}")
+    assert not out.exists()
+
+
+def _parsed(values, text=str):
+    """Strategy of ``(argument text, value the flag parses it to)`` pairs."""
+    return values.map(lambda value: (text(value), value))
+
+
+# flag -> (the ExperimentConfig field it sets, its argument as _parsed pairs; None for a switch)
+CONFIG_FLAGS = {
+    "--out": ("out_dir", _parsed(st.sampled_from(["out", "runs/a b"]))),
+    "--seed": ("seed", _parsed(st.integers(0, 2**40))),
+    "--rotations": ("n_rotations", _parsed(st.integers(0, 10**4))),
+    "--model": ("model", _parsed(st.sampled_from(["noisy", "external:python3 echo.py"]))),
+    "--noise-amp": ("noise_amp", _parsed(st.floats(0.01, 50.0))),
+    "--noise-seed": ("noise_seed", _parsed(st.integers(0, 2**40))),
+    "--mare-abs": ("mare_abs", None),
+    "--divisor": ("divisor_mode", _parsed(st.sampled_from(DIVISOR_MODES))),
+    "--bin-width": ("bin_width", _parsed(st.floats(1e-9, 1.0))),
+    "--timeout": ("external_timeout", _parsed(st.floats(0.01, 1e6))),
+    "--sphere-map": ("sphere_map", None),
+    "--grid": ("grid", _parsed(st.tuples(st.integers(1, 4096), st.integers(1, 4096)), "{0[0]}x{0[1]}".format)),
+    "--radius": ("radius", _parsed(st.floats(0.01, 10.0))),
+    "--colormap": ("colormap", _parsed(st.sampled_from(sorted(COLORMAPS)))),
+}
+PREDICTING = [command for command in cli._COMMANDS if command != "generate"]
+
+
+def _options(command):
+    """Every option string of ``command``'s parser."""
+    parser = cli.build_parser([command])
+    sub = next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+    return {option for action in sub.choices[command]._actions for option in action.option_strings}
+
+
+OPTIONS = {command: _options(command) for command in PREDICTING}
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(PREDICTING), data=st.data())
+def test_every_config_field_is_set_by_some_flag(command, data):
     # an ExperimentConfig field no command's flags reach is an option nothing can set
-    required = ["--dataset", "d.ndjson", "--out", "out", "--n-values", "1"]
-    reached = set()
-    for command in cli._COMMANDS:
-        if command == "generate":
-            continue
-        parser = cli.build_parser([command])
-        args, _ = parser.parse_known_args([command, *required])
-        flags = {dest: ("flag", dest) for dest in vars(args) if dest != "command"}
-        cfg = cli._config_from(type(args)(**flags))
-        reached |= {field for field, value in cfg._asdict().items() if value in flags.values()}
-    assert reached == set(ExperimentConfig._fields)
+    assert set().union(*OPTIONS.values()) - CONFIG_FLAGS.keys() == {
+        "-h", "--help", "--dataset", "--n-values", "--repeats", "--identity-only"}
+    assert {field for field, _ in CONFIG_FLAGS.values()} == set(ExperimentConfig._fields) - {"dataset"}
+    # a random subset of the command's flags: each given one lands on its field, each omitted one keeps the default
+    defaults = ExperimentConfig._field_defaults
+    flags = data.draw(st.sets(st.sampled_from(sorted(OPTIONS[command] & CONFIG_FLAGS.keys()))))
+    argv, expected = [command, "--dataset", "d.ndjson"], {"dataset": "d.ndjson"}
+    if command == "sweep":
+        argv += ["--n-values", "1"]
+    for flag in sorted(flags | (OPTIONS[command] & {"--out"})):  # --out is required where it exists
+        field, values = CONFIG_FLAGS[flag]
+        if values is None:
+            argv.append(flag)
+            expected[field] = True
+        else:
+            text, expected[field] = data.draw(values.filter(lambda pair, field=field: pair[1] != defaults[field]))
+            argv += [flag, text]
+    cfg = cli._config_from(cli.build_parser(argv).parse_args(argv))
+    assert cfg._asdict() == defaults | expected
 
 
 @pytest.mark.parametrize("command", ["run", "repeats", "sphere-map", "sweep"])
@@ -292,6 +365,18 @@ def test_relative_curve_of_one_step_has_a_degenerate_coefficient(tmp_path):
     uncertainty = json.loads((out / "metrics.json").read_text())["uncertainty"]
     assert uncertainty["n_excluded"] == 9
     assert uncertainty["r_rel"] == "nan" and uncertainty["r_rel_degenerate"] is True
+
+
+@pytest.mark.parametrize("command, extra", [("run", []), ("repeats", ["--repeats", "3"])], ids=["run", "repeats 3"])
+def test_each_sample_is_checked_once_per_command(tmp_path, monkeypatch, command, extra):
+    # a Sample checks itself when it is made, at load; the kernel and each repeat check nothing again
+    path = tmp_path / "small.ndjson"
+    save_dataset(generate_synthetic(3, 10, stream=RotationStream(47)), path)
+    checked = []
+    check = dataset.check_orientation_tensor
+    monkeypatch.setattr(dataset, "check_orientation_tensor", lambda a: checked.append(a) or check(a))
+    assert main([command, "--dataset", str(path), "--out", str(tmp_path / "out"), "--rotations", "2", *extra]) == 0
+    assert len(checked) == 3
 
 
 def test_corrupt_dataset_is_data_error(tmp_path, capsys):

@@ -62,34 +62,35 @@ def test_sample_without_target_round_trips(tmp_path):
 # ------------------------------------------------------------ invariants
 
 
+# a Sample checks its invariants when it is made, so an invalid one never exists
+
+
 def test_validate_rejects_bad_trace():
-    bad = Sample(id="x", a=np.array([0.6, 0.4, 0.2, 0.0, 0.0, 0.0]), vf=0.1,
-                 strain=np.zeros((3, 6)))
-    assert trace(bad.a) == pytest.approx(1.2)
+    a = np.array([0.6, 0.4, 0.2, 0.0, 0.0, 0.0])
+    assert trace(a) == pytest.approx(1.2)
     with pytest.raises(InvariantViolation) as err:
-        bad.validate()
+        Sample(id="x", a=a, vf=0.1, strain=np.zeros((3, 6)))
     assert err.value.field == "a"
     assert err.value.sample_id == "x"
 
 
 def test_validate_rejects_indefinite_orientation():
-    bad = Sample(id="x", a=np.array([0.7, 0.7, -0.4, 0.0, 0.0, 0.0]), vf=0.1,
-                 strain=np.zeros((3, 6)))
     with pytest.raises(InvariantViolation) as err:
-        bad.validate()
+        Sample(id="x", a=np.array([0.7, 0.7, -0.4, 0.0, 0.0, 0.0]), vf=0.1, strain=np.zeros((3, 6)))
     assert err.value.field == "a"
 
 
 def test_validate_rejects_bad_shapes():
     a = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
-    for field, sample in [
-        ("a", Sample(id="x", a=np.zeros(5), vf=0.1, strain=np.zeros((3, 6)))),
-        ("eps", Sample(id="x", a=a, vf=0.1, strain=np.zeros((0, 6)))),
-        ("eps", Sample(id="x", a=a, vf=0.1, strain=np.zeros((3, 5)))),
-        ("eps", Sample(id="x", a=a, vf=0.1, strain=np.zeros(6))),
+    for field, fields in [
+        ("a", dict(a=np.zeros(5), strain=np.zeros((3, 6)))),
+        ("a", dict(a=[np.nan, 0.5, 0.5, 0.0, 0.0, 0.0], strain=np.zeros((3, 6)))),
+        ("eps", dict(a=a, strain=np.zeros((0, 6)))),
+        ("eps", dict(a=a, strain=np.zeros((3, 5)))),
+        ("eps", dict(a=a, strain=np.zeros(6))),
     ]:
         with pytest.raises(InvariantViolation) as err:
-            sample.validate()
+            Sample(id="x", vf=0.1, **fields)
         assert err.value.field == field
 
 
@@ -97,25 +98,23 @@ def test_validate_rejects_out_of_range_vf():
     a = np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0])
     for vf in (0.0, 1.0, -0.2, np.nan):
         with pytest.raises(InvariantViolation) as err:
-            Sample(id="x", a=a, vf=vf, strain=np.zeros((3, 6))).validate()
+            Sample(id="x", a=a, vf=vf, strain=np.zeros((3, 6)))
         assert err.value.field == "vf"
 
 
 def test_validate_rejects_target_shape_mismatch():
-    sample = Sample(id="x", a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.1,
-                    strain=np.zeros((4, 6)), target_stress=np.zeros((3, 6)))
     with pytest.raises(InvariantViolation) as err:
-        sample.validate()
+        Sample(id="x", a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.1,
+               strain=np.zeros((4, 6)), target_stress=np.zeros((3, 6)))
     assert err.value.field == "sigma"
 
 
 def test_validate_rejects_non_finite_strain():
     strain = np.zeros((3, 6))
     strain[1, 2] = np.inf
-    sample = Sample(id="x", a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.1,
-                    strain=strain)
+    sample = Sample(id="x", a=np.array([0.5, 0.3, 0.2, 0.0, 0.0, 0.0]), vf=0.1, strain=np.zeros((3, 6)))
     with pytest.raises(InvariantViolation) as err:
-        sample.validate()
+        sample._replace(strain=strain)  # a copy is checked too
     assert err.value.field == "eps"
 
 
@@ -197,7 +196,6 @@ def test_generate_basic_properties():
     assert [s.id for s in samples] == ["rve-0000", "rve-0001", "rve-0002", "rve-0003"]
     oracle = EquivariantOracle()
     for s in samples:
-        s.validate()  # orientation, vf, shapes all pass
         assert 0.10 <= s.vf <= 0.15
         assert s.strain.shape == (10, 6)
         # rescaling pins the largest absolute strain component to the cap

@@ -321,8 +321,6 @@ def test_config_validation_errors(dataset_path, tmp_path):
     for bad in cases:
         with pytest.raises(ConfigError):
             bad.validate()
-    # path checking can be deferred for configs built before the dataset exists
-    good._replace(dataset=str(tmp_path / "nope.ndjson")).validate(check_paths=False)
 
 
 def test_config_roundtrip_dict(dataset_path, tmp_path):

@@ -9,9 +9,11 @@ import pytest
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from rotta.metrics import (
+    _pearson,
     AllStepsExcluded,
     DegenerateSequence,
     ZeroTargetMax,
@@ -191,6 +193,24 @@ def test_first_differences():
 
 
 # ----------------------------------------------------------- correlation
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 40)))
+def test_pearson_rows_are_the_rows_alone_and_constant_rows_are_degenerate(data, shape):
+    # the claims of _pearson's docstring that shape_report's (M, 7) rows rely on
+    values = arrays(np.float64, shape, elements=st.floats(-1e150, 1e150))
+    x, y = data.draw(values), data.draw(values)
+    flat = [data.draw(arrays(bool, shape[:1])) for _ in "xy"]
+    x[flat[0]] = x[flat[0], :1]
+    y[flat[1]] = data.draw(st.floats(-1e150, 1e150))
+    r, degenerate = _pearson(x, y)
+    for row in range(shape[0]):
+        alone = _pearson(x[row], y[row])
+        assert (r[row].tobytes(), degenerate[row]) == (alone[0].tobytes(), alone[1])
+    constant = flat[0] | flat[1]
+    assert np.all(degenerate[constant]) and np.all(np.isnan(r[constant]))
+
 
 
 def test_pearson_limits():

@@ -71,6 +71,10 @@ def test_checked_records_check_their_copies():
         OracleParams()._replace(mu=0.0)
     with pytest.raises(ValueError):
         OracleParams()._replace(noise_amp=-1.0)
+    with pytest.raises(ValueError):
+        _sample()._replace(vf=1.5)
+    with pytest.raises(ValueError):
+        _sample()._replace(target_stress=np.zeros((2, 6)))
     assert TTAConfig(3)._replace(seed=5) == TTAConfig(n_rotations=3, seed=5)
 
 
@@ -78,7 +82,7 @@ def test_checked_records_convert_their_copies():
     sample = _sample()._replace(target_stress=[[1, 2, 3, 4, 5, 6]], a=[1, 0, 0, 0, 0, 0])
     for values in (sample.a, sample.target_stress):
         assert isinstance(values, np.ndarray) and values.dtype == np.float64
-    longer = sample._replace(strain=[[0, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0]])
+    longer = sample._replace(strain=[[0, 1, 0, 0, 0, 0], [0, 2, 0, 0, 0, 0]], target_stress=None)
     assert longer.strain.dtype == np.float64 and longer.n_steps == 2
     assert _sample()._replace(target_stress=None).target_stress is None
 

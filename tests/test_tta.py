@@ -267,9 +267,6 @@ def test_external_error_is_annotated_with_rotation_index():
 
 
 def test_rejects_invalid_input():
-    bad = Sample("bad", a=np.zeros(6), vf=2.0, strain=np.zeros((3, 6)))
-    with pytest.raises(ValueError):
-        run_tta(EquivariantOracle(), [bad], TTAConfig(n_rotations=2))
     with pytest.raises(ValueError, match="at least one sample"):
         run_tta(EquivariantOracle(), [], TTAConfig(n_rotations=2))
     with pytest.raises(ValueError, match="sample s1: strain path shape"):
