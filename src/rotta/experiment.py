@@ -213,14 +213,20 @@ def _write_outputs(cfg: ExperimentConfig, write, extra=None):
         raise
 
 
+def _load_samples(cfg: ExperimentConfig):
+    """The samples of the configured dataset; an empty one is an :class:`~rotta.dataset.InvariantViolation`."""
+    samples = load_dataset(cfg.dataset)
+    if not samples:
+        raise InvariantViolation("<dataset>", "samples", "dataset is empty")
+    return samples
+
+
 def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
     """Load the dataset; require a uniform path length and targets with a positive von Mises value.
 
     Paths need ``min_steps``: 3 for the shape metrics' step differences; the sweep has none and passes 1.
     """
-    samples = load_dataset(cfg.dataset)
-    if not samples:
-        raise InvariantViolation("<dataset>", "samples", "dataset is empty")
+    samples = _load_samples(cfg)
     n_steps = samples[0].n_steps
     for sample in samples:
         if sample.target_stress is None:
@@ -316,7 +322,7 @@ def run_sphere_map(cfg: ExperimentConfig):
 def run_audit(cfg: ExperimentConfig, identity_only=False):
     """Rotate/back-rotate round-trip error survey of the configured dataset."""
     cfg.validate()
-    samples = load_dataset(cfg.dataset)
+    samples = _load_samples(cfg)
     with _open_model(cfg) as model:
         return numerics_audit(samples, model, RotationStream(cfg.seed), identity_only=identity_only)
 

@@ -16,7 +16,7 @@ its errors, and it calls nothing of a model but ``predict_batch``.
 rows in ascending rotation index with compensated (Kahan) summation, so
 results do not depend on how predictions were scheduled.  :func:`run_tta`
 runs a dataset through the kernel in groups of samples within a byte budget,
-and :func:`reduce_predictions` reduces each group's stack in one such pass;
+and :func:`reduce_predictions` reduces each group's stack in two such passes;
 one :class:`TTAResult` of float64 arrays keeps the identity rows, not the stack.
 """
 
@@ -138,49 +138,41 @@ def _row_blocks(n_rows, row_size, budget=None):
     return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 
 
-def _spread(rows, aggregated):
-    """Elementwise spread of the R rows of a ``(R, ...)`` stack (paths or von Mises) about ``aggregated``, divisor R.
-
-    Squared deviations are formed a block of rows at a time (see
-    :func:`_row_blocks`), so no temporary is the size of the stack.
-    """
-    blocks = _row_blocks(len(rows), rows[0].size)
-    buffer = np.empty(rows[blocks[0]].shape)
-
-    def deviations():  # each row is summed before the buffer is refilled
-        for block in blocks:
-            part = rows[block]
-            dev = np.subtract(part, aggregated, out=buffer[:len(part)])
-            yield from np.square(dev, out=dev)
-
-    return np.sqrt(compensated_sums(deviations(), [len(rows) - 1])[0] / len(rows))
-
-
 def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
     """:class:`TTAResult` of M inputs from their ``(M, P, T, 6)`` back-rotated stack.
 
-    Every sample is reduced at once: one compensated pass over the rotation
-    axis for the mean (divided as :func:`mean_divisor` says) and one for each
-    spread, each element with the additions of its own sample's pass.  The
+    Every sample is reduced at once, each element with the additions of its
+    own sample's pass, in two compensated passes over the rotation axis: the
+    mean (divided as :func:`mean_divisor` says), then, a :func:`_row_blocks`
+    block at a time, the von Mises rows and the squared deviations of the
+    six components and the von Mises value, one ``(M, T, 7)`` row each.  The
     spreads sum rows 1..P-1 with divisor P-1, the printed formula over the
-    random rotations only; the identity alone (P = 1) has zero spread.
-    The result's ``initial`` is a copy of ``backrotated[:, 0]``.
+    random rotations only; the identity alone (P = 1) has zero spread.  The
+    result's ``initial`` is a copy of ``backrotated[:, 0]``.
     """
     by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
     p = len(by_rotation)
     aggregated = compensated_sums(by_rotation, [p - 1])[0] / mean_divisor(p, cfg.divisor_mode)
+    vm_aggregated = von_mises(aggregated)
     vm_individual = np.empty(backrotated.shape[:-1])
     vm_by_rotation = vm_individual.swapaxes(0, 1)
-    for block in _row_blocks(p, by_rotation[0].size):
-        vm_by_rotation[block] = von_mises(by_rotation[block])
-    vm_aggregated = von_mises(aggregated)
-    if p >= 2:
-        sd = _spread(by_rotation[1:], aggregated)
-        vm_sd = _spread(vm_by_rotation[1:], vm_aggregated)
-    else:
-        sd = np.zeros_like(aggregated)
-        vm_sd = np.zeros_like(vm_aggregated)
-    return TTAResult(backrotated[:, 0].copy(), aggregated, sd, vm_individual, vm_aggregated, vm_sd, rotations)
+    blocks = _row_blocks(p, 7 * vm_aggregated.size)
+    buffer = np.empty((len(by_rotation[blocks[0]]),) + vm_aggregated.shape + (7,))
+
+    def deviations():  # of rows 1..P-1; each row is summed before the buffer is refilled
+        for block in blocks:
+            part = by_rotation[block]
+            dev = buffer[:len(part)]
+            vm_by_rotation[block] = von_mises(part)
+            np.subtract(part, aggregated, out=dev[..., :6])
+            np.subtract(vm_by_rotation[block], vm_aggregated, out=dev[..., 6])
+            np.square(dev, out=dev)
+            yield from dev[1:] if block.start == 0 else dev
+
+    totals = compensated_sums(deviations(), [p - 2])
+    variance = totals[0] / (p - 1) if totals else np.zeros(buffer.shape[1:])  # P = 1 sums no row
+    return TTAResult(backrotated[:, 0].copy(), aggregated, np.sqrt(variance[..., :6]), vm_individual, vm_aggregated,
+                     np.sqrt(variance[..., 6]), rotations)
 
 
 def augment_chunks(model, sample, rotations):
@@ -235,14 +227,18 @@ def augment(model, sample, rotations) -> np.ndarray:
 def run_tta(model, samples, cfg: TTAConfig) -> TTAResult:
     """Full augmented-inference pass over the ``samples`` of a dataset.
 
-    Every sample runs through :func:`augment_chunks` over one rotation
-    list, drawn from ``cfg.seed``, so rotation index i is one rotation
-    across the dataset.  Each group of samples within a byte budget fills
-    one reused buffer in rotation-index order for
-    :func:`reduce_predictions`.  Samples must share one path length.
+    Every sample runs through :func:`augment_chunks` over one rotation list,
+    drawn from ``cfg.seed``, so rotation index i is one rotation across the
+    dataset.  Each group of samples within a byte budget fills one reused
+    buffer in rotation-index order for :func:`reduce_predictions`.  Samples
+    must share one path length, checked before the first prediction.
     """
     if len(samples) == 0:
         raise ValueError("augmented inference needs at least one sample")
+    for sample in samples:
+        if sample.strain.shape != samples[0].strain.shape:
+            raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
+                             f"the first sample's {samples[0].strain.shape}")
     rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     m, p, t = len(samples), len(rotations), samples[0].n_steps
     groups = _row_blocks(m, p * t * 6, _GROUP_BYTES // 8)
@@ -251,9 +247,6 @@ def run_tta(model, samples, cfg: TTAConfig) -> TTAResult:
     for group in groups:
         stack = buffer[:len(samples[group])]
         for k, sample in enumerate(samples[group]):
-            if sample.strain.shape != samples[0].strain.shape:
-                raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
-                                 f"the first sample's {samples[0].strain.shape}")
             for lo, block in augment_chunks(model, sample, rotations):
                 stack[k, lo:lo + len(block)] = block
         for array, rows in zip(whole[:-1], reduce_predictions(stack, cfg, rotations)):

@@ -132,6 +132,20 @@ def test_audit_external_failure_names_the_sample(dataset_path, tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["audit", "run", "sweep", "repeats", "sphere-map"])
+def test_empty_dataset_is_data_error(tmp_path, capsys, command):
+    empty = tmp_path / "empty.ndjson"
+    empty.write_text("")
+    extra = [] if command == "audit" else ["--out", str(tmp_path / "out")]
+    if command == "sweep":
+        extra += ["--n-values", "0,2"]
+    assert main([command, "--dataset", str(empty), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "data error: sample '<dataset>', field 'samples': dataset is empty\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep(dataset_path, tmp_path, capsys):
     out = tmp_path / "sweep"
     code = main(["sweep", *_noisy(dataset_path, out), "--n-values", "0,4"])

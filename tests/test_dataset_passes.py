@@ -127,6 +127,22 @@ def test_one_sample_groups_peak_well_below_the_dataset_stack():
     assert peak < 0.5 * stack, f"peak {peak / stack:.2f} (M, P, T, 6) stacks"
 
 
+def test_reducing_a_group_peaks_well_below_its_stack():
+    stack = np.random.default_rng(0).standard_normal((8, 200, 40, 6))
+    rotations = np.repeat(np.eye(3)[None], 200, axis=0)
+    reduce_predictions(stack[:1], TTAConfig(199), rotations)  # warm up
+    # what stays is the (M, P, T) von Mises table (1/6 of the stack); the
+    # deviation rows are formed a block at a time, never for the whole group
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        reduce_predictions(stack, TTAConfig(199), rotations)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * stack.nbytes, f"peak {peak / stack.nbytes:.2f} stacks"
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

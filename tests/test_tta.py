@@ -1,10 +1,13 @@
 """Tests of the rotation-augmented inference engine: input rotation,
 aggregation, spread, and the numerics audit."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rotta import tta
 from rotta.dataset import Sample, generate_synthetic
 from rotta.models import EquivariantOracle, ExternalModelError, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotation
@@ -271,6 +274,29 @@ def test_rejects_invalid_input():
         run_tta(EquivariantOracle(), [], TTAConfig(n_rotations=2))
     with pytest.raises(ValueError, match="sample s1: strain path shape"):
         run_tta(EquivariantOracle(), _samples(0) + _samples(1, n_steps=5), TTAConfig(n_rotations=2))
+
+
+def test_mixed_path_length_is_rejected_before_any_prediction():
+    class Counting(EquivariantOracle):
+        calls = 0
+
+        def predict_batch(self, a, vf, strain):
+            Counting.calls += 1
+            return super().predict_batch(a, vf, strain)
+
+    samples = _samples(0, 1, n_steps=10) + _samples(2, n_steps=12)
+    message = r"^sample s2: strain path shape \(12, 6\) differs from the first sample's \(10, 6\)$"
+    with mock.patch.object(tta, "_GROUP_BYTES", 1), pytest.raises(ValueError, match=message):  # one sample per group
+        run_tta(Counting(), samples, TTAConfig(n_rotations=3))
+    assert Counting.calls == 0
+
+
+def test_one_group_is_reduced_in_two_compensated_passes():
+    with mock.patch.object(tta, "compensated_sums", wraps=tta.compensated_sums) as sums:
+        run_tta(NoisyOracle(OracleParams(noise_amp=5.0)), _samples(0, 1, 2), TTAConfig(n_rotations=6, seed=3))
+    assert sums.call_count == 2  # the mean, then the von Mises rows and both spreads
+    res = reduce_predictions(np.random.default_rng(0).standard_normal((2, 5, 4, 6)), TTAConfig(4), np.zeros((5, 3, 3)))
+    assert res.sd.flags.c_contiguous and res.vm_sd.flags.c_contiguous
 
 
 # ------------------------------------------------------------------- audit
