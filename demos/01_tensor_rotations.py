@@ -8,14 +8,7 @@ equivalent stress, and the statistics of the Haar-uniform sampler.
 import numpy as np
 
 from rotta.rotations import RotationStream, sample_rotations
-from rotta.voigt import (
-    COMPONENT_NAMES,
-    from_matrix,
-    rotate_sym,
-    inverse_rotate_sym,
-    to_matrix,
-    von_mises,
-)
+from rotta.voigt import COMPONENT_NAMES, conjugate, from_matrix, to_matrix, von_mises
 
 np.set_printoptions(precision=4, suppress=True)
 
@@ -27,12 +20,14 @@ print("component order:", COMPONENT_NAMES)
 print("sigma  =", sigma)
 print("matrix =\n", to_matrix(sigma))
 
-# Rotating the tensor conjugates its matrix form: R sigma R^T.  The
-# inverse rotation restores the original values up to float round-off.
+# Rotating the tensor conjugates its matrix form: R sigma R^T.  conjugate
+# takes a stack of rotations and gives one row per rotation; conjugating by
+# the transpose R^T rotates back and restores the original values up to
+# float round-off.
 stream = RotationStream(seed=0)
 r = sample_rotations(stream, 1)[0]
-rotated = rotate_sym(sigma, r)
-restored = inverse_rotate_sym(rotated, r)
+rotated = conjugate(r[None], sigma)[0]
+restored = conjugate(r.T[None], rotated)[0]
 print("\nrotated        =", rotated)
 print("restore error  = %.2e" % np.max(np.abs(restored - sigma)))
 

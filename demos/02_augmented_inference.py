@@ -12,14 +12,14 @@ from rotta.dataset import generate_synthetic
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream
 from rotta.tta import TTAConfig, run_tta
-from rotta.voigt import von_mises_path
+from rotta.voigt import von_mises
 
 np.set_printoptions(precision=4, suppress=True)
 
 # One synthetic sample: orientation tensor, volume fraction, and a random
 # walk strain path with the reference-model stress as ground truth.
 sample = generate_synthetic(1, 60, stream=RotationStream(5))[0]
-target_vm = von_mises_path(sample.target_stress)
+target_vm = von_mises(sample.target_stress)
 print("sample %s: %d steps, vf = %.3f, peak von Mises %.1f MPa" %
       (sample.id, sample.n_steps, sample.vf, target_vm.max()))
 

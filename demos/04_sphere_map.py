@@ -17,7 +17,7 @@ from rotta.models import NoisyOracle, OracleParams
 from rotta.rotations import RotationStream
 from rotta.spheremap import project_rotations, render_svg, seeds_csv, voronoi_rasterize
 from rotta.tta import TTAConfig, run_tta
-from rotta.voigt import von_mises_path
+from rotta.voigt import von_mises
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT_DIR, exist_ok=True)
@@ -26,7 +26,7 @@ os.makedirs(OUT_DIR, exist_ok=True)
 # same seed makes rotation index i mean the same rotation for every
 # sample, which is what lets us attach one error value per rotation.
 samples = generate_synthetic(10, 50, stream=RotationStream(13))
-target_vm = np.stack([von_mises_path(s.target_stress) for s in samples])
+target_vm = np.stack([von_mises(s.target_stress) for s in samples])
 
 n_rotations = 96
 config = TTAConfig(n_rotations=n_rotations, seed=4)

@@ -246,7 +246,6 @@ def generate_synthetic(
     max_strain=DEFAULT_MAX_STRAIN,
     stream: RotationStream | None = None,
     uniaxial=False,
-    oracle: EquivariantOracle | None = None,
 ):
     """Random orientation/volume-fraction/strain samples with oracle targets.
 
@@ -255,8 +254,8 @@ def generate_synthetic(
     vector plus per-step Gaussian noise, rescaled so the largest absolute
     strain component equals ``max_strain``.  In uniaxial mode all samples
     share a cyclic axial strain path (0 to +max to -max to 0) and differ
-    only in microstructure.  Target stress comes from the reference
-    constitutive oracle, making the dataset ground truth exact.
+    only in microstructure.  Target stress comes from ``EquivariantOracle()``,
+    the reference constitutive oracle, so the dataset ground truth is exact.
 
     Per-sample randomness lives on substreams of ``stream``, so sample k is
     identical regardless of ``count``.
@@ -267,8 +266,7 @@ def generate_synthetic(
         raise ValueError(f"max_strain must be positive and finite, got {max_strain}")
     if stream is None:
         stream = RotationStream(0)
-    if oracle is None:
-        oracle = EquivariantOracle()
+    oracle = EquivariantOracle()
     prefix = "uni" if uniaxial else "rve"
     samples = []
     for m in range(count):

@@ -34,7 +34,7 @@ from .spheremap import (
     voronoi_rasterize,
 )
 from .tta import DIVISOR_MODES, TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
-from .voigt import von_mises_path
+from .voigt import von_mises
 
 MODEL_KINDS = ("equivariant", "noisy")
 EXTERNAL_PREFIX = "external:"
@@ -231,7 +231,7 @@ def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
     for sample in samples:
         if sample.target_stress is None:
             raise InvariantViolation(sample.id, "sigma", "evaluation requires target stress paths")
-        if not np.max(von_mises_path(sample.target_stress)) > 0.0:
+        if not np.max(von_mises(sample.target_stress)) > 0.0:
             raise InvariantViolation(sample.id, "sigma", "the target von Mises path has no positive values")
         if sample.n_steps != n_steps:
             raise InvariantViolation(
@@ -349,7 +349,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
 
     samples = _load_evaluable(cfg, min_steps=1)
     rotations = rotation_list(RotationStream(cfg.seed), checkpoints[-1])
-    target_vm = np.stack([von_mises_path(s.target_stress) for s in samples])
+    target_vm = np.stack([von_mises(s.target_stress) for s in samples])
     n_steps = samples[0].n_steps
 
     vm_by_checkpoint = np.empty((len(samples), len(checkpoints), n_steps))
@@ -357,7 +357,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         for m, sample in enumerate(samples):
             backrotated = (row for _, block in augment_chunks(model, sample, rotations) for row in block)
             for k, (n, total) in enumerate(zip(checkpoints, compensated_sums(backrotated, checkpoints))):
-                vm_by_checkpoint[m, k] = von_mises_path(total / mean_divisor(n + 1, cfg.divisor_mode))
+                vm_by_checkpoint[m, k] = von_mises(total / mean_divisor(n + 1, cfg.divisor_mode))
 
     rows = [
         (n, mere(target_vm, vm), mare(target_vm, vm, absolute=cfg.mare_abs))

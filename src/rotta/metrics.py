@@ -41,10 +41,6 @@ class ZeroTargetMax(ValueError):
     """A target von Mises path is identically zero, so relative error is undefined."""
 
 
-class DegenerateSequence(ValueError):
-    """A sequence fed to the correlation coefficient has zero variance."""
-
-
 class AllStepsExcluded(ValueError):
     """Every time step fell below the division guard for relative curves."""
 
@@ -84,14 +80,13 @@ def _sample_mean(per_sample):
     return float(mean) if mean.ndim == 0 else mean
 
 
-def mere(target_vm, predicted_vm, rms=False):
+def mere(target_vm, predicted_vm):
     """Mean relative error of von Mises paths over a dataset.
 
     Per sample the error is sqrt(sum_t (target - prediction)^2) divided by
     max_t(target) * T, with the T outside the square root; the dataset value
     is the mean over samples.  The denominator placement makes the value
-    shrink as 1/sqrt(T) for a fixed per-step error; ``rms=True`` switches to
-    the root-mean-square variant sqrt(mean_t e^2) / max_t(target) instead.
+    shrink as 1/sqrt(T) for a fixed per-step error.
 
     Parameters
     ----------
@@ -102,18 +97,11 @@ def mere(target_vm, predicted_vm, rms=False):
         indices, say) are kept: each target is compared with every path of
         its sample, and the result has the shape of those axes instead of
         being a float.
-    rms : bool
-        Use the per-step-normalized variant rather than the verbatim form.
     """
     t, p = _as_paths(target_vm, predicted_vm)
-    n_steps = t.shape[-1]
     sq = t - p
     root = np.sqrt(np.sum(np.square(sq, out=sq), axis=-1))
-    if rms:
-        per_sample = root / (np.sqrt(n_steps) * _target_max(t))
-    else:
-        per_sample = root / (_target_max(t) * n_steps)
-    return _sample_mean(per_sample)
+    return _sample_mean(root / (_target_max(t) * t.shape[-1]))
 
 
 def mare(target_vm, predicted_vm, absolute=False):
@@ -251,44 +239,13 @@ def _pearson(x, y):
     return np.where(degenerate, np.nan, r), degenerate
 
 
-def pearson_r(x, y):
-    """Pearson linear correlation coefficient of two equal-length sequences.
-
-    Raises :class:`DegenerateSequence` when either sequence has zero
-    variance instead of returning a silent 0.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("sequences must be 1-d and of equal length")
-    if x.size < 2:
-        raise ValueError("need at least 2 points")
-    r, degenerate = _pearson(x, y)
-    if degenerate:
-        raise DegenerateSequence("zero-variance sequence in correlation")
-    return float(r)
-
-
-class ShapeRatio(NamedTuple):
-    """Shape-consistency comparison of one predicted channel against its target.
-
-    ``r_initial`` and ``r_aggregated`` correlate the first-order differences
-    of the respective prediction with those of the target; ``c_ratio`` is
-    (1 - r_initial) / (1 - r_aggregated), +inf (``perfect`` set) when the
-    aggregated correlation is 1 within ``SHAPE_EPS``.
-    """
-
-    r_initial: float
-    r_aggregated: float
-    c_ratio: float
-    perfect: bool
-
-
 def _shape_ratios(target, initial, aggregated):
     """``(r_initial, r_aggregated, c_ratio, perfect, degenerate)`` of channel paths ``(..., T)``, per path.
 
-    Vectorized :func:`shape_ratio`: a channel whose difference sequences
-    have zero variance is ``degenerate`` with NaN values.
+    The r values correlate the first-order differences of each prediction with
+    the target's; ``c_ratio`` = (1 - r_initial) / (1 - r_aggregated), +inf
+    (``perfect``) when r_aggregated is 1 within ``SHAPE_EPS``.  A channel whose
+    difference sequences have zero variance is ``degenerate`` with NaN values.
     """
     if target.shape[-1] < 3:
         raise ValueError("need at least 3 steps for difference correlation")
@@ -301,22 +258,6 @@ def _shape_ratios(target, initial, aggregated):
     with np.errstate(divide="ignore", invalid="ignore"):
         c_ratio = np.where(perfect, math.inf, (1.0 - r0) / (1.0 - rt))
     return r0, rt, c_ratio, perfect, degenerate
-
-
-def shape_ratio(target, initial, aggregated) -> ShapeRatio:
-    """Correlation-improvement ratio of aggregated over initial prediction.
-
-    All three arguments are same-length paths of one channel.  Values above
-    1 mean the aggregated path tracks the target's step-to-step shape more
-    closely than the initial prediction does.
-    """
-    paths = [np.asarray(p, dtype=float) for p in (target, initial, aggregated)]
-    if paths[0].ndim != 1 or any(p.shape != paths[0].shape for p in paths):
-        raise ValueError("paths must be 1-d and of equal length")
-    r0, rt, c_ratio, perfect, degenerate = _shape_ratios(*paths)
-    if degenerate:
-        raise DegenerateSequence("zero-variance sequence in correlation")
-    return ShapeRatio(float(r0), float(rt), float(c_ratio), bool(perfect))
 
 
 class ShapeReport(NamedTuple):

@@ -116,11 +116,6 @@ def sample_rotations(stream, n):
     return rot
 
 
-def sample_rotation(stream):
-    """Draw the next single random rotation from ``stream``."""
-    return sample_rotations(stream, 1)[0]
-
-
 def rotation_list(stream, n):
     """TTA rotation list ``[I, R_1, ..., R_n]``, shape ``(n+1, 3, 3)``.
 
@@ -151,7 +146,7 @@ def sample_orientation_tensor(stream):
     """
     cuts = np.sort(stream.uniforms(2))
     diag = np.array([cuts[0], cuts[1] - cuts[0], 1.0 - cuts[1]])
-    r = sample_rotation(stream)
+    r = sample_rotations(stream, 1)[0]
     m = np.einsum("ik,k,jk->ij", r, diag, r)
     return from_matrix(m)
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from .dataset import InvariantViolation
 from .models import CheckedRecord, ExternalModelError
-from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotation
-from .voigt import conjugate, inverse_rotate_sym, rotate_sym, von_mises
+from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotations
+from .voigt import conjugate, von_mises
 
 DIVISOR_COUNT = "count"
 DIVISOR_PAPER = "paper"
@@ -273,17 +273,18 @@ class AuditReport(NamedTuple):
 
 
 def _roundtrip_err(x, r):
-    return float(np.max(np.abs(x - inverse_rotate_sym(rotate_sym(x, r), r))))
+    return float(np.max(np.abs(x - conjugate(r.T[None], conjugate(r[None], x)[0])[0])))
 
 
 def numerics_audit(samples, model, stream: RotationStream, identity_only=False) -> AuditReport:
-    """Quantify float error of the rotate/back-rotate conjugation itself.
+    """Quantify float error of the kernel's rotate/back-rotate conjugation itself.
 
     For each sample a fresh random rotation is drawn and the max-abs
-    difference ``|x - R^T (R x R^T) R|`` is taken over all steps of the
-    input tensors (orientation + strain path), the target stress path, and
-    the model's predicted stress path; each of the three is averaged over
-    the dataset.  Distinguishes genuine prediction variation from rounding.
+    difference ``|x - R^T (R x R^T) R|``, both conjugations by
+    :func:`~rotta.voigt.conjugate` as in the kernel, is taken over all steps
+    of the input tensors (orientation + strain path), the target stress
+    path, and the model's predicted stress path; each of the three is
+    averaged over the dataset.  Distinguishes genuine prediction variation from rounding.
     The prediction is row 0 of the kernel over the identity alone, so
     its errors name the sample.  ``identity_only`` swaps every rotation for
     the identity, a sanity mode whose errors must be exactly zero.
@@ -292,7 +293,7 @@ def numerics_audit(samples, model, stream: RotationStream, identity_only=False) 
         raise ValueError("audit needs a non-empty dataset")
     input_errs, target_errs, output_errs = [], [], []
     for sample in samples:
-        r = identity_rotation() if identity_only else sample_rotation(stream)
+        r = identity_rotation() if identity_only else sample_rotations(stream, 1)[0]
         input_errs.append(max(_roundtrip_err(sample.a, r), _roundtrip_err(sample.strain, r)))
         if sample.target_stress is not None:
             target_errs.append(_roundtrip_err(sample.target_stress, r))

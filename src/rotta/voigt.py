@@ -33,6 +33,7 @@ VOIGT_INDEX = np.array([[0, 3, 4], [3, 1, 5], [4, 5, 2]])
 COMPONENT_NAMES = ("11", "22", "33", "12", "13", "23")
 
 ROTATION_TOL = 1e-12
+_TRACE_TOL = _EIG_TOL = 1e-9  # orientation tensors: trace 1 and eigenvalues >= 0, up to round-off
 
 
 def to_matrix(v):
@@ -86,27 +87,6 @@ def conjugate(r, x):
     return np.moveaxis(out, 0, -1)
 
 
-def rotate_sym(x, r):
-    """Conjugate a symmetric tensor by a rotation: returns Voigt form of ``r . X . r^T``.
-
-    Parameters
-    ----------
-    x : array_like, shape (..., 6)
-        Symmetric tensor(s) in Voigt storage.
-    r : array_like, shape (3, 3)
-        Proper orthogonal rotation matrix.
-
-    The result has the bits of :func:`conjugate` with the single rotation.
-    """
-    x = np.asarray(x, dtype=float)
-    return conjugate(np.asarray(r, dtype=float)[None], x.reshape(-1, 6))[0].reshape(x.shape)
-
-
-def inverse_rotate_sym(x, r):
-    """Undo :func:`rotate_sym`: returns Voigt form of ``r^T . X . r``."""
-    return rotate_sym(x, np.asarray(r, dtype=float).T)
-
-
 def von_mises(x):
     """Von Mises equivalent stress of Voigt tensor(s).
 
@@ -126,18 +106,10 @@ def von_mises(x):
     return np.sqrt(normal + shear)
 
 
-def von_mises_path(path):
-    """Per-step von Mises values of a ``(T, 6)`` tensor path; returns shape ``(T,)``."""
-    path = np.asarray(path, dtype=float)
-    if path.ndim != 2 or path.shape[-1] != 6:
-        raise ValueError(f"expected a (T, 6) path, got shape {path.shape}")
-    return von_mises(path)
-
-
-def check_orientation_tensor(v, trace_tol=1e-9, eig_tol=1e-9):
+def check_orientation_tensor(v):
     """Raise ``ValueError`` unless ``v`` is a valid fiber orientation tensor.
 
-    Requires trace 1 within ``trace_tol`` and eigenvalues >= ``-eig_tol``
+    Requires trace 1 within ``_TRACE_TOL`` and eigenvalues >= ``-_EIG_TOL``
     (positive semi-definite up to round-off).
     """
     v = np.asarray(v, dtype=float)
@@ -146,8 +118,8 @@ def check_orientation_tensor(v, trace_tol=1e-9, eig_tol=1e-9):
     if not np.all(np.isfinite(v)):
         raise ValueError("orientation tensor has non-finite components")
     tr = float(trace(v))
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"orientation tensor trace {tr!r} deviates from 1 by more than {trace_tol:.1e}")
+    if abs(tr - 1.0) > _TRACE_TOL:
+        raise ValueError(f"orientation tensor trace {tr!r} deviates from 1 by more than {_TRACE_TOL:.1e}")
     eigvals = np.linalg.eigvalsh(to_matrix(v))
-    if eigvals.min() < -eig_tol:
-        raise ValueError(f"orientation tensor has eigenvalue {eigvals.min():.3e} < -{eig_tol:.1e}")
+    if eigvals.min() < -_EIG_TOL:
+        raise ValueError(f"orientation tensor has eigenvalue {eigvals.min():.3e} < -{_EIG_TOL:.1e}")

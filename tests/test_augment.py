@@ -30,7 +30,7 @@ from rotta.models import (
 )
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
 from rotta.tta import augment
-from rotta.voigt import conjugate, from_matrix, inverse_rotate_sym, rotate_sym, to_matrix, trace, von_mises
+from rotta.voigt import conjugate, from_matrix, to_matrix, trace, von_mises
 
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 
@@ -52,8 +52,8 @@ def _loop(model, inp, rotations):
     """The reference: one rotate -> predict a one-row batch -> back-rotate per rotation."""
     rows = []
     for r in rotations:
-        rotated = inp._replace(a=rotate_sym(inp.a, r), strain=rotate_sym(inp.strain, r))
-        rows.append(inverse_rotate_sym(model.predict_batch(rotated.a[None], inp.vf, rotated.strain[None])[0], r))
+        rotated = inp._replace(a=conjugate(r[None], inp.a)[0], strain=conjugate(r[None], inp.strain)[0])
+        rows.append(conjugate(r.T[None], model.predict_batch(rotated.a[None], inp.vf, rotated.strain[None])[0])[0])
     return np.stack(rows)
 
 
@@ -144,7 +144,7 @@ def test_contraction_order_is_pinned():
     # from the per-rotation loop; the kernel must keep the loop's order
     inp = _input(7, 30, 0.02)
     rotations = rotation_list(RotationStream(8), 40)
-    per_rotation = np.stack([rotate_sym(inp.strain, r) for r in rotations])
+    per_rotation = np.stack([conjugate(r[None], inp.strain)[0] for r in rotations])
     optimized = from_matrix(np.einsum("pij,tjk,plk->ptil", rotations, to_matrix(inp.strain), rotations, optimize=True))
     assert not np.array_equal(optimized, per_rotation)
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=9))
@@ -266,20 +266,6 @@ def test_conjugate_has_the_bits_of_the_einsum(shape, seed, p, t, kind, scale, si
         # back-rotation: the forward form of the transposed rotations
         rt = r.transpose(0, 2, 1)
         assert_same_bits(conjugate(rt, x), _einsum_conjugate(np.ascontiguousarray(rt), x))
-
-
-@settings(max_examples=60, deadline=None)
-@given(**bit_cases)
-@example(seed=0, p=1, t=1, kind="random", scale=1.0, sign="any", zeros=0.0, special=False)
-def test_rotate_sym_has_the_bits_of_the_einsum(seed, p, t, kind, scale, sign, zeros, special):
-    rng = np.random.default_rng(seed)
-    r = _rotations(rng, seed, 1, kind)[0]
-    for shape in [(6,), (t, 6), (p, t, 6)]:
-        x = _values(rng, shape, scale, sign, zeros, special)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert_same_bits(rotate_sym(x, r), from_matrix(np.einsum("ij,...jk,lk->...il", r, to_matrix(x), r)))
-            assert_same_bits(inverse_rotate_sym(x, r), from_matrix(np.einsum("ji,...jk,kl->...il", r, to_matrix(x), r)))
 
 
 def test_conjugate_sums_from_positive_zero():

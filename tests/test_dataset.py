@@ -12,7 +12,7 @@ from rotta.dataset import (
     load_dataset,
     save_dataset,
 )
-from rotta.models import EquivariantOracle, OracleParams
+from rotta.models import EquivariantOracle
 from rotta.rotations import RotationStream
 from rotta.voigt import trace
 
@@ -222,9 +222,8 @@ def test_generate_prefix_stability():
 
 
 def test_generate_custom_strain_cap_and_oracle():
-    oracle = EquivariantOracle(OracleParams(lam=1.0, mu=1.0, kappa=1.0))
-    samples = generate_synthetic(2, 6, max_strain=0.01, stream=RotationStream(26),
-                                 oracle=oracle)
+    oracle = EquivariantOracle()  # the one source of generated targets
+    samples = generate_synthetic(2, 6, max_strain=0.01, stream=RotationStream(26))
     for s in samples:
         assert np.max(np.abs(s.strain)) == pytest.approx(0.01, abs=1e-12)
         assert np.array_equal(s.target_stress, oracle.predict_batch(s.a[None], s.vf, s.strain[None])[0])

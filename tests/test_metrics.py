@@ -14,8 +14,8 @@ from numpy.testing import assert_allclose
 
 from rotta.metrics import (
     _pearson,
+    _shape_ratios,
     AllStepsExcluded,
-    DegenerateSequence,
     ZeroTargetMax,
     evaluate_dataset,
     first_differences,
@@ -24,10 +24,8 @@ from rotta.metrics import (
     mere,
     mere_av,
     mere_histogram,
-    pearson_r,
     percentile_of,
     sd_mere,
-    shape_ratio,
     shape_report,
     uncertainty_curves,
 )
@@ -52,8 +50,6 @@ def test_mere_hand_case():
     target = np.array([s, 0.5 * s, 0.5 * s, 0.5 * s])
     prediction = target - e
     assert mere(target, prediction) == pytest.approx(e / (2.0 * s), abs=1e-12)
-    # the rms variant keeps T inside the root: sqrt(e^2) / s
-    assert mere(target, prediction, rms=True) == pytest.approx(e / s, abs=1e-12)
 
 
 def test_mere_scale_invariance():
@@ -215,14 +211,15 @@ def test_pearson_rows_are_the_rows_alone_and_constant_rows_are_degenerate(data, 
 
 def test_pearson_limits():
     x = np.array([0.0, 1.0, 3.0, 4.0])
-    assert pearson_r(x, x) == pytest.approx(1.0, abs=1e-15)
-    assert pearson_r(x, -x) == pytest.approx(-1.0, abs=1e-15)
+    assert float(_pearson(x, x)[0]) == pytest.approx(1.0, abs=1e-15)
+    assert float(_pearson(x, -x)[0]) == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_pearson_hand_case():
     # closed form for x = [1,2,3], y = [1,2,4]: r = sqrt(27/28)
-    r = pearson_r([1.0, 2.0, 3.0], [1.0, 2.0, 4.0])
-    assert r == pytest.approx(math.sqrt(27.0 / 28.0), abs=1e-12)
+    r, degenerate = _pearson(np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0, 4.0]))
+    assert float(r) == pytest.approx(math.sqrt(27.0 / 28.0), abs=1e-12)
+    assert not degenerate
 
 
 def test_pearson_matches_scipy():
@@ -230,18 +227,7 @@ def test_pearson_matches_scipy():
     for _ in range(10):
         x = rng.standard_normal(40)
         y = 0.5 * x + rng.standard_normal(40)
-        assert pearson_r(x, y) == pytest.approx(scipy.stats.pearsonr(x, y)[0], abs=1e-12)
-
-
-def test_pearson_degenerate_and_invalid():
-    with pytest.raises(DegenerateSequence):
-        pearson_r([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DegenerateSequence):
-        pearson_r([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
-    with pytest.raises(ValueError):
-        pearson_r([1.0], [2.0])
-    with pytest.raises(ValueError):
-        pearson_r([1.0, 2.0], [1.0, 2.0, 3.0])
+        assert float(_pearson(x, y)[0]) == pytest.approx(scipy.stats.pearsonr(x, y)[0], abs=1e-12)
 
 
 # ----------------------------------------------------------- shape ratio
@@ -250,17 +236,17 @@ def test_pearson_degenerate_and_invalid():
 def test_shape_ratio_equal_predictions():
     target = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
     pred = np.array([0.1, 0.9, 0.3, 1.7, 0.2])
-    res = shape_ratio(target, pred, pred)
-    assert res.c_ratio == pytest.approx(1.0, abs=1e-12)
-    assert not res.perfect
+    _, _, c_ratio, perfect, degenerate = _shape_ratios(target, pred, pred)
+    assert float(c_ratio) == pytest.approx(1.0, abs=1e-12)
+    assert not perfect and not degenerate
 
 
 def test_shape_ratio_perfect_aggregated():
     target = np.array([0.0, 1.0, 0.0, 2.0, 0.5])
     initial = np.array([0.2, 0.8, 0.4, 1.5, 0.9])
-    res = shape_ratio(target, initial, target + 0.3)  # offset keeps diffs identical
-    assert math.isinf(res.c_ratio)
-    assert res.perfect
+    _, _, c_ratio, perfect, _ = _shape_ratios(target, initial, target + 0.3)  # offset keeps diffs identical
+    assert math.isinf(c_ratio)
+    assert perfect
 
 
 def test_shape_ratio_matches_independent_computation():
@@ -270,15 +256,15 @@ def test_shape_ratio_matches_independent_computation():
     aggregated = target + 0.2 * rng.standard_normal(30)
     r0 = scipy.stats.pearsonr(np.diff(initial), np.diff(target))[0]
     rt = scipy.stats.pearsonr(np.diff(aggregated), np.diff(target))[0]
-    res = shape_ratio(target, initial, aggregated)
-    assert res.r_initial == pytest.approx(r0, abs=1e-12)
-    assert res.r_aggregated == pytest.approx(rt, abs=1e-12)
-    assert res.c_ratio == pytest.approx((1.0 - r0) / (1.0 - rt), abs=1e-12)
+    r_initial, r_aggregated, c_ratio, _, _ = _shape_ratios(target, initial, aggregated)
+    assert float(r_initial) == pytest.approx(r0, abs=1e-12)
+    assert float(r_aggregated) == pytest.approx(rt, abs=1e-12)
+    assert float(c_ratio) == pytest.approx((1.0 - r0) / (1.0 - rt), abs=1e-12)
 
 
 def test_shape_ratio_needs_three_steps():
     with pytest.raises(ValueError):
-        shape_ratio([1.0, 2.0], [1.0, 2.0], [1.0, 2.0])
+        _shape_ratios(*np.array([[1.0, 2.0]] * 3))
 
 
 def test_shape_report_flags_degenerate_channels():
@@ -504,12 +490,12 @@ def _per_rotation_loop(target_vm, vm_pred, mare_abs):
     return mere_vec, mare_vec
 
 
-def _scalar_loop(target_vm, vm, rms, mare_abs):
+def _scalar_loop(target_vm, vm, mare_abs):
     """``mere``/``mare`` of ``(M, T)`` paths before they took middle axes."""
     n_steps = target_vm.shape[-1]
     tmax = np.max(target_vm, axis=-1)
     root = np.sqrt(np.sum((target_vm - vm) ** 2, axis=-1))
-    per_sample = root / (np.sqrt(n_steps) * tmax) if rms else root / (tmax * n_steps)
+    per_sample = root / (tmax * n_steps)
     diff = np.abs(target_vm - vm) if mare_abs else target_vm - vm
     return float(np.mean(per_sample)), float(np.mean(np.max(diff, axis=-1) / tmax))
 
@@ -525,11 +511,10 @@ def _bits(x):
     p=st.integers(1, 12),
     t=st.integers(1, 30),
     mare_abs=st.booleans(),
-    rms=st.booleans(),
 )
-@example(seed=1, m=26, p=41, t=100, mare_abs=False, rms=False)
-@example(seed=2, m=39, p=5, t=7, mare_abs=True, rms=True)
-def test_stacked_mere_mare_have_the_bits_of_the_per_rotation_formulas(seed, m, p, t, mare_abs, rms):
+@example(seed=1, m=26, p=41, t=100, mare_abs=False)
+@example(seed=2, m=39, p=5, t=7, mare_abs=True)
+def test_stacked_mere_mare_have_the_bits_of_the_per_rotation_formulas(seed, m, p, t, mare_abs):
     rng = np.random.default_rng(seed)
     target_vm = rng.random((m, t)) * 10.0 ** rng.integers(-3, 4) + 1e-3
     vm_pred = target_vm[:, None, :] * (1.0 + 0.05 * rng.standard_normal((m, p, t)))
@@ -540,12 +525,12 @@ def test_stacked_mere_mare_have_the_bits_of_the_per_rotation_formulas(seed, m, p
     assert np.array_equal(_bits(got_mere), _bits(mere_vec))
     assert np.array_equal(_bits(got_mare), _bits(mare_vec))
     # an (M, T) prediction still gives the scalar of the 1-d sample mean
-    want_mere, want_mare = _scalar_loop(target_vm, vm_pred[:, -1], rms, mare_abs)
-    got = (mere(target_vm, vm_pred[:, -1], rms=rms), mare(target_vm, vm_pred[:, -1], absolute=mare_abs))
+    want_mere, want_mare = _scalar_loop(target_vm, vm_pred[:, -1], mare_abs)
+    got = (mere(target_vm, vm_pred[:, -1]), mare(target_vm, vm_pred[:, -1], absolute=mare_abs))
     assert all(type(v) is float for v in got)
     assert np.array_equal(_bits(got), _bits((want_mere, want_mare)))
-    # the middle axes keep their shape, and rms applies to them as well
-    assert mere(target_vm, vm_pred[:, None], rms=rms).shape == (1, p)
+    # the middle axes keep their shape
+    assert mere(target_vm, vm_pred[:, None]).shape == (1, p)
 
 
 def test_evaluate_dataset_peak_memory_stays_below_one_and_a_half_tables():

@@ -47,7 +47,7 @@ RECORDS = [pytest.param(_maker(cls), id=name) for name, cls in sorted(_defined_r
 
 def test_every_checked_maker_builds_a_defined_record():
     defined = _defined_records()
-    assert len(defined) == 12  # the count README gives
+    assert len(defined) == 11  # the count README gives
     for name, make in CHECKED.items():
         assert type(make()) is defined.get(name)
 

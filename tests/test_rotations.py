@@ -10,11 +10,10 @@ from rotta.rotations import (
     identity_rotation,
     rotation_list,
     sample_orientation_tensor,
-    sample_rotation,
     sample_rotations,
     sample_volume_fraction,
 )
-from rotta.voigt import rotate_sym, to_matrix, trace
+from rotta.voigt import conjugate, to_matrix, trace
 
 
 # ----------------------------------------------------------------- stream
@@ -86,8 +85,8 @@ def test_rotated_axis_mean_is_near_zero():
 
 def test_sample_rotation_draws_sequentially():
     s = RotationStream(2)
-    first = sample_rotation(s)
-    second = sample_rotation(s)
+    first = sample_rotations(s, 1)[0]
+    second = sample_rotations(s, 1)[0]
     assert not np.allclose(first, second)
     both = sample_rotations(RotationStream(2), 2)
     assert np.array_equal(first, both[0])
@@ -107,7 +106,7 @@ def test_identity_rotation():
     eye = identity_rotation()
     assert np.array_equal(eye, np.eye(3))
     x = np.array([1.0, 2.0, 3.0, 0.5, -0.25, 0.0])
-    assert np.array_equal(rotate_sym(x, eye), x)
+    assert np.array_equal(conjugate(eye[None], x)[0], x)
     assert np.array_equal(eye, eye.T)
 
 

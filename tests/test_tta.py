@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from rotta import tta
 from rotta.dataset import Sample, generate_synthetic
 from rotta.models import EquivariantOracle, ExternalModelError, NoisyOracle, OracleParams
-from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotation
+from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotations
 from rotta.tta import (
     EmptyInput,
     TTAConfig,
@@ -21,7 +21,7 @@ from rotta.tta import (
     reduce_predictions,
     run_tta,
 )
-from rotta.voigt import trace, von_mises_path
+from rotta.voigt import trace, von_mises
 
 R_X3_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -75,7 +75,7 @@ def test_rotate_input_preserves_orientation_trace():
         inp = _sample(seed=seed)
         r = RotationStream(seed)
         r.uniforms(3)  # desynchronize from the input draw
-        a, _, _ = _rotated_input(inp, sample_rotation(r)[None])
+        a, _, _ = _rotated_input(inp, sample_rotations(r, 1))
         assert trace(a[0]) == pytest.approx(trace(inp.a), abs=1e-12)
 
 
@@ -237,7 +237,7 @@ def test_result_shapes_and_vm_channels():
     assert res.rotations.shape == (6, 3, 3)
     # the aggregated von Mises channel is derived from the aggregated path
     for aggregated, vm_aggregated in zip(res.aggregated, res.vm_aggregated):
-        assert_allclose(vm_aggregated, von_mises_path(aggregated), rtol=0, atol=0)
+        assert_allclose(vm_aggregated, von_mises(aggregated), rtol=0, atol=0)
 
 
 def test_run_is_deterministic():

@@ -9,13 +9,11 @@ from rotta.voigt import (
     COMPONENT_NAMES,
     VOIGT_PAIRS,
     check_orientation_tensor,
+    conjugate,
     from_matrix,
-    inverse_rotate_sym,
-    rotate_sym,
     to_matrix,
     trace,
     von_mises,
-    von_mises_path,
 )
 
 # 90 degrees about the x3 axis, written out by hand
@@ -69,26 +67,25 @@ def test_trace():
 
 def test_rotate_identity_is_noop():
     x = np.array([1.0, 2.0, 3.0, 0.5, 0.0, 0.0])
-    assert_allclose(rotate_sym(x, np.eye(3)), x, rtol=0, atol=0)
-    assert_allclose(inverse_rotate_sym(x, np.eye(3)), x, rtol=0, atol=0)
+    assert_allclose(conjugate(np.eye(3)[None], x)[0], x, rtol=0, atol=0)
 
 
 def test_rotate_axis_permutation():
     # a uniaxial tensor along x1 lands on x2 after a quarter turn about x3
     x = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-    assert_allclose(rotate_sym(x, R_X3_90), [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+    assert_allclose(conjugate(R_X3_90[None], x)[0], [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_rotate_hand_case():
     # hand-evaluated R . X . R^T for the quarter turn about x3:
     # normal components 11/22 swap and the 12 shear flips sign
     x = np.array([1.0, 2.0, 3.0, 0.5, 0.0, 0.0])
-    assert_allclose(rotate_sym(x, R_X3_90), [2.0, 1.0, 3.0, -0.5, 0.0, 0.0], atol=1e-15)
+    assert_allclose(conjugate(R_X3_90[None], x)[0], [2.0, 1.0, 3.0, -0.5, 0.0, 0.0], atol=1e-15)
 
 
 def test_inverse_rotate_hand_case():
     x = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0])
-    assert_allclose(inverse_rotate_sym(x, R_X3_90), [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+    assert_allclose(conjugate(R_X3_90.T[None], x)[0], [1.0, 0.0, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
 
 
 def test_rotate_round_trip():
@@ -96,8 +93,8 @@ def test_rotate_round_trip():
     for _ in range(20):
         x = _random_voigt(rng, scale=10.0)
         r = _random_rotation(rng)
-        assert_allclose(inverse_rotate_sym(rotate_sym(x, r), r), x, atol=1e-13)
-        assert_allclose(rotate_sym(inverse_rotate_sym(x, r), r), x, atol=1e-13)
+        assert_allclose(conjugate(r.T[None], conjugate(r[None], x)[0])[0], x, atol=1e-13)
+        assert_allclose(conjugate(r[None], conjugate(r.T[None], x)[0])[0], x, atol=1e-13)
 
 
 def test_rotate_matches_dense_conjugation():
@@ -106,16 +103,16 @@ def test_rotate_matches_dense_conjugation():
         x = _random_voigt(rng)
         r = _random_rotation(rng)
         dense = r @ to_matrix(x) @ r.T
-        assert_allclose(to_matrix(rotate_sym(x, r)), dense, atol=1e-14)
+        assert_allclose(to_matrix(conjugate(r[None], x)[0]), dense, atol=1e-14)
 
 
 def test_rotate_path_batch():
     rng = np.random.default_rng(4)
     path = rng.standard_normal((9, 6))
     r = _random_rotation(rng)
-    rotated = rotate_sym(path, r)
+    rotated = conjugate(r[None], path)[0]
     for t in range(9):
-        assert_allclose(rotated[t], rotate_sym(path[t], r), rtol=0, atol=0)
+        assert_allclose(rotated[t], conjugate(r[None], path[t])[0], rtol=0, atol=0)
 
 
 # -------------------------------------------------------------- von Mises
@@ -142,28 +139,21 @@ def test_von_mises_rotation_invariant():
         x = _random_voigt(rng, scale=10.0 ** rng.integers(-2, 3))
         r = _random_rotation(rng)
         vm = von_mises(x)
-        assert abs(von_mises(rotate_sym(x, r)) - vm) <= 1e-10 * max(1.0, vm)
+        assert abs(von_mises(conjugate(r[None], x)[0]) - vm) <= 1e-10 * max(1.0, vm)
 
 
 def test_von_mises_path():
     s = 4.0
     const = np.zeros((3, 6))
     const[:, 0] = s
-    assert_allclose(von_mises_path(const), [s, s, s], atol=1e-13)
-    assert_allclose(von_mises_path(np.zeros((5, 6))), np.zeros(5), rtol=0, atol=0)
+    assert_allclose(von_mises(const), [s, s, s], atol=1e-13)
+    assert_allclose(von_mises(np.zeros((5, 6))), np.zeros(5), rtol=0, atol=0)
 
     rng = np.random.default_rng(6)
     path = rng.standard_normal((8, 6))
-    per_step = von_mises_path(path)
+    per_step = von_mises(path)
     for t in range(8):
         assert per_step[t] == pytest.approx(von_mises(path[t]), abs=0)
-
-
-def test_von_mises_path_rejects_wrong_shape():
-    with pytest.raises(ValueError):
-        von_mises_path(np.zeros(6))
-    with pytest.raises(ValueError):
-        von_mises_path(np.zeros((2, 3, 6)))
 
 
 # ------------------------------------------------------------- validators
