@@ -10,8 +10,8 @@ import numpy as np
 
 from rotta.dataset import generate_synthetic
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
-from rotta.rotations import RotationStream
-from rotta.tta import TTAConfig, run_tta
+from rotta.rotations import RotationStream, rotation_list
+from rotta.tta import run_tta
 from rotta.voigt import von_mises
 
 np.set_printoptions(precision=4, suppress=True)
@@ -23,16 +23,18 @@ target_vm = von_mises(sample.target_stress)
 print("sample %s: %d steps, vf = %.3f, peak von Mises %.1f MPa" %
       (sample.id, sample.n_steps, sample.vf, target_vm.max()))
 
-config = TTAConfig(n_rotations=64, seed=1)
+# The identity, then 64 random rotations; both models below see this one
+# list, so rotation index i is the same rotation in each run.
+rotations = rotation_list(RotationStream(1), 64)
 
 # run_tta takes a dataset, a list of samples, and keeps the sample axis
 # first in every result array; this dataset has one sample, index 0.
 # result.initial holds the identity prediction of each sample; one sample's
-# per-rotation paths are augment(model, sample, result.rotations).
+# per-rotation paths are augment(model, sample, rotations).
 # Equivariant case: the aggregate reproduces the direct prediction
 # (rotation index 0, the identity) and the per-step spread collapses to
 # rounding noise.
-result = run_tta(EquivariantOracle(), [sample], config)
+result = run_tta(EquivariantOracle(), [sample], rotations)
 spread = np.max(np.abs(result.aggregated[0] - result.initial[0]))
 print("\nequivariant model, 64 rotations:")
 print("  |aggregate - direct| = %.2e (pure round-off)" % spread)
@@ -42,7 +44,7 @@ print("  max von Mises SD     = %.2e" % result.vm_sd.max())
 # perturbations, so the copies disagree and their mean is better than
 # any single one.
 noisy = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=2))
-result = run_tta(noisy, [sample], config)
+result = run_tta(noisy, [sample], rotations)
 direct_vm = result.vm_individual[0, 0]
 tta_vm = result.vm_aggregated[0]
 

@@ -15,16 +15,16 @@ from rotta.dataset import generate_synthetic, save_dataset
 from rotta.experiment import ExperimentConfig, run_sweep
 from rotta.metrics import evaluate_dataset
 from rotta.models import NoisyOracle, OracleParams
-from rotta.rotations import RotationStream
-from rotta.tta import TTAConfig, run_tta
+from rotta.rotations import RotationStream, rotation_list
+from rotta.tta import run_tta
 
 # Twelve samples, forty steps each; targets come from the reference model.
 samples = generate_synthetic(12, 40, stream=RotationStream(9))
 targets = np.stack([s.target_stress for s in samples])
 
 model = NoisyOracle(OracleParams(noise_amp=4.0, noise_seed=1))
-config = TTAConfig(n_rotations=48, seed=3)
-result = run_tta(model, samples, config)  # every array keeps the sample axis first
+rotations = rotation_list(RotationStream(3), 48)  # the identity, then 48 random rotations
+result = run_tta(model, samples, rotations)  # every array keeps the sample axis first
 
 report = evaluate_dataset(targets, result)
 print(report.to_text())

@@ -14,24 +14,24 @@ import numpy as np
 from rotta.dataset import generate_synthetic
 from rotta.metrics import mere
 from rotta.models import NoisyOracle, OracleParams
-from rotta.rotations import RotationStream
+from rotta.rotations import RotationStream, rotation_list
 from rotta.spheremap import project_rotations, render_svg, seeds_csv, voronoi_rasterize
-from rotta.tta import TTAConfig, run_tta
+from rotta.tta import run_tta
 from rotta.voigt import von_mises
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "output")
 os.makedirs(OUT_DIR, exist_ok=True)
 
-# Evaluate a noisy model over 10 samples and 96 shared rotations; the
-# same seed makes rotation index i mean the same rotation for every
-# sample, which is what lets us attach one error value per rotation.
+# Evaluate a noisy model over 10 samples and 96 shared rotations; one
+# list makes rotation index i mean the same rotation for every sample,
+# which is what lets us attach one error value per rotation.
 samples = generate_synthetic(10, 50, stream=RotationStream(13))
 target_vm = np.stack([von_mises(s.target_stress) for s in samples])
 
 n_rotations = 96
-config = TTAConfig(n_rotations=n_rotations, seed=4)
+rotations = rotation_list(RotationStream(4), n_rotations)
 model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=6))
-result = run_tta(model, samples, config)
+result = run_tta(model, samples, rotations)
 
 # Per-rotation error: mean over the dataset of each rotation's own
 # back-rotated prediction error.  The (M, P, T) von Mises stack keeps its
@@ -40,10 +40,10 @@ per_rotation = mere(target_vm, result.vm_individual)
 print("per-rotation error: min %.5f, max %.5f over %d rotations"
       % (per_rotation.min(), per_rotation.max(), n_rotations + 1))
 
-# The result carries the rotation list the augmentation used (identity
-# first, then the sampled ones); it is projected and rendered.  Each seed
-# is a row (x, y, error) of one (P, 3) array.
-seeds = project_rotations(result.rotations, per_rotation, radius=2.0)
+# The same rotation list (identity first, then the sampled ones) is
+# projected and rendered.  Each seed is a row (x, y, error) of one
+# (P, 3) array.
+seeds = project_rotations(rotations, per_rotation, radius=2.0)
 raster = voronoi_rasterize(seeds, grid=(360, 180), radius=2.0)
 
 texts = {

@@ -16,8 +16,8 @@ import numpy as np
 
 from rotta.dataset import generate_synthetic
 from rotta.models import ExternalModel
-from rotta.rotations import RotationStream
-from rotta.tta import TTAConfig, run_tta
+from rotta.rotations import RotationStream, rotation_list
+from rotta.tta import run_tta
 
 STUB = textwrap.dedent(
     """
@@ -44,7 +44,7 @@ with tempfile.TemporaryDirectory() as work:
     command = [sys.executable, stub_path]
     print("external command:", " ".join(command))
     with ExternalModel(command, timeout=10.0) as model:
-        result = run_tta(model, [sample], TTAConfig(n_rotations=16, seed=8))
+        result = run_tta(model, [sample], rotation_list(RotationStream(8), 16))
 
 expected = 2.0 * sample.strain
 print("\n16 rotations through the subprocess, all answers validated")

@@ -33,7 +33,7 @@ from .spheremap import (
     seeds_csv,
     voronoi_rasterize,
 )
-from .tta import DIVISOR_MODES, TTAConfig, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
+from .tta import DIVISOR_MODES, augment_chunks, compensated_sums, mean_divisor, numerics_audit, run_tta
 from .voigt import von_mises
 
 MODEL_KINDS = ("equivariant", "noisy")
@@ -242,13 +242,24 @@ def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
     return samples
 
 
-def compute_results(cfg: ExperimentConfig, model, samples):
-    """:func:`~rotta.tta.run_tta` of ``model`` over ``samples`` with the run settings of ``cfg``.
+def _rotations(cfg: ExperimentConfig, n):
+    """The one rotation list of every command: the identity, then the first ``n`` draws of ``cfg.seed``'s stream.
 
-    The rotation list is drawn once from ``cfg.seed`` and shared by every
-    sample.  The caller owns ``model`` and closes it.
+    A list for a smaller ``n`` is a prefix of this one, so rotation index i
+    is the same rotation, with the same bits, in ``run``, ``repeats``,
+    ``sweep`` and the sphere map.
     """
-    return run_tta(model, samples, TTAConfig(cfg.n_rotations, cfg.seed, cfg.divisor_mode))
+    return rotation_list(RotationStream(cfg.seed), n)
+
+
+def compute_results(cfg: ExperimentConfig, model, samples):
+    """``(rotations, result)``: :func:`~rotta.tta.run_tta` of ``model`` over ``samples`` as ``cfg`` sets.
+
+    The rotation list is drawn once, with N = ``cfg.n_rotations``, and
+    shared by every sample.  The caller owns ``model`` and closes it.
+    """
+    rotations = _rotations(cfg, cfg.n_rotations)
+    return rotations, run_tta(model, samples, rotations, cfg.divisor_mode)
 
 
 def _evaluate(cfg: ExperimentConfig, samples, result):
@@ -257,16 +268,16 @@ def _evaluate(cfg: ExperimentConfig, samples, result):
 
 
 def _evaluated_run(cfg: ExperimentConfig):
-    """Augmented inference over the configured dataset, evaluated: ``(samples, result, report)``."""
+    """Augmented inference over the configured dataset, evaluated: ``(samples, rotations, result, report)``."""
     cfg.validate()
     _check_divisor(cfg, cfg.n_rotations)
     samples = _load_evaluable(cfg)
     with _open_model(cfg) as model:
-        result = compute_results(cfg, model, samples)
-    return samples, result, _evaluate(cfg, samples, result)
+        rotations, result = compute_results(cfg, model, samples)
+    return samples, rotations, result, _evaluate(cfg, samples, result)
 
 
-def _write_run_outputs(writer: _OutputWriter, cfg, samples, result, report: MetricsReport):
+def _write_run_outputs(writer: _OutputWriter, cfg, samples, rotations, result, report: MetricsReport):
     writer.write_json("metrics.json", report.to_dict())
     writer.write_text("metrics.txt", report.to_text() + "\n")
 
@@ -289,7 +300,7 @@ def _write_run_outputs(writer: _OutputWriter, cfg, samples, result, report: Metr
         )
 
     if cfg.sphere_map:
-        _write_sphere_map(writer, cfg, report, result.rotations)
+        _write_sphere_map(writer, cfg, report, rotations)
 
 
 def _write_sphere_map(writer: _OutputWriter, cfg: ExperimentConfig, report: MetricsReport, rotations):
@@ -308,15 +319,17 @@ def run_experiment(cfg: ExperimentConfig):
     error histogram, optionally the spherical error map, and finally the
     manifest.  On any failure all files written so far are removed.
     """
-    samples, result, report = _evaluated_run(cfg)
-    manifest_path = _write_outputs(cfg, lambda writer: _write_run_outputs(writer, cfg, samples, result, report))
+    samples, rotations, result, report = _evaluated_run(cfg)
+    manifest_path = _write_outputs(
+        cfg, lambda writer: _write_run_outputs(writer, cfg, samples, rotations, result, report)
+    )
     return report, manifest_path
 
 
 def run_sphere_map(cfg: ExperimentConfig):
     """The run of :func:`run_experiment` writing only the spherical error map; returns the manifest path."""
-    _, result, report = _evaluated_run(cfg)
-    return _write_outputs(cfg, lambda writer: _write_sphere_map(writer, cfg, report, result.rotations))
+    _, rotations, _, report = _evaluated_run(cfg)
+    return _write_outputs(cfg, lambda writer: _write_sphere_map(writer, cfg, report, rotations))
 
 
 def run_audit(cfg: ExperimentConfig, identity_only=False):
@@ -348,7 +361,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
     _check_divisor(cfg, checkpoints[0])
 
     samples = _load_evaluable(cfg, min_steps=1)
-    rotations = rotation_list(RotationStream(cfg.seed), checkpoints[-1])
+    rotations = _rotations(cfg, checkpoints[-1])
     target_vm = np.stack([von_mises(s.target_stress) for s in samples])
     n_steps = samples[0].n_steps
 
@@ -390,7 +403,8 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
     with _open_model(cfg) as model:
         for k in range(n_repeats):
             seed = cfg.seed + k
-            report = _evaluate(cfg, samples, compute_results(cfg._replace(seed=seed), model, samples))
+            _, result = compute_results(cfg._replace(seed=seed), model, samples)
+            report = _evaluate(cfg, samples, result)
             rows.append((k + 1, seed, report.mere_i0, report.mere_av, report.sd_mere, report.mere_tta, report.mare_tta))
     values = np.asarray([row[5] for row in rows])
     mean = float(np.mean(values))

@@ -235,8 +235,9 @@ class ExternalModel:
     Several requests may be in flight at once; responses are matched to
     requests by id, in any order.  Component order is [11, 22, 33, 12, 13, 23]
     with tensor (not engineering) shear values.  Process exit, a malformed
-    line, a non-object, an unknown id, a shape mismatch, non-finite values,
-    or ``timeout`` seconds without progress raise :class:`ExternalModelError`.
+    line, a non-object, an unknown id (a JSON boolean is none), a shape
+    mismatch, non-finite values, or ``timeout`` seconds without progress
+    raise :class:`ExternalModelError`.
 
     :meth:`predict_batch` pipelines one request per row.  Usable as a context
     manager; the subprocess is spawned lazily on first prediction and
@@ -352,7 +353,7 @@ class ExternalModel:
         if not isinstance(response, dict):
             raise ExternalModelError(f"response is not a JSON object: {line[:200]!r}", first)
         rid = response.get("id")
-        row = waiting.get(rid) if isinstance(rid, (int, float)) else None
+        row = waiting.get(rid) if type(rid) in (int, float) else None  # not a bool: JSON true == 1
         if row is None:
             raise ExternalModelError(f"response id {rid!r} matches no outstanding request", first)
         try:

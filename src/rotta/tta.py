@@ -1,11 +1,11 @@
 """Rotation-augmented inference: rotate, predict, back-rotate, aggregate.
 
-Given a predictor ``f`` and a sample ``(a, vf, eps(t))``, the engine builds
-a rotation list ``[I, R_1, ..., R_N]``, feeds ``f`` the rotated input for
-each ``R_i``, conjugates every predicted stress path back to the original
-frame, and reduces the back-rotated paths into a mean path with a per-step
-spread.  For an exactly rotation-equivariant predictor the whole procedure
-is a no-op up to float round-off, which the test suite exploits.
+Given a predictor ``f``, a sample ``(a, vf, eps(t))`` and a rotation list
+``[I, R_1, ..., R_N]`` its caller built, the engine feeds ``f`` the rotated
+input for each ``R_i``, conjugates every predicted stress path back to the
+original frame, and reduces the back-rotated paths into a mean path with a
+per-step spread.  For an exactly rotation-equivariant predictor the whole
+procedure is a no-op up to float round-off, which the test suite exploits.
 
 :func:`augment` (and :func:`augment_chunks`, the same rows chunk by chunk)
 is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
@@ -20,14 +20,13 @@ and :func:`reduce_predictions` reduces each group's stack in two such passes;
 one :class:`TTAResult` of float64 arrays keeps the identity rows, not the stack.
 """
 
-from collections import namedtuple
 from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import InvariantViolation
-from .models import CheckedRecord, ExternalModelError
-from .rotations import RotationStream, identity_rotation, rotation_list, sample_rotations
+from .models import ExternalModelError
+from .rotations import identity_rotation, sample_rotations
 from .voigt import conjugate, von_mises
 
 DIVISOR_COUNT = "count"
@@ -50,35 +49,6 @@ class EmptyInput(ValueError):
     """A mean was asked for with a zero divisor: the paper divisor over the identity alone."""
 
 
-class TTAConfig(CheckedRecord, namedtuple("TTAConfig", "n_rotations seed divisor_mode", defaults=(0, DIVISOR_COUNT))):
-    """Settings of one augmented-inference pass.
-
-    Parameters
-    ----------
-    n_rotations : int
-        Number N of random rotations (the identity is extra, index 0).
-    seed : int
-        Seed of the rotation stream.
-    divisor_mode : {"count", "paper"}
-        "count" divides the (N+1)-term sum by the number of predictions;
-        "paper" divides it by N, reproducing the printed mean formula
-        verbatim (rejects N = 0).
-
-    The spread always follows the printed formula: rows 1..N, the random
-    rotations only, about the mean, with divisor N.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n_rotations < 0:
-            raise ValueError("n_rotations must be >= 0")
-        if self.divisor_mode not in DIVISOR_MODES:
-            raise ValueError(f"unknown divisor_mode {self.divisor_mode!r}")
-        return self
-
-
 class TTAResult(NamedTuple):
     """Back-rotated predictions of the M samples of a dataset and their aggregates.
 
@@ -86,7 +56,7 @@ class TTAResult(NamedTuple):
     rotation index 0, the identity), ``aggregated`` and ``sd`` are ``(M, T,
     6)``; ``augment(model, sample, rotations)`` gives one sample's ``(P, T,
     6)`` paths.  The von Mises channels are ``(M, P, T)`` and ``(M, T)``;
-    ``vm_aggregated`` is the von Mises stress *of the aggregated path*.  ``rotations`` is the ``(P, 3, 3)`` list of all.
+    ``vm_aggregated`` is the von Mises stress *of the aggregated path*.
     """
 
     initial: np.ndarray
@@ -95,7 +65,6 @@ class TTAResult(NamedTuple):
     vm_individual: np.ndarray
     vm_aggregated: np.ndarray
     vm_sd: np.ndarray
-    rotations: np.ndarray
 
 
 def compensated_sums(rows, at):
@@ -138,7 +107,7 @@ def _row_blocks(n_rows, row_size, budget=None):
     return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
 
 
-def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
+def reduce_predictions(backrotated, divisor_mode) -> TTAResult:
     """:class:`TTAResult` of M inputs from their ``(M, P, T, 6)`` back-rotated stack.
 
     Every sample is reduced at once, each element with the additions of its
@@ -152,7 +121,7 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
     """
     by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
     p = len(by_rotation)
-    aggregated = compensated_sums(by_rotation, [p - 1])[0] / mean_divisor(p, cfg.divisor_mode)
+    aggregated = compensated_sums(by_rotation, [p - 1])[0] / mean_divisor(p, divisor_mode)
     vm_aggregated = von_mises(aggregated)
     vm_individual = np.empty(backrotated.shape[:-1])
     vm_by_rotation = vm_individual.swapaxes(0, 1)
@@ -172,7 +141,7 @@ def reduce_predictions(backrotated, cfg: TTAConfig, rotations) -> TTAResult:
     totals = compensated_sums(deviations(), [p - 2])
     variance = totals[0] / (p - 1) if totals else np.zeros(buffer.shape[1:])  # P = 1 sums no row
     return TTAResult(backrotated[:, 0].copy(), aggregated, np.sqrt(variance[..., :6]), vm_individual, vm_aggregated,
-                     np.sqrt(variance[..., 6]), rotations)
+                     np.sqrt(variance[..., 6]))
 
 
 def augment_chunks(model, sample, rotations):
@@ -224,14 +193,17 @@ def augment(model, sample, rotations) -> np.ndarray:
     return out
 
 
-def run_tta(model, samples, cfg: TTAConfig) -> TTAResult:
+def run_tta(model, samples, rotations, divisor_mode=DIVISOR_COUNT) -> TTAResult:
     """Full augmented-inference pass over the ``samples`` of a dataset.
 
-    Every sample runs through :func:`augment_chunks` over one rotation list,
-    drawn from ``cfg.seed``, so rotation index i is one rotation across the
-    dataset.  Each group of samples within a byte budget fills one reused
-    buffer in rotation-index order for :func:`reduce_predictions`.  Samples
-    must share one path length, checked before the first prediction.
+    Every sample runs through :func:`augment_chunks` over the one ``(P, 3,
+    3)`` list ``rotations``, so rotation index i is one rotation across the
+    dataset.  Row 0 must be exactly the identity: ``initial`` is its
+    prediction and the spread sums rows 1..P-1.  Each group of samples
+    within a byte budget fills one reused buffer in rotation-index order
+    for :func:`reduce_predictions`, whose mean divides as ``divisor_mode``
+    says.  Samples must share one path length; it and the list are checked
+    before the first prediction.
     """
     if len(samples) == 0:
         raise ValueError("augmented inference needs at least one sample")
@@ -239,17 +211,22 @@ def run_tta(model, samples, cfg: TTAConfig) -> TTAResult:
         if sample.strain.shape != samples[0].strain.shape:
             raise ValueError(f"sample {sample.id}: strain path shape {sample.strain.shape} differs from "
                              f"the first sample's {samples[0].strain.shape}")
-    rotations = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
+    rotations = np.asarray(rotations, dtype=float)
+    if rotations.ndim != 3 or rotations.shape[0] == 0 or rotations.shape[1:] != (3, 3):
+        raise ValueError(f"rotations must be a (P, 3, 3) list with P >= 1, got shape {rotations.shape}")
+    if not np.array_equal(rotations[0], identity_rotation()):
+        raise ValueError("rotation index 0 must be exactly the identity")
     m, p, t = len(samples), len(rotations), samples[0].n_steps
+    mean_divisor(p, divisor_mode)  # a bad mode fails before the first prediction
     groups = _row_blocks(m, p * t * 6, _GROUP_BYTES // 8)
     buffer = np.empty((len(samples[groups[0]]), p, t, 6))
-    whole = TTAResult(*(np.empty((m,) + shape) for shape in [(t, 6)] * 3 + [(p, t), (t,), (t,)]), rotations)
+    whole = TTAResult(*(np.empty((m,) + shape) for shape in [(t, 6)] * 3 + [(p, t), (t,), (t,)]))
     for group in groups:
         stack = buffer[:len(samples[group])]
         for k, sample in enumerate(samples[group]):
             for lo, block in augment_chunks(model, sample, rotations):
                 stack[k, lo:lo + len(block)] = block
-        for array, rows in zip(whole[:-1], reduce_predictions(stack, cfg, rotations)):
+        for array, rows in zip(whole, reduce_predictions(stack, divisor_mode)):
             array[group] = rows
     return whole
 
@@ -276,11 +253,12 @@ def _roundtrip_err(x, r):
     return float(np.max(np.abs(x - conjugate(r.T[None], conjugate(r[None], x)[0])[0])))
 
 
-def numerics_audit(samples, model, stream: RotationStream, identity_only=False) -> AuditReport:
+def numerics_audit(samples, model, stream, identity_only=False) -> AuditReport:
     """Quantify float error of the kernel's rotate/back-rotate conjugation itself.
 
-    For each sample a fresh random rotation is drawn and the max-abs
-    difference ``|x - R^T (R x R^T) R|``, both conjugations by
+    For each sample a fresh random rotation is drawn from ``stream``, a
+    :class:`~rotta.rotations.RotationStream`, and the max-abs difference
+    ``|x - R^T (R x R^T) R|``, both conjugations by
     :func:`~rotta.voigt.conjugate` as in the kernel, is taken over all steps
     of the input tensors (orientation + strain path), the target stress
     path, and the model's predicted stress path; each of the three is

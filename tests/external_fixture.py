@@ -13,6 +13,7 @@ modes answer requests 0..K-1 like echo and put their fault on request K
   badjson  answer with a non-JSON line
   list     answer with the JSON array [1, 2], not an object
   badid    answer with a wrong request id
+  boolid   answer with the id as a JSON boolean (true for any id but 0)
   exit     exit after answering K requests
   once     answer the first request like echo, then exit (exit 1)
   slow     answer like echo, each answer after a 0.05 s pause
@@ -48,6 +49,8 @@ def answer(req, mode, k, count):
         resp["sigma"][0][0] = float("nan")
     elif mode == "badid":
         resp["id"] = req["id"] + 1000
+    elif mode == "boolid":
+        resp["id"] = bool(req["id"])
     elif mode == "badjson":
         return b"this is not json\n"
     elif mode == "list":

@@ -28,7 +28,7 @@ from rotta.metrics import (
     sd_mere,
 )
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
-from rotta.rotations import RotationStream, sample_rotations
+from rotta.rotations import RotationStream, rotation_list, sample_rotations
 from rotta.metrics import evaluate_dataset
 from rotta.spheremap import (
     mollweide_project,
@@ -36,7 +36,7 @@ from rotta.spheremap import (
     solve_theta,
     voronoi_rasterize,
 )
-from rotta.tta import TTAConfig, numerics_audit, run_tta
+from rotta.tta import numerics_audit, run_tta
 from rotta.voigt import conjugate, von_mises
 
 SEEDS = (101, 102, 103, 104, 105)
@@ -60,7 +60,7 @@ def _five_seed_runs(uniaxial):
     start = time.perf_counter()
     for seed in SEEDS:
         model = NoisyOracle(OracleParams(noise_amp=amp, noise_seed=NOISE_SEED))
-        result = run_tta(model, samples, TTAConfig(N_ROTATIONS, seed=seed))
+        result = run_tta(model, samples, rotation_list(RotationStream(seed), N_ROTATIONS))
         reports.append(evaluate_dataset(targets, result))
     elapsed = time.perf_counter() - start
     return SimpleNamespace(samples=samples, amp=amp, reports=reports, elapsed=elapsed)
@@ -103,7 +103,7 @@ def test_criterion_02_equivariant_no_op():
     samples = generate_synthetic(20, 100, stream=RotationStream(7))
     start = time.perf_counter()
     model = EquivariantOracle()
-    result = run_tta(model, samples, TTAConfig(64, seed=0))
+    result = run_tta(model, samples, rotation_list(RotationStream(0), 64))
     report = evaluate_dataset(np.stack([s.target_stress for s in samples]), result)
     elapsed = time.perf_counter() - start
     spread = float(np.max(np.abs(result.aggregated - result.initial)))

@@ -53,3 +53,17 @@ def test_every_public_name_is_used_outside_the_tests():
     used = _names_outside_tests()
     unused = sorted(name for name in _public_definitions() if name not in used)
     assert unused == [], f"public names only the tests use: {unused}"
+
+
+def test_only_experiment_builds_the_rotation_list():
+    # rotation index i is one rotation, with the same bits, in every command
+    # because one call in ``experiment`` builds the list the others take
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "rotation_list":
+                    callers.append(path.name)
+    assert callers == ["experiment.py"], f"modules calling rotation_list: {callers}"

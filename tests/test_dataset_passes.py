@@ -24,7 +24,7 @@ from rotta.metrics import CHANNEL_NAMES, jsonable, shape_report
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
 from rotta.spheremap import seeds_csv
-from rotta.tta import EmptyInput, TTAConfig, augment, reduce_predictions, run_tta
+from rotta.tta import EmptyInput, augment, reduce_predictions, run_tta
 from rotta.voigt import von_mises
 
 RESULT_FIELDS = ("initial", "aggregated", "sd", "vm_individual", "vm_aggregated", "vm_sd")
@@ -87,23 +87,23 @@ reduction_cases = dict(
 def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, chunk, group):
     samples = [_sample(seed + k, t) for k in range(m)]
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=seed))
-    cfg = TTAConfig(n, seed=seed, divisor_mode=mode)
     rotations = rotation_list(RotationStream(seed), n)
     stack = np.stack([augment(model, s, rotations) for s in samples])
     sample_bytes = (n + 1) * t * 6 * 8  # one sample's stack: groups of `group` samples, the last one shorter
     with mock.patch.object(tta, "_CHUNK_STEPS", chunk), mock.patch.object(tta, "_GROUP_BYTES", group * sample_bytes):
         if mode == "paper" and n == 0:
             with pytest.raises(EmptyInput):
-                run_tta(model, samples, cfg)
+                run_tta(model, samples, rotations, mode)
             return
-        batched = run_tta(model, samples, cfg)
+        batched = run_tta(model, samples, rotations, mode)
     assert batched.initial.shape == (m, t, 6)
-    assert_same_bits(batched.rotations, rotations)
     assert_same_bits(batched.initial, stack[:, 0])
     for k, sample in enumerate(samples):
-        alone = run_tta(model, [sample], cfg)
+        alone = run_tta(model, [sample], rotations, mode)
+        reduced = reduce_predictions(stack[k:k + 1], mode)  # the sample's augment rows, reduced alone
         for field in RESULT_FIELDS:
             assert_same_bits(getattr(batched, field)[k], getattr(alone, field)[0])
+            assert_same_bits(getattr(batched, field)[k], getattr(reduced, field)[0])
         for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode)):
             assert_same_bits(getattr(batched, field)[k], oracle)
 
@@ -111,16 +111,16 @@ def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, chunk,
 def test_one_sample_groups_peak_well_below_the_dataset_stack():
     m, n, t = 8, 200, 40
     samples = [_sample(k, t) for k in range(m)]
-    cfg = TTAConfig(n, seed=3)
+    rotations = rotation_list(RotationStream(3), n)
     stack = m * (n + 1) * t * 6 * 8  # bytes of the (M, P, T, 6) back-rotated stack
-    run_tta(EquivariantOracle(), samples[:1], cfg)  # warm up
+    run_tta(EquivariantOracle(), samples[:1], rotations)  # warm up
     # one sample per group, ten rotations per kernel chunk: what stays is the
     # (M, P, T) von Mises table (1/6 of the stack) and one sample's buffer (1/M)
     with mock.patch.multiple(tta, _GROUP_BYTES=stack // m, _CHUNK_STEPS=10 * t):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            run_tta(EquivariantOracle(), samples, cfg)
+            run_tta(EquivariantOracle(), samples, rotations)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -129,14 +129,13 @@ def test_one_sample_groups_peak_well_below_the_dataset_stack():
 
 def test_reducing_a_group_peaks_well_below_its_stack():
     stack = np.random.default_rng(0).standard_normal((8, 200, 40, 6))
-    rotations = np.repeat(np.eye(3)[None], 200, axis=0)
-    reduce_predictions(stack[:1], TTAConfig(199), rotations)  # warm up
+    reduce_predictions(stack[:1], "count")  # warm up
     # what stays is the (M, P, T) von Mises table (1/6 of the stack); the
     # deviation rows are formed a block at a time, never for the whole group
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        reduce_predictions(stack, TTAConfig(199), rotations)
+        reduce_predictions(stack, "count")
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
@@ -160,11 +159,10 @@ def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, 
     stack[(u >= 0.1) & (u < 0.2)] = -0.0
     stack[(u >= 0.2) & (u < 0.22)] = np.inf
     stack[(u >= 0.22) & (u < 0.24)] = np.nan
-    cfg = TTAConfig(p - 1, divisor_mode=mode)
     if mode == "paper" and p == 1:
         return
     with np.errstate(all="ignore"), mock.patch.object(tta, "_CHUNK_STEPS", chunk):
-        batched = reduce_predictions(stack, cfg, np.repeat(np.eye(3)[None], p, axis=0))
+        batched = reduce_predictions(stack, mode)
         for k in range(m):
             aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack[k], mode)
             for field, want in zip(RESULT_FIELDS, (stack[k, 0], aggregated, sd, vm, vm_aggregated, vm_sd)):

@@ -137,7 +137,7 @@ def test_run_sphere_map_standalone(dataset_path, tmp_path):
 
 
 def _count_draws(monkeypatch):
-    """Route both lookup sites of ``rotation_list`` through one counter."""
+    """Route the one lookup site of ``rotation_list``, in ``experiment``, through a counter."""
     draws = []
 
     def counted(stream, n):
@@ -145,7 +145,6 @@ def _count_draws(monkeypatch):
         return rotation_list(stream, n)
 
     monkeypatch.setattr(experiment, "rotation_list", counted)
-    monkeypatch.setattr(tta, "rotation_list", counted)
     return draws
 
 
@@ -153,18 +152,18 @@ def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatc
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=7)
     samples = experiment._load_evaluable(cfg)
     draws = _count_draws(monkeypatch)
-    result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
+    rotations, result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
     assert result.vm_individual.shape[:2] == (4, 8) and draws == [7]
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    assert result.rotations.tobytes() == fresh.tobytes()
+    assert rotations.tobytes() == fresh.tobytes()
 
 
 def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=9, grid=(40, 20))
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
     samples = experiment._load_evaluable(cfg)
-    result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
-    assert np.array_equal(result.rotations, fresh)
+    rotations, result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
+    assert np.array_equal(rotations, fresh)
 
     # the map reuses the results' list: the run draws it once, for the results
     draws = _count_draws(monkeypatch)

@@ -31,8 +31,8 @@ from rotta.metrics import (
 )
 from rotta.dataset import Sample
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
-from rotta.rotations import RotationStream, sample_orientation_tensor
-from rotta.tta import TTAConfig, TTAResult, run_tta
+from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
+from rotta.tta import TTAResult, run_tta
 from rotta.voigt import von_mises
 
 
@@ -355,8 +355,7 @@ def test_uncertainty_shape_mismatch():
 def _result_of(aggregated, sd):
     """A :class:`TTAResult` of three predictions per sample, all equal to ``aggregated``, with spread ``sd``."""
     vm = von_mises(aggregated)
-    return TTAResult(aggregated, aggregated, sd, np.repeat(vm[:, None], 3, axis=1), vm, von_mises(sd),
-                     np.repeat(np.eye(3)[None], 3, axis=0))
+    return TTAResult(aggregated, aggregated, sd, np.repeat(vm[:, None], 3, axis=1), vm, von_mises(sd))
 
 
 def test_component_r_perfect_alignment():
@@ -409,7 +408,7 @@ def _mini_run(model, n_samples=3, n_steps=12, n_rotations=4, seed=0):
         samples.append(Sample(f"m{m}", a=a, vf=0.12, strain=strain,
                               target_stress=oracle.predict_batch(a, 0.12, strain)))
     targets = np.stack([s.target_stress for s in samples])
-    return targets, run_tta(model, samples, TTAConfig(n_rotations=n_rotations, seed=seed))
+    return targets, run_tta(model, samples, rotation_list(RotationStream(seed), n_rotations))
 
 
 def test_evaluate_equivariant_dataset():
@@ -541,7 +540,7 @@ def test_evaluate_dataset_peak_memory_stays_below_one_and_a_half_tables():
     aggregated = predictions.mean(axis=1)
     vm_individual, vm_aggregated = von_mises(predictions), von_mises(aggregated)
     result = TTAResult(predictions[:, 0], aggregated, predictions.std(axis=1), vm_individual, vm_aggregated,
-                       vm_individual.std(axis=1), np.repeat(np.eye(3)[None], p, axis=0))
+                       vm_individual.std(axis=1))
     table = m * p * t * 8  # bytes of one (M, P, T) float table
     tracemalloc.start()
     try:

@@ -324,6 +324,15 @@ def test_external_id_mismatch_rejected():
             predict(model, _sample_input())
 
 
+def test_external_boolean_id_rejected():
+    # request 1 answered with "id": true, which equals 1 in Python
+    inp = _sample_input()
+    with ExternalModel(_fixture_cmd("boolid", 1)) as model:
+        with pytest.raises(ExternalModelError, match="^response id True matches no outstanding request$") as err:
+            model.predict_batch(np.stack([inp.a] * 2), inp.vf, np.stack([inp.strain] * 2))
+    assert err.value.row == 1
+
+
 def test_external_non_object_rejected():
     with ExternalModel(_fixture_cmd("list")) as model:
         with pytest.raises(ExternalModelError, match=r"not a JSON object: b'\[1, 2\]'"):

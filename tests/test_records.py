@@ -13,7 +13,6 @@ import pytest
 import rotta
 from rotta.dataset import Sample
 from rotta.models import CheckedRecord, OracleParams
-from rotta.tta import TTAConfig
 
 SRC = Path(rotta.__file__).parents[1]
 MODULES = sorted(f"rotta.{p.stem}" for p in (SRC / "rotta").glob("*.py") if p.stem != "__init__")
@@ -24,7 +23,7 @@ def _sample():
 
 
 # a record that converts or checks its fields needs valid ones; any other is built from 0, 1, ...
-CHECKED = {"Sample": _sample, "TTAConfig": lambda: TTAConfig(3), "OracleParams": OracleParams}
+CHECKED = {"Sample": _sample, "OracleParams": OracleParams}
 
 
 def _defined_records():
@@ -47,7 +46,7 @@ RECORDS = [pytest.param(_maker(cls), id=name) for name, cls in sorted(_defined_r
 
 def test_every_checked_maker_builds_a_defined_record():
     defined = _defined_records()
-    assert len(defined) == 11  # the count README gives
+    assert len(defined) == 10  # the count README gives
     for name, make in CHECKED.items():
         assert type(make()) is defined.get(name)
 
@@ -64,10 +63,6 @@ def test_records_refuse_assignment(make):
 
 def test_checked_records_check_their_copies():
     with pytest.raises(ValueError):
-        TTAConfig(3)._replace(n_rotations=-1)
-    with pytest.raises(ValueError):
-        TTAConfig(3)._replace(divisor_mode="median")
-    with pytest.raises(ValueError):
         OracleParams()._replace(mu=0.0)
     with pytest.raises(ValueError):
         OracleParams()._replace(noise_amp=-1.0)
@@ -75,7 +70,7 @@ def test_checked_records_check_their_copies():
         _sample()._replace(vf=1.5)
     with pytest.raises(ValueError):
         _sample()._replace(target_stress=np.zeros((2, 6)))
-    assert TTAConfig(3)._replace(seed=5) == TTAConfig(n_rotations=3, seed=5)
+    assert OracleParams()._replace(noise_seed=5) == OracleParams(noise_seed=5)
 
 
 def test_checked_records_convert_their_copies():

@@ -10,10 +10,9 @@ from numpy.testing import assert_allclose
 from rotta import tta
 from rotta.dataset import Sample, generate_synthetic
 from rotta.models import EquivariantOracle, ExternalModelError, NoisyOracle, OracleParams
-from rotta.rotations import RotationStream, sample_orientation_tensor, sample_rotations
+from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor, sample_rotations
 from rotta.tta import (
     EmptyInput,
-    TTAConfig,
     augment,
     compensated_sums,
     mean_divisor,
@@ -41,7 +40,7 @@ def _samples(*seeds, n_steps=8):
 def _reduce(paths, mode="count"):
     """:func:`reduce_predictions` of one sample's ``(P, T, 6)`` back-rotated paths, as a ``(1, P, T, 6)`` stack."""
     paths = np.asarray(paths, dtype=float)
-    return reduce_predictions(paths[None], TTAConfig(len(paths) - 1, divisor_mode=mode), None)
+    return reduce_predictions(paths[None], mode)
 
 
 # ------------------------------------------------------------ input rotation
@@ -84,16 +83,6 @@ def test_rotate_input_hand_case():
     inp = Sample(id="hand", a=a, vf=0.1, strain=np.zeros((2, 6)))
     rotated, _, _ = _rotated_input(inp, R_X3_90[None])
     assert_allclose(rotated[0], [0.3, 0.6, 0.1, 0.0, 0.0, 0.0], atol=1e-15)
-
-
-# ------------------------------------------------------------------ config
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        TTAConfig(n_rotations=-1)
-    with pytest.raises(ValueError):
-        TTAConfig(n_rotations=4, divisor_mode="banana")
 
 
 # ------------------------------------------------------------- aggregation
@@ -201,9 +190,9 @@ def test_sd_needs_two_rows():
 
 
 def test_equivariant_predictions_all_agree():
-    samples = _samples(0, 1)
-    res = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=8, seed=3))
-    stack = np.stack([augment(EquivariantOracle(), s, res.rotations) for s in samples])
+    samples, rotations = _samples(0, 1), rotation_list(RotationStream(3), 8)
+    res = run_tta(EquivariantOracle(), samples, rotations)
+    stack = np.stack([augment(EquivariantOracle(), s, rotations) for s in samples])
     spread = stack.max(axis=1) - stack.min(axis=1)
     assert np.max(spread) <= 1e-10
     assert np.max(res.sd) <= 1e-10
@@ -211,30 +200,28 @@ def test_equivariant_predictions_all_agree():
 
 
 def test_zero_rotations_is_identity_prediction():
-    res = run_tta(EquivariantOracle(), _samples(4), TTAConfig(n_rotations=0))
+    res = run_tta(EquivariantOracle(), _samples(4), rotation_list(RotationStream(0), 0))
     assert res.vm_individual.shape[1] == 1
     assert np.array_equal(res.aggregated, res.initial)
     assert np.array_equal(res.sd, np.zeros_like(res.aggregated))
-    assert np.array_equal(res.rotations[0], np.eye(3))
 
 
 def test_noisy_sd_scales_with_amplitude():
     amp = 2.0
     model = NoisyOracle(OracleParams(noise_amp=amp, noise_seed=1))
-    res = run_tta(model, _samples(5, n_steps=20), TTAConfig(n_rotations=64, seed=6))
+    res = run_tta(model, _samples(5, n_steps=20), rotation_list(RotationStream(6), 64))
     mean_sd = float(np.mean(res.sd))
     assert 0.2 * amp <= mean_sd <= 3.0 * amp
 
 
 def test_result_shapes_and_vm_channels():
-    res = run_tta(EquivariantOracle(), _samples(6, 7, n_steps=7), TTAConfig(n_rotations=5, seed=7))
+    res = run_tta(EquivariantOracle(), _samples(6, 7, n_steps=7), rotation_list(RotationStream(7), 5))
     assert res.initial.shape == (2, 7, 6)
     assert res.aggregated.shape == (2, 7, 6)
     assert res.sd.shape == (2, 7, 6)
     assert res.vm_individual.shape == (2, 6, 7)
     assert res.vm_aggregated.shape == (2, 7)
     assert res.vm_sd.shape == (2, 7)
-    assert res.rotations.shape == (6, 3, 3)
     # the aggregated von Mises channel is derived from the aggregated path
     for aggregated, vm_aggregated in zip(res.aggregated, res.vm_aggregated):
         assert_allclose(vm_aggregated, von_mises(aggregated), rtol=0, atol=0)
@@ -242,19 +229,17 @@ def test_result_shapes_and_vm_channels():
 
 def test_run_is_deterministic():
     samples = _samples(7)
-    cfg = TTAConfig(n_rotations=5, seed=11)
-    a = run_tta(EquivariantOracle(), samples, cfg)
-    b = run_tta(EquivariantOracle(), samples, cfg)
+    a = run_tta(EquivariantOracle(), samples, rotation_list(RotationStream(11), 5))
+    b = run_tta(EquivariantOracle(), samples, rotation_list(RotationStream(11), 5))
     assert np.array_equal(a.aggregated, b.aggregated)
     assert np.array_equal(a.initial, b.initial)
     assert np.array_equal(a.vm_individual, b.vm_individual)
-    assert np.array_equal(a.rotations, b.rotations)
 
 
 def test_paper_divisor_scales_mean():
-    samples = _samples(9)
-    count = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=2, seed=1))
-    paper = run_tta(EquivariantOracle(), samples, TTAConfig(n_rotations=2, seed=1, divisor_mode="paper"))
+    samples, rotations = _samples(9), rotation_list(RotationStream(1), 2)
+    count = run_tta(EquivariantOracle(), samples, rotations)
+    paper = run_tta(EquivariantOracle(), samples, rotations, "paper")
     # same 3-term sum, divisors 3 versus 2
     assert_allclose(paper.aggregated, count.aggregated * 1.5, atol=1e-12)
 
@@ -265,37 +250,54 @@ def test_external_error_is_annotated_with_rotation_index():
             raise ExternalModelError("boom", row=2)
 
     with pytest.raises(ExternalModelError, match=r"^sample s0: rotation index 2: boom$") as err:
-        run_tta(Flaky(), _samples(0), TTAConfig(n_rotations=5, seed=2))
+        run_tta(Flaky(), _samples(0), rotation_list(RotationStream(2), 5))
     assert err.value.row is None
 
 
+class Counting(EquivariantOracle):
+    """The equivariant oracle, counting its ``predict_batch`` calls."""
+
+    calls = 0
+
+    def predict_batch(self, a, vf, strain):
+        self.calls += 1
+        return super().predict_batch(a, vf, strain)
+
+
 def test_rejects_invalid_input():
-    with pytest.raises(ValueError, match="at least one sample"):
-        run_tta(EquivariantOracle(), [], TTAConfig(n_rotations=2))
-    with pytest.raises(ValueError, match="sample s1: strain path shape"):
-        run_tta(EquivariantOracle(), _samples(0) + _samples(1, n_steps=5), TTAConfig(n_rotations=2))
+    rotations = rotation_list(RotationStream(3), 3)
+    swapped = rotations[[1, 0, 2, 3]]
+    cases = [
+        ([], rotations, "count", "at least one sample"),
+        (_samples(0) + _samples(1, n_steps=5), rotations, "count", "sample s1: strain path shape"),
+        (_samples(0), rotations[:0], "count", r"a \(P, 3, 3\) list with P >= 1, got shape \(0, 3, 3\)"),
+        (_samples(0), rotations[0], "count", r"got shape \(3, 3\)"),
+        (_samples(0), rotations[:, :2], "count", r"got shape \(4, 2, 3\)"),
+        (_samples(0), swapped, "count", "rotation index 0 must be exactly the identity"),
+        (_samples(0), rotations, "median", "unknown divisor mode 'median'"),
+        (_samples(0), rotations[:1], "paper", "at least one random rotation"),  # EmptyInput
+    ]
+    for samples, rots, mode, message in cases:
+        model = Counting()
+        with pytest.raises(ValueError, match=message):
+            run_tta(model, samples, rots, mode)
+        assert model.calls == 0  # raised before the first prediction
 
 
 def test_mixed_path_length_is_rejected_before_any_prediction():
-    class Counting(EquivariantOracle):
-        calls = 0
-
-        def predict_batch(self, a, vf, strain):
-            Counting.calls += 1
-            return super().predict_batch(a, vf, strain)
-
     samples = _samples(0, 1, n_steps=10) + _samples(2, n_steps=12)
     message = r"^sample s2: strain path shape \(12, 6\) differs from the first sample's \(10, 6\)$"
+    model = Counting()
     with mock.patch.object(tta, "_GROUP_BYTES", 1), pytest.raises(ValueError, match=message):  # one sample per group
-        run_tta(Counting(), samples, TTAConfig(n_rotations=3))
-    assert Counting.calls == 0
+        run_tta(model, samples, rotation_list(RotationStream(0), 3))
+    assert model.calls == 0
 
 
 def test_one_group_is_reduced_in_two_compensated_passes():
     with mock.patch.object(tta, "compensated_sums", wraps=tta.compensated_sums) as sums:
-        run_tta(NoisyOracle(OracleParams(noise_amp=5.0)), _samples(0, 1, 2), TTAConfig(n_rotations=6, seed=3))
+        run_tta(NoisyOracle(OracleParams(noise_amp=5.0)), _samples(0, 1, 2), rotation_list(RotationStream(3), 6))
     assert sums.call_count == 2  # the mean, then the von Mises rows and both spreads
-    res = reduce_predictions(np.random.default_rng(0).standard_normal((2, 5, 4, 6)), TTAConfig(4), np.zeros((5, 3, 3)))
+    res = reduce_predictions(np.random.default_rng(0).standard_normal((2, 5, 4, 6)), "count")
     assert res.sd.flags.c_contiguous and res.vm_sd.flags.c_contiguous
 
 
