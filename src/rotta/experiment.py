@@ -4,17 +4,17 @@ Every run is fully described by an :class:`ExperimentConfig`; all
 randomness flows from its single seed.  Output files are JSON/CSV with
 shortest round-trip float formatting and no timestamps, so re-running an
 identical configuration reproduces byte-identical artifacts.  Each
-file-writing entry point finishes by writing ``manifest.json`` (the
-configuration echo, the dataset content hash, and a content hash per
-output file) and removes partial outputs if it fails midway.
+file-writing entry point builds its artifacts as text, then writes them
+and ``manifest.json`` (the configuration echo, the dataset content hash,
+and a content hash per output file) in one step: a failed computation
+writes nothing, and a failed write removes the files it wrote.
 """
 
 import hashlib
 import json
 import math
-import os
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -102,6 +102,10 @@ class ExperimentConfig(NamedTuple):
             raise ConfigError(f"external_timeout must lie in (0, {threading.TIMEOUT_MAX}] s, got {self.external_timeout}")
         if not Path(self.dataset).is_file():
             raise ConfigError(f"dataset file not found: {self.dataset}")
+        out = Path(self.out_dir)
+        nearest = next((path for path in (out, *out.parents) if path.exists()), out)
+        if not nearest.is_dir():
+            raise ConfigError(f"output path is not a directory: {nearest}")
         return self
 
     def to_dict(self):
@@ -150,67 +154,40 @@ def sha256_file(path):
     return digest.hexdigest()
 
 
-class _OutputWriter:
-    """Deterministic single-writer for an output directory.
+def _write_outputs(cfg: ExperimentConfig, files, extra=None):
+    """Write ``files`` (``{name: text}``) into ``cfg.out_dir`` in order, then seal them with ``manifest.json``.
 
-    Tracks everything it writes so a failed run can remove its partial
-    outputs, and seals the run with a manifest hashing each artifact.
+    Each output's digest is the sha256 of the bytes written; ``extra`` adds
+    keys after them.  If a write fails, every file written so far is
+    removed.  Returns the manifest's path.
     """
+    out_dir = Path(cfg.out_dir)
+    written = []
 
-    def __init__(self, out_dir):
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.written = []
+    def put(name, text):
+        data = text.encode("utf-8")
+        written.append(out_dir / name)
+        written[-1].write_bytes(data)
+        return hashlib.sha256(data).hexdigest()
 
-    def write_text(self, name, text):
-        path = self.out_dir / name
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        self.written.append(name)
-        return path
-
-    def write_json(self, name, payload):
-        return self.write_text(name, json.dumps(payload, indent=2) + "\n")
-
-    def write_csv(self, name, header, rows):
-        """Write :func:`~rotta.dataset.csv_text` of ``rows``."""
-        return self.write_text(name, csv_text(header, rows))
-
-    def cleanup(self):
-        for name in self.written:
-            try:
-                os.unlink(self.out_dir / name)
-            except OSError:
-                pass
-        self.written = []
-
-    def manifest(self, cfg: ExperimentConfig, extra=None):
-        # out_dir is plumbing, not part of the run's identity: leaving it out
-        # makes manifests byte-identical wherever the outputs land.
-        config = {k: v for k, v in cfg.to_dict().items() if k != "out_dir"}
-        payload = {
-            "config": config,
-            "seed": cfg.seed,
-            "dataset_sha256": sha256_file(cfg.dataset),
-            "outputs": {name: sha256_file(self.out_dir / name) for name in sorted(self.written)},
-        }
-        if extra:
-            payload.update(extra)
-        return self.write_json("manifest.json", payload)
-
-
-def _write_outputs(cfg: ExperimentConfig, write, extra=None):
-    """Call ``write(writer)``, then seal its files with the manifest; returns the manifest path.
-
-    If anything fails, every file written so far is removed.
-    """
-    writer = _OutputWriter(cfg.out_dir)
+    # out_dir is plumbing, not part of the run's identity: leaving it out
+    # makes manifests byte-identical wherever the outputs land.
+    manifest = {
+        "config": {k: v for k, v in cfg.to_dict().items() if k != "out_dir"},
+        "seed": cfg.seed,
+        "dataset_sha256": sha256_file(cfg.dataset),
+    }
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        write(writer)
-        return writer.manifest(cfg, extra)
+        digests = {name: put(name, text) for name, text in files.items()}
+        manifest["outputs"] = dict(sorted(digests.items()))
+        put("manifest.json", json.dumps(manifest | (extra or {}), indent=2) + "\n")
     except BaseException:
-        writer.cleanup()
+        for path in written:
+            with suppress(OSError):
+                path.unlink()
         raise
+    return out_dir / "manifest.json"
 
 
 def _load_samples(cfg: ExperimentConfig):
@@ -277,38 +254,34 @@ def _evaluated_run(cfg: ExperimentConfig):
     return samples, rotations, result, _evaluate(cfg, samples, result)
 
 
-def _write_run_outputs(writer: _OutputWriter, cfg, samples, rotations, result, report: MetricsReport):
-    writer.write_json("metrics.json", report.to_dict())
-    writer.write_text("metrics.txt", report.to_text() + "\n")
-
+def _run_files(cfg: ExperimentConfig, samples, rotations, result, report: MetricsReport):
+    """``run``'s artifacts, ``{name: text}`` in the order they are written."""
     keys = ("sigma_tta", "sd", "vm_tta", "vm_sd")
     lines = []
     for sample, *paths in zip(samples, result.aggregated, result.sd, result.vm_aggregated, result.vm_sd):
         parts = [f'"id": {json.dumps(sample.id)}'] + [f'"{key}": {format_path(v)}' for key, v in zip(keys, paths)]
         lines.append("{" + ", ".join(parts) + "}")
-    writer.write_text("aggregated.ndjson", "\n".join(lines) + "\n")
-
+    files = {
+        "metrics.json": json.dumps(report.to_dict(), indent=2) + "\n",
+        "metrics.txt": report.to_text() + "\n",
+        "aggregated.ndjson": "\n".join(lines) + "\n",
+    }
     for curve in ("sd_curve", "e_abs_curve", "e_rel_curve", "sd_rel_curve"):
         values = getattr(report.uncertainty, curve)
-        writer.write_csv(f"{curve}.csv", "t,value", np.column_stack((np.arange(len(values)), values)))
-
+        files[f"{curve}.csv"] = csv_text("t,value", np.column_stack((np.arange(len(values)), values)))
     if report.histogram is not None:
-        writer.write_csv(
-            "mere_histogram.csv",
-            "bin_left,bin_right,density,normal_fit",
-            report.histogram.to_rows(),
-        )
-
+        files["mere_histogram.csv"] = csv_text("bin_left,bin_right,density,normal_fit", report.histogram.to_rows())
     if cfg.sphere_map:
-        _write_sphere_map(writer, cfg, report, rotations)
+        files |= _map_files(cfg, report, rotations)
+    return files
 
 
-def _write_sphere_map(writer: _OutputWriter, cfg: ExperimentConfig, report: MetricsReport, rotations):
-    """Map of per-rotation error; ``rotations`` is the list the result was computed with."""
+def _map_files(cfg: ExperimentConfig, report: MetricsReport, rotations):
+    """The map of per-rotation error, ``{name: text}``; ``rotations`` is the list the result was computed with."""
     seeds = project_rotations(rotations, report.mere_per_rotation, radius=cfg.radius)
     raster = voronoi_rasterize(seeds, grid=cfg.grid, radius=cfg.radius)
-    writer.write_text("map.svg", render_svg(raster, colormap=cfg.colormap, title="per-rotation mean relative error"))
-    writer.write_text("map_seeds.csv", seeds_csv(seeds))
+    svg = render_svg(raster, colormap=cfg.colormap, title="per-rotation mean relative error")
+    return {"map.svg": svg, "map_seeds.csv": seeds_csv(seeds)}
 
 
 def run_experiment(cfg: ExperimentConfig):
@@ -317,19 +290,16 @@ def run_experiment(cfg: ExperimentConfig):
     Writes ``metrics.json``/``metrics.txt``, per-sample aggregates
     (``aggregated.ndjson``), the four uncertainty curves, the per-rotation
     error histogram, optionally the spherical error map, and finally the
-    manifest.  On any failure all files written so far are removed.
+    manifest.
     """
     samples, rotations, result, report = _evaluated_run(cfg)
-    manifest_path = _write_outputs(
-        cfg, lambda writer: _write_run_outputs(writer, cfg, samples, rotations, result, report)
-    )
-    return report, manifest_path
+    return report, _write_outputs(cfg, _run_files(cfg, samples, rotations, result, report))
 
 
 def run_sphere_map(cfg: ExperimentConfig):
     """The run of :func:`run_experiment` writing only the spherical error map; returns the manifest path."""
     _, rotations, _, report = _evaluated_run(cfg)
-    return _write_outputs(cfg, lambda writer: _write_sphere_map(writer, cfg, report, rotations))
+    return _write_outputs(cfg, _map_files(cfg, report, rotations))
 
 
 def run_audit(cfg: ExperimentConfig, identity_only=False):
@@ -377,13 +347,11 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         for n, vm in zip(checkpoints, vm_by_checkpoint.transpose(1, 0, 2))
     ]
     if write:
-        _write_outputs(
-            cfg, lambda writer: writer.write_csv("sweep.csv", "n,mere_tta,mare_tta", rows), {"n_values": checkpoints}
-        )
+        _write_outputs(cfg, {"sweep.csv": csv_text("n,mere_tta,mare_tta", rows)}, {"n_values": checkpoints})
     return rows
 
 
-def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
+def run_repeats(cfg: ExperimentConfig, n_repeats=5):
     """Repeat the full run with consecutive rotation seeds (stability table).
 
     Each repeat k uses rotation seed ``cfg.seed + k`` on the same dataset
@@ -392,7 +360,7 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
     rotations.  Returns one row per repeat of ``(repeat, seed, mere_i0,
     mere_av, sd_mere, mere_tta, mare_tta)`` plus summary mean/SD over the
     aggregated-path error (sample SD, divisor n-1), and persists
-    ``repeats.csv`` when ``write`` is set.
+    ``repeats.csv`` plus a manifest.
     """
     cfg.validate()
     _check_divisor(cfg, cfg.n_rotations)
@@ -410,7 +378,6 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5, write=True):
     mean = float(np.mean(values))
     sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     summary = [("mean", "", "", "", "", mean, ""), ("sd", "", "", "", "", sd, "")]
-    if write:
-        header = "repeat,seed,mere_i0,mere_av,sd_mere,mere_tta,mare_tta"
-        _write_outputs(cfg, lambda writer: writer.write_csv("repeats.csv", header, rows + summary), {"n_repeats": n_repeats})
+    header = "repeat,seed,mere_i0,mere_av,sd_mere,mere_tta,mare_tta"
+    _write_outputs(cfg, {"repeats.csv": csv_text(header, rows + summary)}, {"n_repeats": n_repeats})
     return rows, (mean, sd)

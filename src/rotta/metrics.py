@@ -469,8 +469,8 @@ class MetricsReport(NamedTuple):
     mare_i0: float
     mere_tta_percentile: float
     histogram: Histogram | None
-    shape: ShapeReport | None
-    uncertainty: UncertaintyReport | None
+    shape: ShapeReport
+    uncertainty: UncertaintyReport
     component_r: float
     component_r_degenerate: bool
     n_samples: int
@@ -503,11 +503,7 @@ class MetricsReport(NamedTuple):
                 "fit_mean": jsonable(self.histogram.fit_mean),
                 "fit_sd": jsonable(self.histogram.fit_sd),
             }
-        if self.shape is not None:
-            d["shape"] = self.shape.to_dict()
-        if self.uncertainty is not None:
-            d["uncertainty"] = self.uncertainty.to_dict()
-        return d
+        return d | {"shape": self.shape.to_dict(), "uncertainty": self.uncertainty.to_dict()}
 
     def to_text(self):
         """Aligned-column human summary of the headline numbers."""
@@ -522,15 +518,13 @@ class MetricsReport(NamedTuple):
             ("mere_tta_pctile", f"{self.mere_tta_percentile:.2f}"),
             ("mare_i0", f"{self.mare_i0:.6f}"),
             ("mare_tta", f"{self.mare_tta:.6f}"),
+            ("mean_c_ratio", f"{self.shape.mean_c_ratio:.4f}"),
+            ("c_ratio_below_1", f"{self.shape.fraction_below_one:.4f}"),
+            ("r_abs", f"{self.uncertainty.r_abs:.4f}"),
+            ("r_rel", f"{self.uncertainty.r_rel:.4f}"),
+            ("excluded_steps", f"{self.uncertainty.n_excluded}"),
+            ("component_r", f"{self.component_r:.4f}"),
         ]
-        if self.shape is not None:
-            rows.append(("mean_c_ratio", f"{self.shape.mean_c_ratio:.4f}"))
-            rows.append(("c_ratio_below_1", f"{self.shape.fraction_below_one:.4f}"))
-        if self.uncertainty is not None:
-            rows.append(("r_abs", f"{self.uncertainty.r_abs:.4f}"))
-            rows.append(("r_rel", f"{self.uncertainty.r_rel:.4f}"))
-            rows.append(("excluded_steps", f"{self.uncertainty.n_excluded}"))
-        rows.append(("component_r", f"{self.component_r:.4f}"))
         width = max(len(name) for name, _ in rows)
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 

@@ -67,3 +67,35 @@ def test_only_experiment_builds_the_rotation_list():
                 if name == "rotation_list":
                     callers.append(path.name)
     assert callers == ["experiment.py"], f"modules calling rotation_list: {callers}"
+
+
+def _writes_a_file(call):
+    """Whether a call is ``open`` in a write mode, ``write_text`` or ``write_bytes``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = next((k.value for k in call.keywords if k.arg == "mode"), None)
+    if mode is None:
+        args = call.args[1:] if isinstance(func, ast.Name) else call.args  # open(path, mode) or path.open(mode)
+        mode = args[0] if args else ast.Constant("r")
+    # a mode computed at run time may write
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax+"))
+
+
+def test_only_write_outputs_writes_artifacts():
+    # one function writes every command's files and seals them with the
+    # manifest, so a second write path cannot skip the seal or the cleanup
+    tree = ast.parse((PACKAGE / "experiment.py").read_text(encoding="utf-8"))
+    defs = [(node.name, node) for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for cls in [node for _, node in defs if isinstance(node, ast.ClassDef)]:
+        defs += [(f"{cls.name}.{node.name}", node) for node in cls.body if isinstance(node, ast.FunctionDef)]
+    writers = sorted(
+        name
+        for name, node in defs
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(call, ast.Call) and _writes_a_file(call) for call in ast.walk(node))
+    )
+    assert writers == ["_write_outputs"], f"functions writing files in experiment.py: {writers}"

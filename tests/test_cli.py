@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rotta
-from rotta import cli, dataset
+from rotta import cli, dataset, experiment
 from rotta.cli import main
 from rotta.dataset import generate_synthetic, save_dataset
 from rotta.experiment import ExperimentConfig
@@ -221,6 +221,23 @@ def test_unknown_model_is_config_error(dataset_path, tmp_path, capsys):
                  "--model", "magic"])
     assert code == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, below, extra", [
+    ("run", (), ()),
+    ("sweep", ("sub",), ("--n-values", "0,4")),
+])
+def test_out_that_is_a_file_is_config_error(dataset_path, tmp_path, capsys, monkeypatch, command, below, extra):
+    # rejected with the configuration, before the model is built
+    monkeypatch.setattr(experiment, "build_model", lambda cfg: pytest.fail("a model was built"))
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n")
+    code = main([command, *_noisy(dataset_path, blocker.joinpath(*below)), *extra])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"configuration error: output path is not a directory: {blocker}\n"
+    assert blocker.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("command", ["run", "sphere-map", "repeats"])

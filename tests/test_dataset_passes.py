@@ -8,7 +8,6 @@ per-value forms it replaced, which stay here as oracles.
 
 import json
 import math
-import tempfile
 import tracemalloc
 from unittest import mock
 
@@ -19,7 +18,6 @@ from hypothesis import strategies as st
 
 from rotta import tta
 from rotta.dataset import Sample, csv_text, format_float, format_path
-from rotta.experiment import _OutputWriter
 from rotta.metrics import CHANNEL_NAMES, jsonable, shape_report
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
@@ -289,10 +287,6 @@ cells = st.one_of(
 @given(rows=st.lists(st.lists(cells, min_size=1, max_size=7), max_size=12))
 def test_csv_rows_have_the_bytes_of_the_per_value_rule(rows):
     assert csv_text("h", rows) == _csv_loop("h", rows)
-    with tempfile.TemporaryDirectory() as out:
-        writer = _OutputWriter(out)
-        path = writer.write_csv("rows.csv", "h", rows)
-        assert path.read_bytes() == _csv_loop("h", rows).encode()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Tests of experiment orchestration and persisted artifacts."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -257,7 +258,7 @@ def test_repeats_rows_and_summary(dataset_path, tmp_path):
 
 def test_repeats_single_run_has_zero_sd(dataset_path, tmp_path):
     cfg = _cfg(dataset_path, tmp_path / "rep", n_rotations=2)
-    rows, (_, sd) = run_repeats(cfg, n_repeats=1, write=False)
+    rows, (_, sd) = run_repeats(cfg, n_repeats=1)
     assert len(rows) == 1
     assert sd == 0.0
 
@@ -292,8 +293,44 @@ def test_failed_run_removes_partial_outputs(dataset_path, tmp_path, monkeypatch)
     cfg = _cfg(dataset_path, tmp_path / "out", sphere_map=True, grid=(40, 20))
     with pytest.raises(RuntimeError, match="injected"):
         run_experiment(cfg)
-    # the sphere map fails after the metrics files were written; all are removed
+    # the sphere map fails after the metrics were computed: no file is written
+    out = tmp_path / "out"
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+def test_failed_write_removes_the_files_before_it(dataset_path, tmp_path, monkeypatch):
+    write_bytes = Path.write_bytes
+    names = []
+
+    def failing_third(path, data):
+        names.append(path.name)
+        if len(names) == 3:
+            raise OSError("injected write failure")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_third)
+    with pytest.raises(OSError, match="injected"):
+        run_experiment(_cfg(dataset_path, tmp_path / "out"))
+    assert names == list(RUN_FILES[:3])
     assert list((tmp_path / "out").iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "repeats", "sphere-map"])
+def test_manifest_seals_exactly_the_files_on_disk(dataset_path, tmp_path, command):
+    out = tmp_path / "out"
+    cfg = _cfg(dataset_path, out, n_rotations=4, sphere_map=command == "run", grid=(40, 20))
+    commands = {
+        "run": run_experiment,
+        "sweep": lambda cfg: run_sweep(cfg, [0, 4]),
+        "repeats": lambda cfg: run_repeats(cfg, n_repeats=2),
+        "sphere-map": run_sphere_map,
+    }
+    commands[command](cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert list(manifest["outputs"]) == sorted(manifest["outputs"])
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], "manifest.json"])
+    for name, digest in manifest["outputs"].items():
+        assert digest == hashlib.sha256((out / name).read_bytes()).hexdigest(), name
 
 
 # ---------------------------------------------------------- configuration
