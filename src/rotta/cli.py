@@ -42,7 +42,7 @@ from .metrics import AllStepsExcluded, TooManyBins
 from .models import ExternalModelError
 from .rotations import RotationStream
 from .spheremap import COLORMAPS
-from .tta import DIVISOR_MODES
+from .tta import DIVISOR_MODES, EmptyInput
 
 log = logging.getLogger("rotta")
 
@@ -256,7 +256,7 @@ def main(argv=None):
     args = build_parser(argv).parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)
-    except (ConfigError, TooManyBins) as exc:
+    except (ConfigError, EmptyInput, TooManyBins) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ParseError, InvariantViolation, AllStepsExcluded) as exc:

@@ -14,8 +14,10 @@ ranges) raises :class:`InvariantViolation` naming the sample and field.
 
 from __future__ import annotations
 
+import io
 import json
 from collections import namedtuple
+from pathlib import Path
 
 import numpy as np
 
@@ -135,20 +137,24 @@ def _parse_line(line, line_no) -> Sample:
     return Sample(id=sample_id, a=a, vf=float(vf), strain=strain, target_stress=target)
 
 
-def load_dataset(path):
+def load_dataset(path, digest=None):
     """Parse a dataset file into a list of samples, each checked once as it is made.
 
     Raises :class:`ParseError` on the first structurally bad line and
     :class:`InvariantViolation` on the first sample that parses but breaks
     an invariant.  Blank lines are rejected (they hide truncation bugs).
+    The file is read once; ``digest``, a :mod:`hashlib` object, is updated
+    with those bytes, so it hashes exactly what was parsed.
     """
+    data = Path(path).read_bytes()
+    if digest is not None:
+        digest.update(data)
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise ParseError(line_no, "blank line")
-            samples.append(_parse_line(stripped, line_no))
+    for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
+        stripped = line.strip()
+        if not stripped:
+            raise ParseError(line_no, "blank line")
+        samples.append(_parse_line(stripped, line_no))
     return samples
 
 

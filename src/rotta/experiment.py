@@ -5,9 +5,10 @@ randomness flows from its single seed.  Output files are JSON/CSV with
 shortest round-trip float formatting and no timestamps, so re-running an
 identical configuration reproduces byte-identical artifacts.  Each
 file-writing entry point builds its artifacts as text, then writes them
-and ``manifest.json`` (the configuration echo, the dataset content hash,
-and a content hash per output file) in one step: a failed computation
-writes nothing, and a failed write removes the files it wrote.
+and ``manifest.json`` (the configuration echo, the hash of the dataset
+bytes the run parsed, and a content hash per output file) in one step: a
+failed computation writes nothing, a failed write removes the files it
+wrote, and the outputs a previous manifest in the directory sealed go first.
 """
 
 import hashlib
@@ -117,12 +118,6 @@ class ExperimentConfig(NamedTuple):
         }
 
 
-def _check_divisor(cfg: ExperimentConfig, n):
-    """Reject the paper divisor (N) for a mean over N = ``n`` random rotations when ``n`` is 0."""
-    if cfg.divisor_mode == "paper" and n == 0:
-        raise ConfigError("paper divisor mode cannot evaluate N = 0")
-
-
 def build_model(cfg: ExperimentConfig):
     """Instantiate the predictor named by the configuration."""
     kind = cfg.model_kind()
@@ -146,22 +141,32 @@ def _open_model(cfg: ExperimentConfig):
             close()
 
 
-def sha256_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+def _remove_sealed(out_dir):
+    """Remove ``out_dir``'s ``manifest.json``, then the outputs it lists: plain file names only, nothing else."""
+    manifest = out_dir / "manifest.json"
+    try:
+        sealed = json.loads(manifest.read_bytes())["outputs"]
+        manifest.unlink()
+    except (OSError, ValueError, LookupError, TypeError):
+        return
+    for name in sealed if isinstance(sealed, dict) else ():
+        if isinstance(name, str) and name not in ("", "..") and Path(name).name == name:
+            with suppress(OSError, ValueError):
+                (out_dir / name).unlink()
 
 
-def _write_outputs(cfg: ExperimentConfig, files, extra=None):
+def _write_outputs(cfg: ExperimentConfig, dataset_sha256, files, extra=None):
     """Write ``files`` (``{name: text}``) into ``cfg.out_dir`` in order, then seal them with ``manifest.json``.
 
-    Each output's digest is the sha256 of the bytes written; ``extra`` adds
-    keys after them.  If a write fails, every file written so far is
-    removed.  Returns the manifest's path.
+    The outputs a previous ``manifest.json`` there seals are removed first,
+    so the directory holds what the new one seals and the files no manifest
+    named.  ``dataset_sha256`` is the digest of the dataset bytes the run
+    parsed.  Each output's digest is the sha256 of the bytes written;
+    ``extra`` adds keys after them.  If a write fails, every file written so
+    far is removed.  Returns the manifest's path.
     """
     out_dir = Path(cfg.out_dir)
+    _remove_sealed(out_dir)
     written = []
 
     def put(name, text):
@@ -175,7 +180,7 @@ def _write_outputs(cfg: ExperimentConfig, files, extra=None):
     manifest = {
         "config": {k: v for k, v in cfg.to_dict().items() if k != "out_dir"},
         "seed": cfg.seed,
-        "dataset_sha256": sha256_file(cfg.dataset),
+        "dataset_sha256": dataset_sha256,
     }
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -191,19 +196,23 @@ def _write_outputs(cfg: ExperimentConfig, files, extra=None):
 
 
 def _load_samples(cfg: ExperimentConfig):
-    """The samples of the configured dataset; an empty one is an :class:`~rotta.dataset.InvariantViolation`."""
-    samples = load_dataset(cfg.dataset)
+    """``(samples, sha256)``: the configured dataset's samples and the digest of the bytes they were parsed from.
+
+    An empty dataset is an :class:`~rotta.dataset.InvariantViolation`.
+    """
+    digest = hashlib.sha256()
+    samples = load_dataset(cfg.dataset, digest)
     if not samples:
         raise InvariantViolation("<dataset>", "samples", "dataset is empty")
-    return samples
+    return samples, digest.hexdigest()
 
 
 def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
-    """Load the dataset; require a uniform path length and targets with a positive von Mises value.
+    """:func:`_load_samples`, requiring a uniform path length and targets with a positive von Mises value.
 
     Paths need ``min_steps``: 3 for the shape metrics' step differences; the sweep has none and passes 1.
     """
-    samples = _load_samples(cfg)
+    samples, dataset_sha256 = _load_samples(cfg)
     n_steps = samples[0].n_steps
     for sample in samples:
         if sample.target_stress is None:
@@ -216,7 +225,7 @@ def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
             )
     if n_steps < min_steps:
         raise InvariantViolation(samples[0].id, "eps", f"shape metrics need at least {min_steps} steps, got {n_steps}")
-    return samples
+    return samples, dataset_sha256
 
 
 def _rotations(cfg: ExperimentConfig, n):
@@ -245,13 +254,16 @@ def _evaluate(cfg: ExperimentConfig, samples, result):
 
 
 def _evaluated_run(cfg: ExperimentConfig):
-    """Augmented inference over the configured dataset, evaluated: ``(samples, rotations, result, report)``."""
+    """Augmented inference over the configured dataset, evaluated.
+
+    Returns ``(samples, dataset_sha256, rotations, result, report)``.
+    """
     cfg.validate()
-    _check_divisor(cfg, cfg.n_rotations)
-    samples = _load_evaluable(cfg)
+    mean_divisor(cfg.n_rotations + 1, cfg.divisor_mode)
+    samples, dataset_sha256 = _load_evaluable(cfg)
     with _open_model(cfg) as model:
         rotations, result = compute_results(cfg, model, samples)
-    return samples, rotations, result, _evaluate(cfg, samples, result)
+    return samples, dataset_sha256, rotations, result, _evaluate(cfg, samples, result)
 
 
 def _run_files(cfg: ExperimentConfig, samples, rotations, result, report: MetricsReport):
@@ -292,20 +304,20 @@ def run_experiment(cfg: ExperimentConfig):
     error histogram, optionally the spherical error map, and finally the
     manifest.
     """
-    samples, rotations, result, report = _evaluated_run(cfg)
-    return report, _write_outputs(cfg, _run_files(cfg, samples, rotations, result, report))
+    samples, dataset_sha256, rotations, result, report = _evaluated_run(cfg)
+    return report, _write_outputs(cfg, dataset_sha256, _run_files(cfg, samples, rotations, result, report))
 
 
 def run_sphere_map(cfg: ExperimentConfig):
     """The run of :func:`run_experiment` writing only the spherical error map; returns the manifest path."""
-    _, rotations, _, report = _evaluated_run(cfg)
-    return _write_outputs(cfg, _map_files(cfg, report, rotations))
+    _, dataset_sha256, rotations, _, report = _evaluated_run(cfg)
+    return _write_outputs(cfg, dataset_sha256, _map_files(cfg, report, rotations))
 
 
 def run_audit(cfg: ExperimentConfig, identity_only=False):
     """Rotate/back-rotate round-trip error survey of the configured dataset."""
     cfg.validate()
-    samples = _load_samples(cfg)
+    samples, _ = _load_samples(cfg)
     with _open_model(cfg) as model:
         return numerics_audit(samples, model, RotationStream(cfg.seed), identity_only=identity_only)
 
@@ -328,9 +340,9 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         raise ConfigError("sweep needs at least one rotation count")
     if checkpoints[0] < 0:
         raise ConfigError("rotation counts must be >= 0")
-    _check_divisor(cfg, checkpoints[0])
+    mean_divisor(checkpoints[0] + 1, cfg.divisor_mode)
 
-    samples = _load_evaluable(cfg, min_steps=1)
+    samples, dataset_sha256 = _load_evaluable(cfg, min_steps=1)
     rotations = _rotations(cfg, checkpoints[-1])
     target_vm = np.stack([von_mises(s.target_stress) for s in samples])
     n_steps = samples[0].n_steps
@@ -347,7 +359,8 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         for n, vm in zip(checkpoints, vm_by_checkpoint.transpose(1, 0, 2))
     ]
     if write:
-        _write_outputs(cfg, {"sweep.csv": csv_text("n,mere_tta,mare_tta", rows)}, {"n_values": checkpoints})
+        files = {"sweep.csv": csv_text("n,mere_tta,mare_tta", rows)}
+        _write_outputs(cfg, dataset_sha256, files, {"n_values": checkpoints})
     return rows
 
 
@@ -363,10 +376,10 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5):
     ``repeats.csv`` plus a manifest.
     """
     cfg.validate()
-    _check_divisor(cfg, cfg.n_rotations)
+    mean_divisor(cfg.n_rotations + 1, cfg.divisor_mode)
     if n_repeats < 1:
         raise ConfigError("n_repeats must be >= 1")
-    samples = _load_evaluable(cfg)
+    samples, dataset_sha256 = _load_evaluable(cfg)
     rows = []
     with _open_model(cfg) as model:
         for k in range(n_repeats):
@@ -379,5 +392,6 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5):
     sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     summary = [("mean", "", "", "", "", mean, ""), ("sd", "", "", "", "", sd, "")]
     header = "repeat,seed,mere_i0,mere_av,sd_mere,mere_tta,mare_tta"
-    _write_outputs(cfg, {"repeats.csv": csv_text(header, rows + summary)}, {"n_repeats": n_repeats})
+    files = {"repeats.csv": csv_text(header, rows + summary)}
+    _write_outputs(cfg, dataset_sha256, files, {"n_repeats": n_repeats})
     return rows, (mean, sd)

@@ -15,9 +15,9 @@ its errors, and it calls nothing of a model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
 results do not depend on how predictions were scheduled.  :func:`run_tta`
-runs a dataset through the kernel in groups of samples within a byte budget,
-and :func:`reduce_predictions` reduces each group's stack in two such passes;
-one :class:`TTAResult` of float64 arrays keeps the identity rows, not the stack.
+runs a dataset through the kernel one sample at a time and reduces each
+sample's rows in two such passes into one :class:`TTAResult` of float64
+arrays, which keeps the identity rows, not the stack.
 """
 
 from typing import NamedTuple
@@ -40,9 +40,6 @@ DIVISOR_MODES = (DIVISOR_COUNT, DIVISOR_PAPER)
 # above that, and more again from 25,600 on, where a chunk's six-component
 # arrays (1.2 MB each) outgrow the core's cache.
 _CHUNK_STEPS = 8192
-
-# Bytes of the stack run_tta reduces at once (one sample at least): 1001 x 100 x 6 floats are 4.8 MB.
-_GROUP_BYTES = 8 << 20
 
 
 class EmptyInput(ValueError):
@@ -101,49 +98,6 @@ def mean_divisor(n_rows, mode):
     return divisor
 
 
-def _row_blocks(n_rows, row_size, budget=None):
-    """Slices of ``n_rows`` rows of ``row_size`` elements, at most ``budget`` (a kernel chunk's) or one row each."""
-    size = max(1, (6 * _CHUNK_STEPS if budget is None else budget) // max(1, row_size))
-    return [slice(lo, lo + size) for lo in range(0, n_rows, size)]
-
-
-def reduce_predictions(backrotated, divisor_mode) -> TTAResult:
-    """:class:`TTAResult` of M inputs from their ``(M, P, T, 6)`` back-rotated stack.
-
-    Every sample is reduced at once, each element with the additions of its
-    own sample's pass, in two compensated passes over the rotation axis: the
-    mean (divided as :func:`mean_divisor` says), then, a :func:`_row_blocks`
-    block at a time, the von Mises rows and the squared deviations of the
-    six components and the von Mises value, one ``(M, T, 7)`` row each.  The
-    spreads sum rows 1..P-1 with divisor P-1, the printed formula over the
-    random rotations only; the identity alone (P = 1) has zero spread.  The
-    result's ``initial`` is a copy of ``backrotated[:, 0]``.
-    """
-    by_rotation = backrotated.swapaxes(0, 1)  # (P, M, T, 6) view
-    p = len(by_rotation)
-    aggregated = compensated_sums(by_rotation, [p - 1])[0] / mean_divisor(p, divisor_mode)
-    vm_aggregated = von_mises(aggregated)
-    vm_individual = np.empty(backrotated.shape[:-1])
-    vm_by_rotation = vm_individual.swapaxes(0, 1)
-    blocks = _row_blocks(p, 7 * vm_aggregated.size)
-    buffer = np.empty((len(by_rotation[blocks[0]]),) + vm_aggregated.shape + (7,))
-
-    def deviations():  # of rows 1..P-1; each row is summed before the buffer is refilled
-        for block in blocks:
-            part = by_rotation[block]
-            dev = buffer[:len(part)]
-            vm_by_rotation[block] = von_mises(part)
-            np.subtract(part, aggregated, out=dev[..., :6])
-            np.subtract(vm_by_rotation[block], vm_aggregated, out=dev[..., 6])
-            np.square(dev, out=dev)
-            yield from dev[1:] if block.start == 0 else dev
-
-    totals = compensated_sums(deviations(), [p - 2])
-    variance = totals[0] / (p - 1) if totals else np.zeros(buffer.shape[1:])  # P = 1 sums no row
-    return TTAResult(backrotated[:, 0].copy(), aggregated, np.sqrt(variance[..., :6]), vm_individual, vm_aggregated,
-                     np.sqrt(variance[..., 6]))
-
-
 def augment_chunks(model, sample, rotations):
     """Yield ``(lo, block)`` in index order: rows ``lo..lo+len(block)-1`` of :func:`augment`.
 
@@ -193,17 +147,46 @@ def augment(model, sample, rotations) -> np.ndarray:
     return out
 
 
+def _reduce_sample(rows, chunks, divisor) -> TTAResult:
+    """One sample's row of every :class:`TTAResult` array, from its ``(lo, block)`` chunks of back-rotated paths.
+
+    The chunks, in :func:`augment_chunks` form, fill the ``(P, 7T)`` buffer
+    ``rows``: row i is the ``(T, 6)`` path at rotation index i, flattened,
+    then its T von Mises values.  The buffer is then reduced in place in two
+    compensated passes in rotation-index order: the mean of the paths,
+    divided by ``divisor``; then, with every row turned into the squared
+    deviations of its six components from the mean and of its von Mises
+    values from the mean's, the spreads.  They sum rows 1..P-1 with divisor
+    P-1, the printed formula over the random rotations only; the identity
+    alone (P = 1) has zero spread.
+    """
+    p, t = rows.shape[0], rows.shape[1] // 7
+    paths, vm = rows[:, :6 * t].reshape(p, t, 6), rows[:, 6 * t:]
+    for lo, block in chunks:
+        paths[lo:lo + len(block)] = block
+        vm[lo:lo + len(block)] = von_mises(block)
+    initial, vm_individual = paths[0].copy(), vm.copy()
+    aggregated = compensated_sums(paths, [p - 1])[0] / divisor
+    vm_aggregated = von_mises(aggregated)
+    np.subtract(rows, np.concatenate([aggregated.reshape(-1), vm_aggregated]), out=rows)
+    np.square(rows, out=rows)
+    totals = compensated_sums(rows[1:], [p - 2])
+    variance = totals[0] / (p - 1) if totals else np.zeros(7 * t)  # P = 1 sums no row
+    return TTAResult(initial, aggregated, np.sqrt(variance[:6 * t]).reshape(t, 6), vm_individual, vm_aggregated,
+                     np.sqrt(variance[6 * t:]))
+
+
 def run_tta(model, samples, rotations, divisor_mode=DIVISOR_COUNT) -> TTAResult:
     """Full augmented-inference pass over the ``samples`` of a dataset.
 
     Every sample runs through :func:`augment_chunks` over the one ``(P, 3,
     3)`` list ``rotations``, so rotation index i is one rotation across the
     dataset.  Row 0 must be exactly the identity: ``initial`` is its
-    prediction and the spread sums rows 1..P-1.  Each group of samples
-    within a byte budget fills one reused buffer in rotation-index order
-    for :func:`reduce_predictions`, whose mean divides as ``divisor_mode``
-    says.  Samples must share one path length; it and the list are checked
-    before the first prediction.
+    prediction and the spread sums rows 1..P-1.  One sample at a time, the
+    kernel's rows fill one reused buffer, which :func:`_reduce_sample`
+    reduces in place into the sample's row of the result; its mean divides
+    as ``divisor_mode`` says.  Samples must share one path length; it and
+    the list are checked before the first prediction.
     """
     if len(samples) == 0:
         raise ValueError("augmented inference needs at least one sample")
@@ -217,18 +200,13 @@ def run_tta(model, samples, rotations, divisor_mode=DIVISOR_COUNT) -> TTAResult:
     if not np.array_equal(rotations[0], identity_rotation()):
         raise ValueError("rotation index 0 must be exactly the identity")
     m, p, t = len(samples), len(rotations), samples[0].n_steps
-    mean_divisor(p, divisor_mode)  # a bad mode fails before the first prediction
-    groups = _row_blocks(m, p * t * 6, _GROUP_BYTES // 8)
-    buffer = np.empty((len(samples[groups[0]]), p, t, 6))
-    whole = TTAResult(*(np.empty((m,) + shape) for shape in [(t, 6)] * 3 + [(p, t), (t,), (t,)]))
-    for group in groups:
-        stack = buffer[:len(samples[group])]
-        for k, sample in enumerate(samples[group]):
-            for lo, block in augment_chunks(model, sample, rotations):
-                stack[k, lo:lo + len(block)] = block
-        for array, rows in zip(whole, reduce_predictions(stack, divisor_mode)):
-            array[group] = rows
-    return whole
+    divisor = mean_divisor(p, divisor_mode)  # a bad mode fails before the first prediction
+    rows = np.empty((p, 7 * t))  # per rotation: a path's six components and its von Mises value at T steps
+    result = TTAResult(*(np.empty((m,) + shape) for shape in [(t, 6)] * 3 + [(p, t), (t,), (t,)]))
+    for k, sample in enumerate(samples):
+        for array, row in zip(result, _reduce_sample(rows, augment_chunks(model, sample, rotations), divisor)):
+            array[k] = row
+    return result
 
 
 class AuditReport(NamedTuple):

@@ -99,3 +99,42 @@ def test_only_write_outputs_writes_artifacts():
         and any(isinstance(call, ast.Call) and _writes_a_file(call) for call in ast.walk(node))
     )
     assert writers == ["_write_outputs"], f"functions writing files in experiment.py: {writers}"
+
+
+def _top_level_users(name):
+    """``(module, top-level definition)`` of every reference to ``name`` in ``src/rotta``, ``<module>`` outside one."""
+    users = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            for node in ast.walk(top):
+                if getattr(node, "id", None) == name or getattr(node, "attr", None) == name:
+                    users.append((path.name, where))
+    return users
+
+
+def test_run_tta_is_the_only_caller_of_the_reducer():
+    # one sample's rows are reduced in place in run_tta's buffer; a second
+    # caller would bring back a second way to reduce a dataset
+    assert _top_level_users("_reduce_sample") == [("tta.py", "run_tta")]
+
+
+def _is_number(node):
+    if isinstance(node, ast.Constant):
+        return type(node.value) in (int, float)
+    if isinstance(node, ast.BinOp):
+        return _is_number(node.left) and _is_number(node.right)
+    return isinstance(node, ast.UnaryOp) and _is_number(node.operand)
+
+
+def test_tta_has_one_memory_budget():
+    # the kernel chunk bounds every temporary array; the reducer works in
+    # one sample's buffer and needs no budget of its own
+    tree = ast.parse((PACKAGE / "tta.py").read_text(encoding="utf-8"))
+    numbers = [
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign) and _is_number(node.value)
+        for target in node.targets
+    ]
+    assert numbers == ["_CHUNK_STEPS"], f"numeric constants of tta.py: {numbers}"

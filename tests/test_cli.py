@@ -240,6 +240,9 @@ def test_out_that_is_a_file_is_config_error(dataset_path, tmp_path, capsys, monk
     assert blocker.read_text() == "not a directory\n"
 
 
+PAPER_DIVISOR_ERROR = "configuration error: paper divisor mode needs at least one random rotation (N >= 1)\n"
+
+
 @pytest.mark.parametrize("command", ["run", "sphere-map", "repeats"])
 def test_paper_divisor_without_rotations_is_config_error(dataset_path, tmp_path, capsys, command):
     # the paper mean divides by N: rejected with the configuration, before any prediction
@@ -248,7 +251,7 @@ def test_paper_divisor_without_rotations_is_config_error(dataset_path, tmp_path,
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "configuration error: paper divisor mode cannot evaluate N = 0\n"
+    assert captured.err == PAPER_DIVISOR_ERROR
     assert not out.exists()
 
 
@@ -261,7 +264,7 @@ def test_sweep_ignores_rotations_under_the_paper_divisor(tmp_path, capsys):
     assert (tmp_path / "ok" / "sweep.csv").is_file()
     capsys.readouterr()
     assert main(["sweep", *args, "--out", str(tmp_path / "bad"), "--n-values", "0,5"]) == 2
-    assert capsys.readouterr().err == "configuration error: paper divisor mode cannot evaluate N = 0\n"
+    assert capsys.readouterr().err == PAPER_DIVISOR_ERROR
     assert not (tmp_path / "bad").exists()
 
 

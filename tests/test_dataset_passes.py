@@ -1,9 +1,10 @@
 """Property tests of the whole-dataset passes after the kernel.
 
-``run`` reduces a group of samples at once, computes every shape-consistency
-correlation as a row of one array, and writes each artifact array with one
-``repr``.  Each pass must keep the bits of the per-sample, per-channel and
-per-value forms it replaced, which stay here as oracles.
+``run`` reduces each sample's rows in place in one reused buffer, computes
+every shape-consistency correlation as a row of one array, and writes each
+artifact array with one ``repr``.  Each pass must keep the bits of the
+per-row, per-channel and per-value forms it replaced, which stay here as
+oracles.
 """
 
 import json
@@ -22,7 +23,7 @@ from rotta.metrics import CHANNEL_NAMES, jsonable, shape_report
 from rotta.models import EquivariantOracle, NoisyOracle, OracleParams
 from rotta.rotations import RotationStream, rotation_list, sample_orientation_tensor
 from rotta.spheremap import seeds_csv
-from rotta.tta import EmptyInput, augment, reduce_predictions, run_tta
+from rotta.tta import EmptyInput, augment, mean_divisor, run_tta
 from rotta.voigt import von_mises
 
 RESULT_FIELDS = ("initial", "aggregated", "sd", "vm_individual", "vm_aggregated", "vm_sd")
@@ -49,7 +50,7 @@ def _kahan(rows):
 
 
 def _per_sample(stack, mode):
-    """The per-sample reduction the batched pass replaced: ``(aggregated, sd, vm_individual, vm_aggregated, vm_sd)``."""
+    """The printed reduction of a ``(P, T, 6)`` stack: ``(aggregated, sd, vm_individual, vm_aggregated, vm_sd)``."""
     n = stack.shape[0]
     aggregated = _kahan(stack) / (n if mode == "count" else n - 1)
     vm, vm_aggregated = von_mises(stack), von_mises(aggregated)
@@ -58,6 +59,14 @@ def _per_sample(stack, mode):
     sd = np.sqrt(_kahan((stack[1:] - aggregated) ** 2) / (n - 1))
     vm_sd = np.sqrt(_kahan((vm[1:] - vm_aggregated) ** 2) / (n - 1))
     return aggregated, sd, vm, vm_aggregated, vm_sd
+
+
+def _reduce_sample(stack, mode, chunk=None):
+    """``tta._reduce_sample`` of one sample's ``(P, T, 6)`` stack, given in chunks of ``chunk`` rows (one by default)."""
+    p, t = stack.shape[:2]
+    chunk = chunk or p
+    chunks = [(lo, stack[lo:lo + chunk]) for lo in range(0, p, chunk)]
+    return tta._reduce_sample(np.empty((p, 7 * t)), chunks, mean_divisor(p, mode))
 
 
 def _sample(seed, n_steps):
@@ -73,22 +82,22 @@ reduction_cases = dict(
     t=st.integers(1, 30),
     mode=st.sampled_from(["count", "paper"]),
     chunk=st.integers(1, 400),
-    group=st.integers(1, 6),
 )
 
 
 @settings(max_examples=60, deadline=None)
 @given(**reduction_cases)
-@example(seed=0, m=3, n=1, t=5, mode="count", chunk=8192, group=3)
-@example(seed=1, m=2, n=0, t=4, mode="count", chunk=8192, group=1)
-@example(seed=2, m=5, n=3, t=6, mode="paper", chunk=8192, group=2)
-def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, chunk, group):
+@example(seed=0, m=3, n=1, t=5, mode="count", chunk=8192)
+@example(seed=1, m=2, n=0, t=4, mode="count", chunk=8192)
+@example(seed=2, m=5, n=3, t=6, mode="paper", chunk=8192)
+@example(seed=3, m=2, n=9, t=7, mode="count", chunk=1)
+def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, chunk):
+    # chunks of one row each (chunk < t) up to one chunk per sample
     samples = [_sample(seed + k, t) for k in range(m)]
     model = NoisyOracle(OracleParams(noise_amp=5.0, noise_seed=seed))
     rotations = rotation_list(RotationStream(seed), n)
     stack = np.stack([augment(model, s, rotations) for s in samples])
-    sample_bytes = (n + 1) * t * 6 * 8  # one sample's stack: groups of `group` samples, the last one shorter
-    with mock.patch.object(tta, "_CHUNK_STEPS", chunk), mock.patch.object(tta, "_GROUP_BYTES", group * sample_bytes):
+    with mock.patch.object(tta, "_CHUNK_STEPS", chunk):
         if mode == "paper" and n == 0:
             with pytest.raises(EmptyInput):
                 run_tta(model, samples, rotations, mode)
@@ -98,23 +107,23 @@ def test_batched_reduction_equals_per_sample_run_tta(seed, m, n, t, mode, chunk,
     assert_same_bits(batched.initial, stack[:, 0])
     for k, sample in enumerate(samples):
         alone = run_tta(model, [sample], rotations, mode)
-        reduced = reduce_predictions(stack[k:k + 1], mode)  # the sample's augment rows, reduced alone
+        reduced = _reduce_sample(stack[k], mode)  # the sample's augment rows, reduced alone
         for field in RESULT_FIELDS:
             assert_same_bits(getattr(batched, field)[k], getattr(alone, field)[0])
-            assert_same_bits(getattr(batched, field)[k], getattr(reduced, field)[0])
+            assert_same_bits(getattr(batched, field)[k], getattr(reduced, field))
         for field, oracle in zip(RESULT_FIELDS[1:], _per_sample(stack[k], mode)):
             assert_same_bits(getattr(batched, field)[k], oracle)
 
 
-def test_one_sample_groups_peak_well_below_the_dataset_stack():
+def test_run_tta_peaks_well_below_the_dataset_stack():
     m, n, t = 8, 200, 40
     samples = [_sample(k, t) for k in range(m)]
     rotations = rotation_list(RotationStream(3), n)
     stack = m * (n + 1) * t * 6 * 8  # bytes of the (M, P, T, 6) back-rotated stack
     run_tta(EquivariantOracle(), samples[:1], rotations)  # warm up
-    # one sample per group, ten rotations per kernel chunk: what stays is the
-    # (M, P, T) von Mises table (1/6 of the stack) and one sample's buffer (1/M)
-    with mock.patch.multiple(tta, _GROUP_BYTES=stack // m, _CHUNK_STEPS=10 * t):
+    # ten rotations per kernel chunk: what stays is the (M, P, T) von Mises
+    # table (1/6 of the stack) and one sample's (P, 7T) buffer (7/6M)
+    with mock.patch.object(tta, "_CHUNK_STEPS", 10 * t):
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -125,33 +134,37 @@ def test_one_sample_groups_peak_well_below_the_dataset_stack():
     assert peak < 0.5 * stack, f"peak {peak / stack:.2f} (M, P, T, 6) stacks"
 
 
-def test_reducing_a_group_peaks_well_below_its_stack():
-    stack = np.random.default_rng(0).standard_normal((8, 200, 40, 6))
-    reduce_predictions(stack[:1], "count")  # warm up
-    # what stays is the (M, P, T) von Mises table (1/6 of the stack); the
-    # deviation rows are formed a block at a time, never for the whole group
+def test_reducing_a_sample_peaks_well_below_its_rows():
+    stack = np.random.default_rng(0).standard_normal((200, 40, 6))
+    rows = np.empty((200, 7 * 40))
+
+    def chunks():  # ten rotations at a time, as the kernel yields them
+        return ((lo, stack[lo:lo + 10]) for lo in range(0, 200, 10))
+
+    tta._reduce_sample(rows, chunks(), 200)  # warm up
+    # what stays is the copy of the (P, T) von Mises rows (1/7 of the
+    # buffer); the deviations are formed in place, never as a second buffer
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        reduce_predictions(stack, "count")
+        tta._reduce_sample(rows, chunks(), 200)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert peak < 0.5 * stack.nbytes, f"peak {peak / stack.nbytes:.2f} stacks"
+    assert peak < 0.5 * rows.nbytes, f"peak {peak / rows.nbytes:.2f} buffers"
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    m=st.integers(1, 4),
     p=st.integers(1, 9),
     t=st.integers(1, 12),
     mode=st.sampled_from(["count", "paper"]),
-    chunk=st.integers(1, 60),
+    chunk=st.integers(1, 9),
 )
-def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, chunk):
+def test_batched_reduction_keeps_signed_zeros_and_specials(seed, p, t, mode, chunk):
     rng = np.random.default_rng(seed)
-    stack = rng.standard_normal((m, p, t, 6)) * 10.0 ** rng.integers(-8, 8, (m, p, t, 6))
+    stack = rng.standard_normal((p, t, 6)) * 10.0 ** rng.integers(-8, 8, (p, t, 6))
     u = rng.random(stack.shape)
     stack[u < 0.1] = 0.0
     stack[(u >= 0.1) & (u < 0.2)] = -0.0
@@ -159,12 +172,11 @@ def test_batched_reduction_keeps_signed_zeros_and_specials(seed, m, p, t, mode, 
     stack[(u >= 0.22) & (u < 0.24)] = np.nan
     if mode == "paper" and p == 1:
         return
-    with np.errstate(all="ignore"), mock.patch.object(tta, "_CHUNK_STEPS", chunk):
-        batched = reduce_predictions(stack, mode)
-        for k in range(m):
-            aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack[k], mode)
-            for field, want in zip(RESULT_FIELDS, (stack[k, 0], aggregated, sd, vm, vm_aggregated, vm_sd)):
-                assert_same_bits(getattr(batched, field)[k], want)
+    with np.errstate(all="ignore"):
+        reduced = _reduce_sample(stack, mode, chunk)
+        aggregated, sd, vm, vm_aggregated, vm_sd = _per_sample(stack, mode)
+    for field, want in zip(RESULT_FIELDS, (stack[0], aggregated, sd, vm, vm_aggregated, vm_sd)):
+        assert_same_bits(getattr(reduced, field), want)
 
 
 # --------------------------------------------------------- shape report

@@ -22,11 +22,11 @@ from rotta.experiment import (
     run_repeats,
     run_sphere_map,
     run_sweep,
-    sha256_file,
 )
 from rotta.metrics import evaluate_dataset
 from rotta.rotations import RotationStream, rotation_list
 from rotta.spheremap import project_rotations, seeds_csv
+from rotta.tta import EmptyInput
 
 FIXTURE = str(Path(__file__).with_name("external_fixture.py"))
 
@@ -48,6 +48,10 @@ def dataset_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "small.ndjson"
     save_dataset(generate_synthetic(4, 12, stream=RotationStream(31)), path)
     return str(path)
+
+
+def sha256_file(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 def _cfg(dataset_path, out_dir, **overrides):
@@ -151,7 +155,7 @@ def _count_draws(monkeypatch):
 
 def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=7)
-    samples = experiment._load_evaluable(cfg)
+    samples, _ = experiment._load_evaluable(cfg)
     draws = _count_draws(monkeypatch)
     rotations, result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
     assert result.vm_individual.shape[:2] == (4, 8) and draws == [7]
@@ -162,7 +166,7 @@ def test_compute_results_draws_rotations_once(dataset_path, tmp_path, monkeypatc
 def test_sphere_map_draws_rotations_once(dataset_path, tmp_path, monkeypatch):
     cfg = _cfg(dataset_path, tmp_path / "out", n_rotations=9, grid=(40, 20))
     fresh = rotation_list(RotationStream(cfg.seed), cfg.n_rotations)
-    samples = experiment._load_evaluable(cfg)
+    samples, _ = experiment._load_evaluable(cfg)
     rotations, result = experiment.compute_results(cfg, experiment.build_model(cfg), samples)
     assert np.array_equal(rotations, fresh)
 
@@ -234,7 +238,7 @@ def test_sweep_rejects_bad_requests(dataset_path, tmp_path):
         run_sweep(cfg, [])
     with pytest.raises(ConfigError):
         run_sweep(cfg, [-1, 4])
-    with pytest.raises(ConfigError):
+    with pytest.raises(EmptyInput):
         run_sweep(cfg._replace(divisor_mode="paper"), [0, 4])
 
 
@@ -313,6 +317,69 @@ def test_failed_write_removes_the_files_before_it(dataset_path, tmp_path, monkey
         run_experiment(_cfg(dataset_path, tmp_path / "out"))
     assert names == list(RUN_FILES[:3])
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def _sealed(out):
+    """Names in ``out`` besides the manifest, and the names its manifest seals (all present)."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert all((out / name).is_file() for name in manifest["outputs"])
+    return sorted(p.name for p in out.iterdir() if p.name != "manifest.json"), sorted(manifest["outputs"])
+
+
+def test_reused_out_holds_exactly_what_its_manifest_seals(dataset_path, tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine\n")
+    run_experiment(_cfg(dataset_path, out, sphere_map=True, grid=(40, 20)))
+    assert {"map.svg", "map_seeds.csv", "mere_histogram.csv"} <= set(_sealed(out)[1])
+    run_experiment(_cfg(dataset_path, out, n_rotations=0))
+    on_disk, sealed = _sealed(out)
+    assert on_disk == sorted([*sealed, "notes.txt"])
+    assert "map.svg" not in sealed and "mere_histogram.csv" not in sealed
+
+    write_bytes = Path.write_bytes
+    calls = []
+
+    def failing_second(path, data):
+        calls.append(path.name)
+        if len(calls) == 2:
+            raise OSError("injected write failure")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", failing_second)
+    with pytest.raises(OSError, match="injected"):
+        run_experiment(_cfg(dataset_path, out, sphere_map=True, grid=(40, 20)))
+    # no manifest is left to name a file the failed write removed; the user's file stays
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "mine\n"
+
+
+def test_reused_out_removes_only_plain_names_its_manifest_lists(dataset_path, tmp_path):
+    out, outside = tmp_path / "out", tmp_path / "outside.txt"
+    (out / "sub").mkdir(parents=True)
+    for path in (outside, out / "sub" / "kept.txt", out / "listed.txt", out / "unlisted.txt"):
+        path.write_text("x\n")
+    names = ["listed.txt", "../outside.txt", str(outside), "sub/kept.txt", "sub", "..", "", "missing.txt"]
+    (out / "manifest.json").write_text(json.dumps({"outputs": dict.fromkeys(names, "0")}))
+    run_sphere_map(_cfg(dataset_path, out, n_rotations=2, grid=(20, 10)))
+    assert outside.is_file() and (out / "sub" / "kept.txt").is_file()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "map.svg", "map_seeds.csv", "sub", "unlisted.txt"]
+
+
+def test_manifest_digests_the_dataset_bytes_the_run_parsed(dataset_path, tmp_path, monkeypatch):
+    path = tmp_path / "data.ndjson"
+    original = Path(dataset_path).read_bytes()
+    path.write_bytes(original)
+    run_tta = experiment.run_tta
+
+    def rewrite_then_run(*args, **kwargs):
+        path.write_bytes(original.replace(b"\n", b"\n\n", 1))  # the dataset changes on disk mid-run
+        return run_tta(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_tta", rewrite_then_run)
+    _, manifest_path = run_experiment(_cfg(str(path), tmp_path / "out"))
+    assert json.loads(manifest_path.read_text())["dataset_sha256"] == hashlib.sha256(original).hexdigest()
+    assert sha256_file(path) != hashlib.sha256(original).hexdigest()
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "repeats", "sphere-map"])

@@ -17,7 +17,6 @@ from rotta.tta import (
     compensated_sums,
     mean_divisor,
     numerics_audit,
-    reduce_predictions,
     run_tta,
 )
 from rotta.voigt import trace, von_mises
@@ -38,9 +37,11 @@ def _samples(*seeds, n_steps=8):
 
 
 def _reduce(paths, mode="count"):
-    """:func:`reduce_predictions` of one sample's ``(P, T, 6)`` back-rotated paths, as a ``(1, P, T, 6)`` stack."""
+    """The reducer's result for one sample's ``(P, T, 6)`` back-rotated paths, as a dataset of one."""
     paths = np.asarray(paths, dtype=float)
-    return reduce_predictions(paths[None], mode)
+    p, t = paths.shape[:2]
+    reduced = tta._reduce_sample(np.empty((p, 7 * t)), [(0, paths)], mean_divisor(p, mode))
+    return tta.TTAResult(*(array[None] for array in reduced))
 
 
 # ------------------------------------------------------------ input rotation
@@ -288,16 +289,16 @@ def test_mixed_path_length_is_rejected_before_any_prediction():
     samples = _samples(0, 1, n_steps=10) + _samples(2, n_steps=12)
     message = r"^sample s2: strain path shape \(12, 6\) differs from the first sample's \(10, 6\)$"
     model = Counting()
-    with mock.patch.object(tta, "_GROUP_BYTES", 1), pytest.raises(ValueError, match=message):  # one sample per group
+    with pytest.raises(ValueError, match=message):
         run_tta(model, samples, rotation_list(RotationStream(0), 3))
     assert model.calls == 0
 
 
-def test_one_group_is_reduced_in_two_compensated_passes():
+def test_each_sample_is_reduced_in_two_compensated_passes():
     with mock.patch.object(tta, "compensated_sums", wraps=tta.compensated_sums) as sums:
         run_tta(NoisyOracle(OracleParams(noise_amp=5.0)), _samples(0, 1, 2), rotation_list(RotationStream(3), 6))
-    assert sums.call_count == 2  # the mean, then the von Mises rows and both spreads
-    res = reduce_predictions(np.random.default_rng(0).standard_normal((2, 5, 4, 6)), "count")
+    assert sums.call_count == 2 * 3  # per sample: the mean, then both spreads
+    res = _reduce(np.random.default_rng(0).standard_normal((5, 4, 6)))
     assert res.sd.flags.c_contiguous and res.vm_sd.flags.c_contiguous
 
 
