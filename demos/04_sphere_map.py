@@ -47,7 +47,7 @@ seeds = project_rotations(rotations, per_rotation, radius=2.0)
 raster = voronoi_rasterize(seeds, grid=(360, 180), radius=2.0)
 
 texts = {
-    "error_map.svg": render_svg(raster, title="per-rotation mean relative error"),
+    "error_map.svg": render_svg(raster),
     "error_map_seeds.csv": seeds_csv(seeds),
 }
 for name, text in texts.items():

@@ -6,15 +6,15 @@ components follow the package-wide ordering [11, 22, 33, 12, 13, 23].
 Floats are written with Python's shortest round-trip representation, so a
 save/load cycle is lossless and re-saving reproduces identical bytes.
 
-Loading is strict: the first malformed line raises :class:`ParseError`
-with its line number, and any sample whose fields violate the domain
-invariants (orientation tensor properties, path length agreement, value
-ranges) raises :class:`InvariantViolation` naming the sample and field.
+Loading is strict: the first malformed line (not UTF-8 text, say) raises
+:class:`ParseError` with its line number, and any sample whose fields
+violate the domain invariants (orientation tensor properties, path length
+agreement, value ranges, an id no earlier line used) raises
+:class:`InvariantViolation` naming the sample and field.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from collections import namedtuple
 from pathlib import Path
@@ -140,21 +140,30 @@ def _parse_line(line, line_no) -> Sample:
 def load_dataset(path, digest=None):
     """Parse a dataset file into a list of samples, each checked once as it is made.
 
-    Raises :class:`ParseError` on the first structurally bad line and
-    :class:`InvariantViolation` on the first sample that parses but breaks
-    an invariant.  Blank lines are rejected (they hide truncation bugs).
-    The file is read once; ``digest``, a :mod:`hashlib` object, is updated
-    with those bytes, so it hashes exactly what was parsed.
+    Raises :class:`ParseError` on the first structurally bad line (one
+    that is not UTF-8 text too) and :class:`InvariantViolation` on the first
+    sample that parses but breaks an invariant or repeats an earlier id.
+    Blank lines are rejected (they hide truncation bugs).  The file is read
+    once; ``digest``, a :mod:`hashlib` object, is updated with those bytes,
+    so it hashes exactly what was parsed.
     """
     data = Path(path).read_bytes()
     if digest is not None:
         digest.update(data)
     samples = []
-    for line_no, line in enumerate(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), start=1):
-        stripped = line.strip()
+    first_line = {}  # id -> line it first appeared on
+    for line_no, raw in enumerate(data.splitlines(), start=1):
+        try:
+            stripped = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise ParseError(line_no, f"not UTF-8 text: {exc.reason} at offset {exc.start}") from exc
         if not stripped:
             raise ParseError(line_no, "blank line")
-        samples.append(_parse_line(stripped, line_no))
+        sample = _parse_line(stripped, line_no)
+        if sample.id in first_line:
+            raise InvariantViolation(sample.id, "id", f"repeats the id of line {first_line[sample.id]}")
+        first_line[sample.id] = line_no
+        samples.append(sample)
     return samples
 
 

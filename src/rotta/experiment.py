@@ -292,7 +292,7 @@ def _map_files(cfg: ExperimentConfig, report: MetricsReport, rotations):
     """The map of per-rotation error, ``{name: text}``; ``rotations`` is the list the result was computed with."""
     seeds = project_rotations(rotations, report.mere_per_rotation, radius=cfg.radius)
     raster = voronoi_rasterize(seeds, grid=cfg.grid, radius=cfg.radius)
-    svg = render_svg(raster, colormap=cfg.colormap, title="per-rotation mean relative error")
+    svg = render_svg(raster, colormap=cfg.colormap)
     return {"map.svg": svg, "map_seeds.csv": seeds_csv(seeds)}
 
 

@@ -143,10 +143,10 @@ def sd_mere(values, center):
 class Histogram(NamedTuple):
     """Density histogram of error values with a moment-fit normal overlay."""
 
+    bin_width: float
     bin_edges: np.ndarray
     density: np.ndarray
     counts: np.ndarray
-    bin_width: float
     fit_mean: float
     fit_sd: float
 
@@ -194,10 +194,10 @@ def mere_histogram(values, bin_width=DEFAULT_BIN_WIDTH):
     counts, _ = np.histogram(values, bins=edges)
     density = counts / (values.size * bin_width)
     return Histogram(
+        bin_width=float(bin_width),
         bin_edges=edges,
         density=density,
         counts=counts,
-        bin_width=float(bin_width),
         fit_mean=float(np.mean(values)),
         fit_sd=float(np.std(values)),
     )
@@ -264,32 +264,18 @@ class ShapeReport(NamedTuple):
     """Per-sample, per-channel shape ratios and their dataset summary.
 
     Arrays are (M, 7) over channels :data:`CHANNEL_NAMES`.  Channels whose
-    difference sequences had zero variance are NaN with ``degenerate`` set
-    and are left out of the summary statistics, as are +inf ``perfect``
-    entries (counted separately).
+    difference sequences had zero variance (``n_degenerate``) are NaN, and
+    channels whose aggregated r is 1 (``n_perfect``) have a +inf ratio;
+    both are left out of the summary statistics.
     """
 
     c_ratio: np.ndarray
     r_initial: np.ndarray
     r_aggregated: np.ndarray
-    perfect: np.ndarray
-    degenerate: np.ndarray
     mean_c_ratio: float
     fraction_below_one: float
     n_perfect: int
     n_degenerate: int
-
-    def to_dict(self):
-        return {
-            "channels": list(CHANNEL_NAMES),
-            "c_ratio": jsonable(self.c_ratio),
-            "r_initial": jsonable(self.r_initial),
-            "r_aggregated": jsonable(self.r_aggregated),
-            "mean_c_ratio": jsonable(self.mean_c_ratio),
-            "fraction_below_one": jsonable(self.fraction_below_one),
-            "n_perfect": self.n_perfect,
-            "n_degenerate": self.n_degenerate,
-        }
 
 
 def shape_report(target_paths, initial_paths, aggregated_paths) -> ShapeReport:
@@ -322,8 +308,6 @@ def shape_report(target_paths, initial_paths, aggregated_paths) -> ShapeReport:
         c_ratio=c_ratio,
         r_initial=r_init,
         r_aggregated=r_aggr,
-        perfect=perfect,
-        degenerate=degenerate,
         mean_c_ratio=mean_c,
         fraction_below_one=frac_below,
         n_perfect=int(np.count_nonzero(perfect)),
@@ -336,7 +320,7 @@ class UncertaintyReport(NamedTuple):
 
     ``sd_curve`` and ``e_abs_curve`` cover every step; the relative curves
     are NaN at steps where any sample's aggregated von Mises fell below the
-    division guard (``included`` marks the usable steps).  ``r_abs`` and
+    division guard (``n_excluded`` counts them).  ``r_abs`` and
     ``r_rel`` are correlation coefficients over steps of (spread, error)
     pairs; a NaN value with the matching ``*_degenerate`` flag means a
     curve was constant or had fewer than two steps, and the coefficient is
@@ -347,25 +331,11 @@ class UncertaintyReport(NamedTuple):
     e_abs_curve: np.ndarray
     e_rel_curve: np.ndarray
     sd_rel_curve: np.ndarray
-    included: np.ndarray
     n_excluded: int
     r_abs: float
     r_rel: float
     r_abs_degenerate: bool = False
     r_rel_degenerate: bool = False
-
-    def to_dict(self):
-        return {
-            "sd_curve": jsonable(self.sd_curve),
-            "e_abs_curve": jsonable(self.e_abs_curve),
-            "e_rel_curve": jsonable(self.e_rel_curve),
-            "sd_rel_curve": jsonable(self.sd_rel_curve),
-            "n_excluded": self.n_excluded,
-            "r_abs": jsonable(self.r_abs),
-            "r_rel": jsonable(self.r_rel),
-            "r_abs_degenerate": self.r_abs_degenerate,
-            "r_rel_degenerate": self.r_rel_degenerate,
-        }
 
 
 def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
@@ -417,7 +387,6 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
         e_abs_curve=e_abs_curve,
         e_rel_curve=e_rel_curve,
         sd_rel_curve=sd_rel_curve,
-        included=included,
         n_excluded=n_excluded,
         r_abs=float(r_abs),
         r_rel=float(r_rel),
@@ -456,9 +425,13 @@ class MetricsReport(NamedTuple):
     ``mere_per_rotation`` and ``mare_per_rotation`` are ``(P,)`` arrays over
     rotation indices 0..N.  ``component_r`` correlates the spread with the
     absolute error pooled over every sample, step and tensor component (NaN
-    with ``component_r_degenerate`` set when either is constant).
+    with ``component_r_degenerate`` set when either is constant).  The field
+    order, nested records' too, is the key order of :meth:`to_dict`.
     """
 
+    n_samples: int
+    n_steps: int
+    n_rotations: int
     mere_per_rotation: np.ndarray
     mare_per_rotation: np.ndarray
     mere_av: float
@@ -468,42 +441,30 @@ class MetricsReport(NamedTuple):
     mere_i0: float
     mare_i0: float
     mere_tta_percentile: float
+    component_r: float
+    component_r_degenerate: bool
     histogram: Histogram | None
     shape: ShapeReport
     uncertainty: UncertaintyReport
-    component_r: float
-    component_r_degenerate: bool
-    n_samples: int
-    n_steps: int
-    n_rotations: int
 
     def to_dict(self):
-        d = {
-            "n_samples": self.n_samples,
-            "n_steps": self.n_steps,
-            "n_rotations": self.n_rotations,
-            "mere_per_rotation": {str(i): v for i, v in enumerate(jsonable(self.mere_per_rotation))},
-            "mare_per_rotation": {str(i): v for i, v in enumerate(jsonable(self.mare_per_rotation))},
-            "mere_av": jsonable(self.mere_av),
-            "sd_mere": jsonable(self.sd_mere),
-            "mere_tta": jsonable(self.mere_tta),
-            "mare_tta": jsonable(self.mare_tta),
-            "mere_i0": jsonable(self.mere_i0),
-            "mare_i0": jsonable(self.mare_i0),
-            "mere_tta_percentile": jsonable(self.mere_tta_percentile),
-            "component_r": jsonable(self.component_r),
-            "component_r_degenerate": self.component_r_degenerate,
+        """JSON-safe ``metrics.json``: every field in order, records as objects.
+
+        Per-rotation arrays are objects keyed by rotation index, ``shape``
+        opens with its ``channels`` names, and there is no ``histogram``
+        key when N = 0.
+        """
+        d = self._asdict() | {
+            "mere_per_rotation": dict(enumerate(self.mere_per_rotation.tolist())),
+            "mare_per_rotation": dict(enumerate(self.mare_per_rotation.tolist())),
+            "shape": {"channels": CHANNEL_NAMES} | self.shape._asdict(),
+            "uncertainty": self.uncertainty._asdict(),
         }
-        if self.histogram is not None:
-            d["histogram"] = {
-                "bin_width": self.histogram.bin_width,
-                "bin_edges": jsonable(self.histogram.bin_edges),
-                "density": jsonable(self.histogram.density),
-                "counts": jsonable(self.histogram.counts),
-                "fit_mean": jsonable(self.histogram.fit_mean),
-                "fit_sd": jsonable(self.histogram.fit_sd),
-            }
-        return d | {"shape": self.shape.to_dict(), "uncertainty": self.uncertainty.to_dict()}
+        if self.histogram is None:
+            del d["histogram"]
+        else:
+            d["histogram"] = self.histogram._asdict()
+        return jsonable(d)
 
     def to_text(self):
         """Aligned-column human summary of the headline numbers."""
@@ -574,6 +535,9 @@ def evaluate_dataset(
     comp_r, comp_degen = _pearson(result.sd.ravel(), np.abs(target_paths - result.aggregated).ravel())
 
     return MetricsReport(
+        n_samples=int(target_paths.shape[0]),
+        n_steps=int(target_paths.shape[1]),
+        n_rotations=int(n_pred - 1),
         mere_per_rotation=mere_vec,
         mare_per_rotation=mare_vec,
         mere_av=av,
@@ -583,12 +547,9 @@ def evaluate_dataset(
         mere_i0=float(mere_vec[0]),
         mare_i0=float(mare_vec[0]),
         mere_tta_percentile=percentile_of(tta_mere, mere_vec),
+        component_r=float(comp_r),
+        component_r_degenerate=bool(comp_degen),
         histogram=hist,
         shape=shape,
         uncertainty=uncertainty,
-        component_r=float(comp_r),
-        component_r_degenerate=bool(comp_degen),
-        n_samples=int(target_paths.shape[0]),
-        n_steps=int(target_paths.shape[1]),
-        n_rotations=int(n_pred - 1),
     )

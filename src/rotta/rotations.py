@@ -34,18 +34,14 @@ class RotationStream:
         Substream selector (second Philox key word). 0 is the root stream;
         :meth:`substream` derives per-sample streams.
 
-    A stream is single-owner: it mutates an internal counter, so share
+    A stream is single-owner: every draw advances its generator, so share
     substreams across workers rather than one stream object.
     """
 
     def __init__(self, seed, stream_id=0):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
-        self.counter = 0  # uniforms drawn so far
         self._bits = Philox(key=np.array([self.seed, self.stream_id], dtype=np.uint64))
-
-    def __repr__(self):
-        return f"RotationStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
 
     def substream(self, index):
         """Independent stream for sample ``index``; root stream is id 0, samples get 1+index."""
@@ -56,7 +52,6 @@ class RotationStream:
     def uniforms(self, n):
         """Next ``n`` uniform doubles in [0, 1), shape ``(n,)``."""
         raw = self._bits.random_raw(int(n))
-        self.counter += int(n)
         return (raw >> np.uint64(11)) * _DOUBLE_SCALE
 
     def normals(self, n):

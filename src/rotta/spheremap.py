@@ -363,8 +363,8 @@ def _svg_rows(codes, cell, x0, y0):
     return "\n".join([rect] * len(fields)) % tuple(fields.ravel().tolist())
 
 
-def render_svg(raster, colormap="viridis", title=None):
-    """SVG document (string) of the raster with colorbar and ellipse outline.
+def render_svg(raster, colormap="viridis"):
+    """SVG document (string) of the raster with title, colorbar and ellipse outline.
 
     Cell colors come from the named colormap scaled over the raster's value
     range; outside-ellipse cells are left unpainted, marked only by the
@@ -377,9 +377,9 @@ def render_svg(raster, colormap="viridis", title=None):
     bar_gap = 30
     label_w = 70
     img_w = width * cell + 2 * margin + bar_gap + bar_w + label_w
-    img_h = height * cell + 2 * margin + (24 if title else 0)
+    img_h = height * cell + 2 * margin + 24
     x0 = margin
-    y0 = margin + (24 if title else 0)
+    y0 = margin + 24
 
     vmin = float(np.nanmin(raster.values))
     vmax = float(np.nanmax(raster.values))
@@ -391,12 +391,9 @@ def render_svg(raster, colormap="viridis", title=None):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{img_w}" height="{img_h}" '
         f'viewBox="0 0 {img_w} {img_h}">',
         f'<rect x="0" y="0" width="{img_w}" height="{img_h}" fill="white"/>',
+        f'<text x="{margin}" y="{margin + 12}" font-family="sans-serif" '
+        'font-size="14">per-rotation mean relative error</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{margin}" y="{margin + 12}" font-family="sans-serif" '
-            f'font-size="14">{title}</text>'
-        )
     rects = _svg_rows(codes, cell, x0, y0)
     if rects:
         parts.append(rects)

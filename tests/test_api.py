@@ -138,3 +138,16 @@ def test_tta_has_one_memory_budget():
         for target in node.targets
     ]
     assert numbers == ["_CHUNK_STEPS"], f"numeric constants of tta.py: {numbers}"
+
+
+def test_only_the_config_and_the_metrics_report_have_to_dict():
+    # a report's JSON is its fields in order; a hand-written key list beside
+    # the fields is a second copy of the layout that must change in step
+    owners = sorted(
+        f"{path.name}:{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body)
+    )
+    assert owners == ["experiment.py:ExperimentConfig", "metrics.py:MetricsReport"], f"classes with to_dict: {owners}"

@@ -20,6 +20,7 @@ from rotta import cli, dataset, experiment
 from rotta.cli import main
 from rotta.dataset import generate_synthetic, save_dataset
 from rotta.experiment import ExperimentConfig
+from rotta.metrics import Histogram, MetricsReport, ShapeReport, UncertaintyReport
 from rotta.models import EquivariantOracle
 from rotta.rotations import RotationStream
 from rotta.spheremap import COLORMAPS
@@ -86,6 +87,21 @@ def test_run(dataset_path, tmp_path, capsys):
     assert "mere_tta" in captured
     assert "manifest:" in captured
     assert (out / "metrics.json").is_file()
+
+
+@pytest.mark.parametrize("rotations", [0, 3])
+def test_metrics_json_is_the_report_fields_in_order(dataset_path, tmp_path, rotations):
+    out = tmp_path / "out"
+    assert main(["run", *_noisy(dataset_path, out), "--rotations", str(rotations)]) == 0
+    d = json.loads((out / "metrics.json").read_text())
+    top = [name for name in MetricsReport._fields if rotations or name != "histogram"]  # no histogram at N = 0
+    assert list(d) == top
+    assert list(d["shape"]) == ["channels", *ShapeReport._fields]
+    assert list(d["uncertainty"]) == list(UncertaintyReport._fields)
+    if rotations:
+        assert list(d["histogram"]) == list(Histogram._fields)
+    for key in ("mere_per_rotation", "mare_per_rotation"):
+        assert list(d[key]) == [str(i) for i in range(rotations + 1)]
 
 
 def test_audit(dataset_path, capsys):
@@ -419,6 +435,30 @@ def test_corrupt_dataset_is_data_error(tmp_path, capsys):
     code = main(["run", "--dataset", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "data error: line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_dataset_that_is_not_utf8_is_data_error(dataset_path, tmp_path, capsys, command):
+    path = tmp_path / "latin.ndjson"
+    path.write_bytes(Path(dataset_path).read_bytes() + b'\xff\xfe{"id": 1}\n')
+    extra = [] if command == "audit" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--dataset", str(path), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "data error: line 5: not UTF-8 text: invalid start byte at offset 0\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "audit"])
+def test_repeated_sample_id_is_data_error(tmp_path, capsys, command):
+    # aggregated.ndjson and external-model errors name samples by id, so an id names one sample
+    first, second = generate_synthetic(2, 6, stream=RotationStream(42))
+    path = tmp_path / "twice.ndjson"
+    save_dataset([first, second._replace(id=first.id)], path)
+    extra = [] if command == "audit" else ["--out", str(tmp_path / "out")]
+    assert main([command, "--dataset", str(path), *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "data error: sample 'rve-0000', field 'id': repeats the id of line 1\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
 
 
 def test_dataset_without_targets_is_data_error(tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Tests of dataset parsing, persistence, and synthetic generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -186,6 +188,26 @@ def test_parse_rejects_non_object(tmp_path):
     path = _write_lines(tmp_path, ["[1, 2, 3]"])
     with pytest.raises(ParseError):
         load_dataset(path)
+
+
+def test_parse_rejects_a_line_that_is_not_utf8_after_hashing_every_byte(tmp_path):
+    # "\r\n" and a lone "\r" end lines too, so the bad bytes are on line 3
+    data = (GOOD_LINE + "\r\n" + GOOD_LINE.replace('"ok"', '"two"') + "\r").encode() + b'{"id": "\xe9"}\n'
+    path = tmp_path / "data.ndjson"
+    path.write_bytes(data)
+    digest = hashlib.sha256()
+    with pytest.raises(ParseError) as err:
+        load_dataset(path, digest)
+    assert str(err.value) == "line 3: not UTF-8 text: invalid continuation byte at offset 8"
+    assert digest.digest() == hashlib.sha256(data).digest()
+
+
+def test_load_rejects_a_repeated_id(tmp_path):
+    path = _write_lines(tmp_path, [GOOD_LINE, GOOD_LINE.replace('"ok"', '"two"'), GOOD_LINE])
+    with pytest.raises(InvariantViolation) as err:
+        load_dataset(path)
+    assert (err.value.sample_id, err.value.field) == ("ok", "id")
+    assert str(err.value) == "sample 'ok', field 'id': repeats the id of line 1"
 
 
 # -------------------------------------------------------------- generation

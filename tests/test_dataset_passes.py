@@ -245,8 +245,8 @@ def test_vectorized_shape_report_equals_the_channel_loop(seed, m, t, scale, n_co
     assert np.array_equal(report.c_ratio, c_ratio, equal_nan=True)
     assert np.array_equal(report.r_initial, r_init, equal_nan=True)
     assert np.array_equal(report.r_aggregated, r_aggr, equal_nan=True)
-    assert np.array_equal(report.perfect, perfect)
-    assert np.array_equal(report.degenerate, degenerate)
+    assert np.array_equal(np.isposinf(report.c_ratio), perfect)  # +inf exactly where perfect
+    assert np.array_equal(np.isnan(report.c_ratio), degenerate)  # NaN exactly where degenerate
     assert report.c_ratio.shape == (m, len(CHANNEL_NAMES))
     assert (report.n_perfect, report.n_degenerate) == (int(perfect.sum()), int(degenerate.sum()))
 

@@ -275,8 +275,10 @@ def test_shape_report_flags_degenerate_channels():
     aggregated = target + 0.1 * rng.standard_normal(target.shape)
     report = shape_report(target, initial, aggregated)
     assert report.c_ratio.shape == (2, 7)
-    assert report.degenerate[1, 6]  # channel order: von Mises then components
-    assert math.isnan(report.c_ratio[1, 6])
+    degenerate = np.zeros((2, 7), dtype=bool)
+    degenerate[1, 6] = True  # channel order: von Mises then components
+    assert np.array_equal(np.isnan(report.c_ratio), degenerate)
+    assert math.isnan(report.r_initial[1, 6]) and math.isnan(report.r_aggregated[1, 6])
     assert report.n_degenerate == 1
     finite = report.c_ratio[np.isfinite(report.c_ratio)]
     assert report.mean_c_ratio == pytest.approx(float(np.mean(finite)), abs=1e-12)
@@ -318,11 +320,11 @@ def test_uncertainty_excludes_guarded_steps():
     sd = np.full((2, 5), 0.1)
     sd[0, 0] = 0.3  # break constancy so correlation is defined
     report = uncertainty_curves(sd, target, aggregated)
-    assert not report.included[2]
+    excluded = np.array([False, False, True, False, False])
     assert report.n_excluded == 1
-    assert math.isnan(report.e_rel_curve[2])
-    assert math.isnan(report.sd_rel_curve[2])
-    assert np.all(np.isfinite(report.e_rel_curve[report.included]))
+    assert np.array_equal(np.isnan(report.e_rel_curve), excluded)
+    assert np.array_equal(np.isnan(report.sd_rel_curve), excluded)
+    assert np.all(np.isfinite(report.e_rel_curve[~excluded]))
 
 
 def test_uncertainty_single_included_step_is_degenerate():
@@ -332,10 +334,11 @@ def test_uncertainty_single_included_step_is_degenerate():
     sd = np.array([[0.0, 0.0, 0.1], [0.0, 0.0, 0.3]])
     report = uncertainty_curves(sd, target, aggregated)
     assert report.n_excluded == 2
+    assert np.array_equal(np.isnan(report.e_rel_curve), [True, True, False])
     assert math.isnan(report.r_rel) and report.r_rel_degenerate is True
     assert report.r_abs == pytest.approx(1.0, abs=1e-12) and report.r_abs_degenerate is False
     assert type(report.r_rel) is float and type(report.r_abs) is float
-    json.dumps(report.to_dict())
+    json.dumps(jsonable(report._asdict()), allow_nan=False)
     # a one-step dataset: both coefficients are over one point
     one = uncertainty_curves(sd[:, 2:], target[:, 2:], aggregated[:, 2:])
     assert one.r_abs_degenerate and one.r_rel_degenerate

@@ -24,10 +24,10 @@ def test_uniforms_range_and_replay():
     u = s.uniforms(1000)
     assert u.shape == (1000,)
     assert np.all((u >= 0.0) & (u < 1.0))
-    assert s.counter == 1000
 
-    replay = RotationStream(123).uniforms(1000)
-    assert np.array_equal(u, replay)
+    replay = RotationStream(123).uniforms(1001)
+    assert np.array_equal(u, replay[:1000])
+    assert np.array_equal(s.uniforms(1), replay[1000:])  # a draw continues where the last one stopped
 
 
 def test_different_seeds_differ():

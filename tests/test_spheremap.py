@@ -273,14 +273,14 @@ def _small_raster(n=16):
 
 def test_render_svg_deterministic_document():
     raster = _small_raster()
-    svg1 = render_svg(raster, title="errors over orientations")
-    svg2 = render_svg(raster, title="errors over orientations")
+    svg1 = render_svg(raster)
+    svg2 = render_svg(raster)
     assert svg1 == svg2
     assert svg1.startswith("<svg")
     assert svg1.endswith("</svg>\n")
     assert "<ellipse" in svg1
     assert 'fill="white"' in svg1
-    assert "errors over orientations" in svg1
+    assert ">per-rotation mean relative error</text>" in svg1
 
 
 def test_render_svg_constant_field_uses_low_end_color():
@@ -369,14 +369,14 @@ def _svg_rows_oracle(raster, colors_hex, cell, x0, y0):
     return parts
 
 
-def _render_svg_oracle(raster, colormap="viridis", title=None):
+def _render_svg_oracle(raster, colormap="viridis"):
     """Per-cell hex colors and run merging in Python."""
     height, width = raster.values.shape
     cell, margin, bar_w, bar_gap, label_w = 1, 10, 18, 30, 70
     img_w = width * cell + 2 * margin + bar_gap + bar_w + label_w
-    img_h = height * cell + 2 * margin + (24 if title else 0)
+    img_h = height * cell + 2 * margin + 24
     x0 = margin
-    y0 = margin + (24 if title else 0)
+    y0 = margin + 24
 
     vmin = float(np.nanmin(raster.values))
     vmax = float(np.nanmax(raster.values))
@@ -389,12 +389,9 @@ def _render_svg_oracle(raster, colormap="viridis", title=None):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{img_w}" height="{img_h}" '
         f'viewBox="0 0 {img_w} {img_h}">',
         f'<rect x="0" y="0" width="{img_w}" height="{img_h}" fill="white"/>',
+        f'<text x="{margin}" y="{margin + 12}" font-family="sans-serif" '
+        'font-size="14">per-rotation mean relative error</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{margin}" y="{margin + 12}" font-family="sans-serif" '
-            f'font-size="14">{title}</text>'
-        )
     parts.extend(_svg_rows_oracle(raster, colors_hex, cell, x0, y0))
     cx = x0 + width * cell / 2
     cy = y0 + height * cell / 2
@@ -544,29 +541,24 @@ def _rasters(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(raster=_rasters(), colormap=st.sampled_from(sorted(COLORMAPS)),
-       title=st.sampled_from([None, "", "per-rotation error"]))
-def test_render_svg_matches_per_cell_oracle(raster, colormap, title):
-    assert render_svg(raster, colormap=colormap, title=title) == _render_svg_oracle(
-        raster, colormap=colormap, title=title
-    )
+@given(raster=_rasters(), colormap=st.sampled_from(sorted(COLORMAPS)))
+def test_render_svg_matches_per_cell_oracle(raster, colormap):
+    assert render_svg(raster, colormap=colormap) == _render_svg_oracle(raster, colormap=colormap)
 
 
-@pytest.mark.parametrize("grid, n_seeds, colormap, title", [
-    ((1, 1), 3, "viridis", "t"),
-    ((1, 1), 3, "gray", None),
-    ((7, 3), 5, "viridis", None),
-    ((7, 3), 5, "gray", "t"),
-    ((90, 45), 41, "gray", "per-rotation error"),
-    ((720, 360), 201, "viridis", "per-rotation mean relative error"),
+@pytest.mark.parametrize("grid, n_seeds, colormap", [
+    ((1, 1), 3, "viridis"),
+    ((1, 1), 3, "gray"),
+    ((7, 3), 5, "viridis"),
+    ((7, 3), 5, "gray"),
+    ((90, 45), 41, "gray"),
+    ((720, 360), 201, "viridis"),
 ])
-def test_render_svg_matches_oracle_on_maps(grid, n_seeds, colormap, title):
+def test_render_svg_matches_oracle_on_maps(grid, n_seeds, colormap):
     rotations = rotation_list(RotationStream(29), n_seeds - 1)
     seeds = project_rotations(rotations, np.sin(np.arange(n_seeds)) ** 2)
     raster = voronoi_rasterize(seeds, grid=grid)
-    assert render_svg(raster, colormap=colormap, title=title) == _render_svg_oracle(
-        raster, colormap=colormap, title=title
-    )
+    assert render_svg(raster, colormap=colormap) == _render_svg_oracle(raster, colormap=colormap)
 
 
 @pytest.mark.parametrize("colormap", sorted(COLORMAPS))
