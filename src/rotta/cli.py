@@ -73,38 +73,41 @@ def _n_values(text):
     return values
 
 
-def _add_common(parser, run_flags=True):
-    """Flags of every command that predicts; ``run_flags=False`` leaves out those only a run reads (audit).
-
-    Each flag's ``dest`` is the :class:`~rotta.experiment.ExperimentConfig`
-    field it sets, and none has a default of its own: these parsers leave an
-    omitted flag out of the namespace (``argparse.SUPPRESS``), so the field
-    keeps the default the config gives it.
-    """
-    parser.add_argument("--dataset", required=True, help="dataset file (newline-delimited JSON)")
-    if run_flags:
-        parser.add_argument("--out", dest="out_dir", metavar="OUT", required=True, help="output directory")
-    parser.add_argument("--seed", type=int, help="rotation stream seed")
-    if run_flags:
-        parser.add_argument("--rotations", dest="n_rotations", type=int, metavar="N",
-                            help="number of random rotations (identity is extra)")
-    parser.add_argument("--model", help="equivariant | noisy | external:<command>")
-    parser.add_argument("--noise-amp", type=float, help="noise amplitude of the noisy model (MPa)")
-    parser.add_argument("--noise-seed", type=int, help="noise hash seed")
-    if run_flags:
-        parser.add_argument("--mare-abs", action="store_true",
-                            help="absolute instead of signed step difference in max relative error")
-        parser.add_argument("--divisor", dest="divisor_mode", choices=DIVISOR_MODES,
-                            help="mean divisor: number of predictions, or N as printed")
-        parser.add_argument("--bin-width", type=float, help="histogram bin width")
-    parser.add_argument("--timeout", dest="external_timeout", type=float, metavar="TIMEOUT",
-                        help="external model timeout: longest wait without progress (s)")
-
-
-def _add_map_flags(parser):
-    parser.add_argument("--grid", type=_grid, metavar="WxH", help="raster grid size")
-    parser.add_argument("--radius", type=float, help="projection radius R")
-    parser.add_argument("--colormap", choices=tuple(COLORMAPS), help="map colormap")
+# Every flag of the predicting commands, in the order help lists them:
+# (option, the commands that read it, add_argument keywords).  A flag's
+# ``dest`` is the :class:`~rotta.experiment.ExperimentConfig` field it sets,
+# and a config flag has no default of its own: these parsers leave an
+# omitted flag out of the namespace (``argparse.SUPPRESS``), so the field
+# keeps the default the config gives it.  A command takes only the flags
+# that change what it prints or writes; any other is a usage error.
+_EVERY = "run audit sweep sphere-map repeats"
+_FLAGS = (
+    ("--dataset", _EVERY, dict(required=True, help="dataset file (newline-delimited JSON)")),
+    ("--out", "run sweep sphere-map repeats", dict(dest="out_dir", metavar="OUT", required=True,
+                                                   help="output directory")),
+    ("--seed", _EVERY, dict(type=int, help="rotation stream seed")),
+    ("--rotations", "run sphere-map repeats", dict(dest="n_rotations", type=int, metavar="N",
+                                                   help="number of random rotations (identity is extra)")),
+    ("--model", _EVERY, dict(help="equivariant | noisy | external:<command>")),
+    ("--noise-amp", _EVERY, dict(type=float, help="noise amplitude of the noisy model (MPa)")),
+    ("--noise-seed", _EVERY, dict(type=int, help="noise hash seed")),
+    ("--mare-abs", "run sweep repeats", dict(action="store_true",
+                                            help="absolute instead of signed step difference in max relative error")),
+    ("--divisor", "run sweep repeats", dict(dest="divisor_mode", choices=DIVISOR_MODES,
+                                           help="mean divisor: number of predictions, or N as printed")),
+    ("--bin-width", "run", dict(type=float, help="histogram bin width")),
+    ("--timeout", _EVERY, dict(dest="external_timeout", type=float, metavar="TIMEOUT",
+                               help="external model timeout: longest wait without progress (s)")),
+    ("--sphere-map", "run", dict(action="store_true", help="also export the error map")),
+    ("--grid", "run sphere-map", dict(type=_grid, metavar="WxH", help="raster grid size")),
+    ("--radius", "run sphere-map", dict(type=float, help="projection radius R")),
+    ("--colormap", "run sphere-map", dict(choices=tuple(COLORMAPS), help="map colormap")),
+    ("--identity-only", "audit", dict(action="store_true", default=False,
+                                      help="use identity rotations (errors must be exactly zero)")),
+    ("--n-values", "sweep", dict(type=_n_values, required=True, metavar="N1,N2,...",
+                                 help="rotation counts to evaluate")),
+    ("--repeats", "repeats", dict(type=int, default=5, metavar="K", help="repeat count")),
+)
 
 
 def _add_generate_flags(p):
@@ -117,34 +120,6 @@ def _add_generate_flags(p):
                    help="peak absolute strain component")
     p.add_argument("--uniaxial", action="store_true",
                    help=f"cyclic axial loading (default count {UNIAXIAL_COUNT})")
-
-
-def _add_run_flags(p):
-    _add_common(p)
-    p.add_argument("--sphere-map", action="store_true", help="also export the error map")
-    _add_map_flags(p)
-
-
-def _add_audit_flags(p):
-    _add_common(p, run_flags=False)
-    p.add_argument("--identity-only", action="store_true", default=False,
-                   help="use identity rotations (errors must be exactly zero)")
-
-
-def _add_sweep_flags(p):
-    _add_common(p)
-    p.add_argument("--n-values", type=_n_values, required=True, metavar="N1,N2,...",
-                   help="rotation counts to evaluate")
-
-
-def _add_sphere_map_flags(p):
-    _add_common(p)
-    _add_map_flags(p)
-
-
-def _add_repeats_flags(p):
-    _add_common(p)
-    p.add_argument("--repeats", type=int, default=5, metavar="K", help="repeat count")
 
 
 def build_parser(argv):
@@ -162,11 +137,16 @@ def build_parser(argv):
         description="rotation-augmented inference with uncertainty estimation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_flags, _) in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         # a predicting command's omitted flag leaves its config field at the default
         p = sub.add_parser(name, help=help_text, argument_default=None if name == "generate" else argparse.SUPPRESS)
-        if name == named:
-            add_flags(p)
+        if name != named:
+            continue
+        if name == "generate":
+            _add_generate_flags(p)
+        for option, commands, keywords in _FLAGS:
+            if name in commands.split():
+                p.add_argument(option, **keywords)
     return parser
 
 
@@ -231,14 +211,14 @@ def _cmd_repeats(args):
     return EXIT_OK
 
 
-# name -> (help, flag builder, handler), in the order usage lists them
+# name -> (help, handler), in the order usage lists them
 _COMMANDS = {
-    "generate": ("write a synthetic dataset", _add_generate_flags, _cmd_generate),
-    "run": ("full run with persisted metrics", _add_run_flags, _cmd_run),
-    "audit": ("numerical round-trip error table", _add_audit_flags, _cmd_audit),
-    "sweep": ("error versus rotation count", _add_sweep_flags, _cmd_sweep),
-    "sphere-map": ("per-rotation error map", _add_sphere_map_flags, _cmd_sphere_map),
-    "repeats": ("stability over consecutive seeds", _add_repeats_flags, _cmd_repeats),
+    "generate": ("write a synthetic dataset", _cmd_generate),
+    "run": ("full run with persisted metrics", _cmd_run),
+    "audit": ("numerical round-trip error table", _cmd_audit),
+    "sweep": ("error versus rotation count", _cmd_sweep),
+    "sphere-map": ("per-rotation error map", _cmd_sphere_map),
+    "repeats": ("stability over consecutive seeds", _cmd_repeats),
 }
 
 
@@ -255,7 +235,7 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv).parse_args(argv)
     try:
-        return _COMMANDS[args.command][2](args)
+        return _COMMANDS[args.command][1](args)
     except (ConfigError, EmptyInput, TooManyBins) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

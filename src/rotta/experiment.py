@@ -248,13 +248,14 @@ def compute_results(cfg: ExperimentConfig, model, samples):
     return rotations, run_tta(model, samples, rotations, cfg.divisor_mode)
 
 
-def _evaluate(cfg: ExperimentConfig, samples, result):
+def _evaluate(cfg: ExperimentConfig, samples, result, bin_width=None):
+    """The report of ``result``; with no ``bin_width`` it has no histogram, which only ``run`` writes."""
     targets = np.stack([s.target_stress for s in samples])
-    return evaluate_dataset(targets, result, mare_abs=cfg.mare_abs, bin_width=cfg.bin_width)
+    return evaluate_dataset(targets, result, mare_abs=cfg.mare_abs, bin_width=bin_width)
 
 
-def _evaluated_run(cfg: ExperimentConfig):
-    """Augmented inference over the configured dataset, evaluated.
+def _evaluated_run(cfg: ExperimentConfig, bin_width=None):
+    """Augmented inference over the configured dataset, evaluated as :func:`_evaluate` with ``bin_width``.
 
     Returns ``(samples, dataset_sha256, rotations, result, report)``.
     """
@@ -263,7 +264,7 @@ def _evaluated_run(cfg: ExperimentConfig):
     samples, dataset_sha256 = _load_evaluable(cfg)
     with _open_model(cfg) as model:
         rotations, result = compute_results(cfg, model, samples)
-    return samples, dataset_sha256, rotations, result, _evaluate(cfg, samples, result)
+    return samples, dataset_sha256, rotations, result, _evaluate(cfg, samples, result, bin_width)
 
 
 def _run_files(cfg: ExperimentConfig, samples, rotations, result, report: MetricsReport):
@@ -304,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig):
     error histogram, optionally the spherical error map, and finally the
     manifest.
     """
-    samples, dataset_sha256, rotations, result, report = _evaluated_run(cfg)
+    samples, dataset_sha256, rotations, result, report = _evaluated_run(cfg, cfg.bin_width)
     return report, _write_outputs(cfg, dataset_sha256, _run_files(cfg, samples, rotations, result, report))
 
 

@@ -508,8 +508,9 @@ def evaluate_dataset(
     mare_abs : bool
         Take the absolute instead of the signed per-step difference in the
         maximum-relative-error family.
-    bin_width : float
-        Bin width of the per-rotation error histogram.
+    bin_width : float or None
+        Bin width of the per-rotation error histogram; ``None`` builds none,
+        as N = 0 does.
     """
     target_paths = np.asarray(target_paths, dtype=float)
     if target_paths.ndim != 3 or target_paths.shape[-1] != 6:
@@ -528,7 +529,7 @@ def evaluate_dataset(
     spread = sd_mere(mere_vec[1:], av) if n_pred > 1 else math.nan
     tta_mere = mere(target_vm, result.vm_aggregated)
     tta_mare = mare(target_vm, result.vm_aggregated, absolute=mare_abs)
-    hist = mere_histogram(mere_vec, bin_width) if n_pred > 1 else None
+    hist = mere_histogram(mere_vec, bin_width) if n_pred > 1 and bin_width is not None else None
 
     shape = shape_report(target_paths, result.initial, result.aggregated)
     uncertainty = uncertainty_curves(result.vm_sd, target_vm, result.vm_aggregated)

@@ -4,7 +4,7 @@ A model maps ``(orientation tensor a, volume fraction vf, strain path
 eps(t))`` to a stress path ``sigma(t)`` of the same length.  Anything with a
 ``predict_batch(a (P, 6), vf, strain (P, T, 6)) -> (P, T, 6)`` method
 qualifies: row ``p`` is the stress path for ``a[p]`` and ``strain[p]``.  It
-is the only method the augmentation kernel (:func:`rotta.tta.augment`)
+is the only method the augmentation kernel (:func:`rotta.tta.augment_chunks`)
 calls, once for a chunk of rotated copies of one input, and so the only one
 every command (``run``, ``sweep``, ``repeats``, ``audit``, ``sphere-map``)
 uses.  A single input is the batch of one row.

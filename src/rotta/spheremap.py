@@ -134,7 +134,6 @@ class RasterMap(NamedTuple):
     inside: np.ndarray
     x_centers: np.ndarray
     y_centers: np.ndarray
-    radius: float
 
 
 def _cell_centers(n, lo, hi):
@@ -277,7 +276,7 @@ def voronoi_rasterize(seeds, grid=DEFAULT_GRID, radius=DEFAULT_RADIUS):
         raise ValueError("seed coordinates must not be NaN")
     values = seed_values[_nearest_seeds(xc, yc, inside, sx, sy)]
     values[~inside] = np.nan
-    return RasterMap(values=values, inside=inside, x_centers=xc, y_centers=yc, radius=radius)
+    return RasterMap(values=values, inside=inside, x_centers=xc, y_centers=yc)
 
 
 _VIRIDIS = np.array([

@@ -7,11 +7,13 @@ original frame, and reduces the back-rotated paths into a mean path with a
 per-step spread.  For an exactly rotation-equivariant predictor the whole
 procedure is a no-op up to float round-off, which the test suite exploits.
 
-:func:`augment` (and :func:`augment_chunks`, the same rows chunk by chunk)
-is the one rotate -> predict -> back-rotate kernel; ``run``, ``sweep``,
-``repeats``, ``sphere-map`` and :func:`numerics_audit` all call it with a
-:class:`~rotta.dataset.Sample`, valid since it was made, which it names in
-its errors, and it calls nothing of a model but ``predict_batch``.
+:func:`augment_chunks` is the one rotate -> predict -> back-rotate kernel,
+yielding one sample's rows chunk by chunk: ``run``, ``repeats`` and
+``sphere-map`` reduce them through :func:`run_tta`, ``sweep`` sums them as
+they come, and :func:`augment` gathers them into one array for
+:func:`numerics_audit`.  It takes a :class:`~rotta.dataset.Sample`, valid
+since it was made, which it names in its errors, and it calls nothing of a
+model but ``predict_batch``.
 :func:`compensated_sums` is the one reducer: every mean and spread adds its
 rows in ascending rotation index with compensated (Kahan) summation, so
 results do not depend on how predictions were scheduled.  :func:`run_tta`

@@ -37,10 +37,11 @@ def dataset_path(tmp_path_factory):
     return str(path)
 
 
-def _noisy(dataset_path, out, *extra):
+def _noisy(dataset_path, out, *extra, rotations=6):
+    """Flags of a noisy run with N = ``rotations``; ``None`` for sweep, which takes its counts from ``--n-values``."""
     return [
         "--dataset", dataset_path, "--out", str(out),
-        "--model", "noisy", "--noise-amp", "2.0", "--rotations", "6",
+        "--model", "noisy", "--noise-amp", "2.0", *(() if rotations is None else ("--rotations", str(rotations))),
         *extra,
     ]
 
@@ -164,7 +165,7 @@ def test_empty_dataset_is_data_error(tmp_path, capsys, command):
 
 def test_sweep(dataset_path, tmp_path, capsys):
     out = tmp_path / "sweep"
-    code = main(["sweep", *_noisy(dataset_path, out), "--n-values", "0,4"])
+    code = main(["sweep", *_noisy(dataset_path, out, rotations=None), "--n-values", "0,4"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "n,mere_tta,mare_tta"
@@ -222,6 +223,21 @@ def test_repeats(dataset_path, tmp_path, capsys):
     assert (out / "repeats.csv").is_file()
 
 
+@pytest.mark.parametrize("command, extra", [("sphere-map", ["--grid", "40x20"]), ("repeats", ["--repeats", "2"])],
+                         ids=["sphere-map", "repeats"])
+def test_errors_too_wide_for_the_histogram_stop_only_run(tmp_path, capsys, command, extra):
+    # only run writes the per-rotation error histogram, so only run rejects a bin width too fine for the errors
+    data = tmp_path / "d.ndjson"
+    assert main(["generate", "--dataset", str(data), "--samples", "3", "--steps", "20", "--seed", "1"]) == 0
+    args = ["--dataset", str(data), "--model", "noisy", "--noise-amp", "1e6", "--rotations", "10"]
+    assert main(["run", *args, "--out", str(tmp_path / "run")]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: bin_width 1e-05 is too fine for the error range [")
+    out = tmp_path / "out"
+    assert main([command, *args, "--out", str(out), *extra]) == 0
+    assert list(json.loads((out / "manifest.json").read_text())["outputs"]) == (
+        ["map.svg", "map_seeds.csv"] if command == "sphere-map" else ["repeats.csv"])
+
+
 # ------------------------------------------------------------ exit codes
 
 
@@ -248,7 +264,8 @@ def test_out_that_is_a_file_is_config_error(dataset_path, tmp_path, capsys, monk
     monkeypatch.setattr(experiment, "build_model", lambda cfg: pytest.fail("a model was built"))
     blocker = tmp_path / "taken"
     blocker.write_text("not a directory\n")
-    code = main([command, *_noisy(dataset_path, blocker.joinpath(*below)), *extra])
+    code = main([command, *_noisy(dataset_path, blocker.joinpath(*below), rotations=None if command == "sweep" else 6),
+                 *extra])
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -259,7 +276,7 @@ def test_out_that_is_a_file_is_config_error(dataset_path, tmp_path, capsys, monk
 PAPER_DIVISOR_ERROR = "configuration error: paper divisor mode needs at least one random rotation (N >= 1)\n"
 
 
-@pytest.mark.parametrize("command", ["run", "sphere-map", "repeats"])
+@pytest.mark.parametrize("command", ["run", "repeats"])
 def test_paper_divisor_without_rotations_is_config_error(dataset_path, tmp_path, capsys, command):
     # the paper mean divides by N: rejected with the configuration, before any prediction
     out = tmp_path / "out"
@@ -272,16 +289,19 @@ def test_paper_divisor_without_rotations_is_config_error(dataset_path, tmp_path,
 
 
 def test_sweep_ignores_rotations_under_the_paper_divisor(tmp_path, capsys):
-    # sweep reads its counts from --n-values; --rotations only lands in the config echo
+    # sweep reads its counts from --n-values, and the paper divisor rejects a count of 0 there;
+    # it takes no --rotations, which would change nothing it writes
     path = tmp_path / "small.ndjson"
     save_dataset(generate_synthetic(2, 5, stream=RotationStream(44)), path)
-    args = ["--dataset", str(path), "--divisor", "paper", "--rotations", "0"]
-    assert main(["sweep", *args, "--out", str(tmp_path / "ok"), "--n-values", "5"]) == 0
-    assert (tmp_path / "ok" / "sweep.csv").is_file()
-    capsys.readouterr()
+    args = ["--dataset", str(path), "--divisor", "paper"]
     assert main(["sweep", *args, "--out", str(tmp_path / "bad"), "--n-values", "0,5"]) == 2
     assert capsys.readouterr().err == PAPER_DIVISOR_ERROR
     assert not (tmp_path / "bad").exists()
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", *args, "--out", str(tmp_path / "ok"), "--n-values", "5", "--rotations", "0"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --rotations 0" in capsys.readouterr().err
+    assert not (tmp_path / "ok").exists()
 
 
 @pytest.mark.parametrize("args", [
@@ -382,6 +402,62 @@ def test_every_config_field_is_set_by_some_flag(command, data):
             argv += [flag, text]
     cfg = cli._config_from(cli.build_parser(argv).parse_args(argv))
     assert cfg._asdict() == defaults | expected
+
+
+# each command's flags on top of a tiny noisy run, and an argument for each
+# flag that differs from the base run's and from the default (None: a switch)
+GUARD_BASE = {
+    "run": ["--rotations", "4", "--sphere-map", "--grid", "24x12"],
+    "sweep": ["--n-values", "1,3"],
+    "sphere-map": ["--rotations", "4", "--grid", "24x12"],
+    "repeats": ["--rotations", "4", "--repeats", "2"],
+}
+OTHER_ARGUMENT = {
+    "--dataset": "other.ndjson",
+    "--seed": "1",
+    "--rotations": "5",
+    "--model": "equivariant",
+    "--noise-amp": "3",
+    "--noise-seed": "1",
+    "--mare-abs": None,
+    "--divisor": "paper",
+    "--bin-width": "0.001",
+    "--grid": "20x10",
+    "--radius": "1.5",
+    "--colormap": "gray",
+    "--n-values": "1,4",
+    "--repeats": "3",
+}
+
+
+@pytest.fixture(scope="module")
+def guard_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("guard")
+    for name, seed in (("base.ndjson", 48), ("other.ndjson", 49)):
+        save_dataset(generate_synthetic(3, 12, stream=RotationStream(seed)), path / name)
+    return path
+
+
+def _written(argv, out):
+    """``{name: bytes}`` of every file ``argv`` writes into ``out``, except the manifest's config echo."""
+    assert main([*argv, "--out", str(out)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir()) if path.name != "manifest.json"}
+
+
+# --out only moves the outputs, --timeout only bounds an external child's
+# silence, and --sphere-map is on in run's base run
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command} {flag}")
+    for command in GUARD_BASE
+    for flag in sorted(OPTIONS[command] - {"-h", "--help", "--out", "--timeout", "--sphere-map"})
+])
+def test_every_flag_changes_what_its_command_writes(guard_dir, tmp_path, monkeypatch, capsys, command, flag):
+    # a flag whose value shows only in the manifest's config echo is one the command does not read
+    monkeypatch.chdir(guard_dir)
+    base = [command, "--dataset", "base.ndjson", "--model", "noisy", "--noise-amp", "2", *GUARD_BASE[command]]
+    value = OTHER_ARGUMENT[flag]
+    changed = [*base, flag, *(() if value is None else (value,))]
+    assert _written(changed, tmp_path / "changed") != _written(base, tmp_path / "base")
 
 
 @pytest.mark.parametrize("command", ["run", "repeats", "sphere-map", "sweep"])

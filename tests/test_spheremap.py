@@ -518,7 +518,7 @@ def test_render_svg_rounds_half_to_even():
     # both round to the even neighbour, as Python's round does
     values = np.array([[0.0, 0.00980392156862745, 0.49607843137254903, 1.0]])
     raster = RasterMap(values=values, inside=np.ones((1, 4), dtype=bool),
-                       x_centers=np.arange(4.0), y_centers=np.zeros(1), radius=2.0)
+                       x_centers=np.arange(4.0), y_centers=np.zeros(1))
     assert 255 * values[0, 1] == 2.5 and 255 * values[0, 2] == 126.5
     svg = render_svg(raster, colormap="gray")
     assert 'fill="#020202"' in svg and 'fill="#7e7e7e"' in svg
@@ -537,7 +537,7 @@ def _rasters(draw):
     inside = inside.reshape(height, width)
     values = np.where(inside, palette[picks].reshape(height, width), np.nan)
     return RasterMap(values=values, inside=inside, x_centers=np.arange(width, dtype=float),
-                     y_centers=np.arange(height, dtype=float), radius=2.0)
+                     y_centers=np.arange(height, dtype=float))
 
 
 @settings(max_examples=150, deadline=None)
