@@ -38,7 +38,7 @@ from .experiment import (
     run_sphere_map,
     run_sweep,
 )
-from .metrics import AllStepsExcluded, TooManyBins
+from .metrics import TooManyBins
 from .models import ExternalModelError
 from .rotations import RotationStream
 from .spheremap import COLORMAPS
@@ -239,7 +239,7 @@ def main(argv=None):
     except (ConfigError, EmptyInput, TooManyBins) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ParseError, InvariantViolation, AllStepsExcluded) as exc:
+    except (ParseError, InvariantViolation) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except ExternalModelError as exc:

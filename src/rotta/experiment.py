@@ -207,10 +207,10 @@ def _load_samples(cfg: ExperimentConfig):
     return samples, digest.hexdigest()
 
 
-def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
+def _load_evaluable(cfg: ExperimentConfig):
     """:func:`_load_samples`, requiring a uniform path length and targets with a positive von Mises value.
 
-    Paths need ``min_steps``: 3 for the shape metrics' step differences; the sweep has none and passes 1.
+    Any length will do: a statistic that too few steps cannot define is NaN with its flag.
     """
     samples, dataset_sha256 = _load_samples(cfg)
     n_steps = samples[0].n_steps
@@ -223,8 +223,6 @@ def _load_evaluable(cfg: ExperimentConfig, min_steps=3):
             raise InvariantViolation(
                 sample.id, "eps", f"path length {sample.n_steps} differs from first sample ({n_steps})"
             )
-    if n_steps < min_steps:
-        raise InvariantViolation(samples[0].id, "eps", f"shape metrics need at least {min_steps} steps, got {n_steps}")
     return samples, dataset_sha256
 
 
@@ -343,7 +341,7 @@ def run_sweep(cfg: ExperimentConfig, n_values, write=True):
         raise ConfigError("rotation counts must be >= 0")
     mean_divisor(checkpoints[0] + 1, cfg.divisor_mode)
 
-    samples, dataset_sha256 = _load_evaluable(cfg, min_steps=1)
+    samples, dataset_sha256 = _load_evaluable(cfg)
     rotations = _rotations(cfg, checkpoints[-1])
     target_vm = np.stack([von_mises(s.target_stress) for s in samples])
     n_steps = samples[0].n_steps
@@ -373,8 +371,8 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5):
     echoing how repeated augmentation passes differ only in the sampled
     rotations.  Returns one row per repeat of ``(repeat, seed, mere_i0,
     mere_av, sd_mere, mere_tta, mare_tta)`` plus summary mean/SD over the
-    aggregated-path error (sample SD, divisor n-1), and persists
-    ``repeats.csv`` plus a manifest.
+    aggregated-path error (sample SD, divisor n-1: NaN for one repeat), and
+    persists ``repeats.csv`` plus a manifest.
     """
     cfg.validate()
     mean_divisor(cfg.n_rotations + 1, cfg.divisor_mode)
@@ -390,7 +388,7 @@ def run_repeats(cfg: ExperimentConfig, n_repeats=5):
             rows.append((k + 1, seed, report.mere_i0, report.mere_av, report.sd_mere, report.mere_tta, report.mare_tta))
     values = np.asarray([row[5] for row in rows])
     mean = float(np.mean(values))
-    sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
+    sd = float(np.std(values, ddof=1)) if values.size > 1 else math.nan
     summary = [("mean", "", "", "", "", mean, ""), ("sd", "", "", "", "", sd, "")]
     header = "repeat,seed,mere_i0,mere_av,sd_mere,mere_tta,mare_tta"
     files = {"repeats.csv": csv_text(header, rows + summary)}

@@ -41,10 +41,6 @@ class ZeroTargetMax(ValueError):
     """A target von Mises path is identically zero, so relative error is undefined."""
 
 
-class AllStepsExcluded(ValueError):
-    """Every time step fell below the division guard for relative curves."""
-
-
 class TooManyBins(ValueError):
     """A histogram's bin width is too fine for its values: see :func:`mere_histogram`."""
 
@@ -212,11 +208,8 @@ def percentile_of(value, population):
 
 
 def first_differences(x):
-    """Step-to-step differences d(t) = x(t+1) - x(t) of a path."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] < 2:
-        raise ValueError("need at least 2 steps")
-    return np.diff(x, axis=-1)
+    """Step-to-step differences d(t) = x(t+1) - x(t) of a path: T - 1 of them, none for a one-step path."""
+    return np.diff(np.asarray(x, dtype=float), axis=-1)
 
 
 def _pearson(x, y):
@@ -224,9 +217,11 @@ def _pearson(x, y):
 
     Every reduction runs along the last axis, so a row of a C-contiguous
     array is summed pairwise exactly as the 1-d sequence alone would be and
-    gets the same bits.  A constant row, a one-point row too, is degenerate,
-    and so is a row whose squared deviations all underflow to 0.
+    gets the same bits.  A constant row, a row of one point or of none, is
+    degenerate, and so is a row whose squared deviations all underflow to 0.
     """
+    if x.shape[-1] == 0:
+        return np.full(x.shape[:-1], np.nan), np.ones(x.shape[:-1], dtype=bool)
     dx = x - np.mean(x, axis=-1, keepdims=True)
     dy = y - np.mean(y, axis=-1, keepdims=True)
     sxx = np.sum(dx * dx, axis=-1)
@@ -245,10 +240,9 @@ def _shape_ratios(target, initial, aggregated):
     The r values correlate the first-order differences of each prediction with
     the target's; ``c_ratio`` = (1 - r_initial) / (1 - r_aggregated), +inf
     (``perfect``) when r_aggregated is 1 within ``SHAPE_EPS``.  A channel whose
-    difference sequences have zero variance is ``degenerate`` with NaN values.
+    difference sequences have zero variance, as every channel of a path
+    shorter than 3 steps does, is ``degenerate`` with NaN values.
     """
-    if target.shape[-1] < 3:
-        raise ValueError("need at least 3 steps for difference correlation")
     d_target = first_differences(target)
     r0, degenerate_initial = _pearson(first_differences(initial), d_target)
     rt, degenerate_aggregated = _pearson(first_differences(aggregated), d_target)
@@ -353,9 +347,9 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
     samples at each step.  The relative curves divide both per sample by
     the aggregated von Mises value first; any step where that divisor is
     at or below ``EPS_DIV`` for some sample is excluded from the relative
-    curves (NaN) and counted.  Raises :class:`AllStepsExcluded`, naming the
-    rows at or below the guard at every step, if no step survives.  A
-    coefficient over a constant curve or fewer than two steps is NaN, flagged.
+    curves (NaN) and counted; if no step survives, both relative curves are
+    NaN throughout.  A coefficient over a constant curve or fewer than two
+    steps is NaN, flagged.
     """
     sd_paths = np.atleast_2d(np.asarray(sd_paths, dtype=float))
     target_vm = np.atleast_2d(np.asarray(target_vm, dtype=float))
@@ -369,11 +363,6 @@ def uncertainty_curves(sd_paths, target_vm, aggregated_vm) -> UncertaintyReport:
 
     included = np.all(aggregated_vm > EPS_DIV, axis=0)
     n_excluded = int(np.count_nonzero(~included))
-    if not np.any(included):
-        at_guard = ", ".join(map(str, np.flatnonzero(np.all(aggregated_vm <= EPS_DIV, axis=1)))) or "none"
-        raise AllStepsExcluded("no step has all aggregated von Mises values above the guard; "
-                               f"dataset rows at or below it at every step: {at_guard}")
-
     e_rel_curve = np.full(included.shape, np.nan)
     sd_rel_curve = np.full(included.shape, np.nan)
     safe = aggregated_vm[:, included]

@@ -7,6 +7,7 @@ tests call is a second way to do a job, and it goes.
 """
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -151,3 +152,15 @@ def test_only_the_config_and_the_metrics_report_have_to_dict():
         and any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body)
     )
     assert owners == ["experiment.py:ExperimentConfig", "metrics.py:MetricsReport"], f"classes with to_dict: {owners}"
+
+
+def test_metrics_raises_only_for_a_zero_target_and_too_many_bins():
+    # a statistic a dataset is too short or too small to define is NaN with
+    # its *_degenerate flag, not an exception that stops the command
+    exceptions = []
+    for node in ast.parse((PACKAGE / "metrics.py").read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.ClassDef):
+            bases = [getattr(builtins, getattr(base, "id", ""), None) for base in node.bases]
+            if any(isinstance(base, type) and issubclass(base, BaseException) for base in bases):
+                exceptions.append(node.name)
+    assert exceptions == ["ZeroTargetMax", "TooManyBins"], f"exception classes of metrics.py: {exceptions}"

@@ -462,19 +462,23 @@ def test_every_flag_changes_what_its_command_writes(guard_dir, tmp_path, monkeyp
 
 @pytest.mark.parametrize("command", ["run", "repeats", "sphere-map", "sweep"])
 def test_paths_shorter_than_three_steps(tmp_path, capsys, command):
-    # shape consistency correlates step differences; the sweep computes none
-    path = tmp_path / "short.ndjson"
-    save_dataset(generate_synthetic(3, 2, stream=RotationStream(45)), path)
-    out = tmp_path / "out"
-    extra = ["--n-values", "0,2"] if command == "sweep" else ["--rotations", "2"]
-    code = main([command, "--dataset", str(path), "--out", str(out), *extra])
-    captured = capsys.readouterr()
-    if command == "sweep":
-        assert code == 0 and (out / "sweep.csv").is_file()
-        return
-    assert code == 3
-    assert captured.err == "data error: sample 'rve-0000', field 'eps': shape metrics need at least 3 steps, got 2\n"
-    assert not out.exists()
+    # one step difference or none: every shape ratio is NaN and flagged, and
+    # the errors are those of the sweep, which correlates nothing
+    for steps in (1, 2):
+        path = tmp_path / f"short{steps}.ndjson"
+        save_dataset(generate_synthetic(3, steps, stream=RotationStream(45)), path)
+        out = tmp_path / f"out{steps}"
+        flags = _noisy(str(path), out, rotations=None if command == "sweep" else 2)
+        assert main([command, *flags, *(["--n-values", "2"] if command == "sweep" else [])]) == 0
+        assert capsys.readouterr().err == ""
+        if command != "run":
+            continue
+        metrics = json.loads((out / "metrics.json").read_text())
+        ratios = {v for key in ("c_ratio", "r_initial", "r_aggregated") for row in metrics["shape"][key] for v in row}
+        assert ratios == {"nan"} and metrics["shape"]["n_degenerate"] == 3 * 7
+        cfg = ExperimentConfig(str(path), model="noisy", noise_amp=2.0)
+        [(_, mere_tta, mare_tta)] = experiment.run_sweep(cfg, [2], write=False)
+        assert (metrics["mere_tta"], metrics["mare_tta"]) == (mere_tta, mare_tta)
 
 
 def test_relative_curve_of_one_step_has_a_degenerate_coefficient(tmp_path):
@@ -576,17 +580,18 @@ def test_strain_that_overflows_once_rotated_is_data_error(tmp_path, capsys, comm
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
 
-def test_all_zero_strain_is_data_error(tmp_path, capsys):
+def test_all_zero_strain_excludes_every_relative_step(tmp_path, capsys):
+    # sample 1's aggregated von Mises is zero throughout, so no step clears the division guard
     samples = generate_synthetic(3, 6, stream=RotationStream(42))
     samples[1] = samples[1]._replace(strain=np.zeros_like(samples[1].strain))
     path = tmp_path / "zero_eps.ndjson"
     save_dataset(samples, path)
-    code = main(["run", "--dataset", str(path), "--out", str(tmp_path / "out"), "--rotations", "2"])
-    assert code == 3
-    err = capsys.readouterr().err
-    assert err.startswith("data error: ") and "Traceback" not in err
-    assert err.endswith("dataset rows at or below it at every step: 1\n")
-    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+    assert main(["run", "--dataset", str(path), "--out", str(tmp_path / "out"), "--rotations", "2"]) == 0
+    assert capsys.readouterr().err == ""
+    uncertainty = json.loads((tmp_path / "out" / "metrics.json").read_text())["uncertainty"]
+    assert uncertainty["n_excluded"] == 6
+    assert uncertainty["e_rel_curve"] == uncertainty["sd_rel_curve"] == ["nan"] * 6
+    assert uncertainty["r_rel"] == "nan" and uncertainty["r_rel_degenerate"] is True
 
 
 def test_failing_external_model_is_external_error(dataset_path, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -260,11 +261,13 @@ def test_repeats_rows_and_summary(dataset_path, tmp_path):
     assert csv[-1].startswith("sd,")
 
 
-def test_repeats_single_run_has_zero_sd(dataset_path, tmp_path):
+def test_repeats_single_run_has_nan_sd(dataset_path, tmp_path):
+    # a sample SD (divisor n - 1) of one value is undefined
     cfg = _cfg(dataset_path, tmp_path / "rep", n_rotations=2)
     rows, (_, sd) = run_repeats(cfg, n_repeats=1)
     assert len(rows) == 1
-    assert sd == 0.0
+    assert math.isnan(sd)
+    assert (tmp_path / "rep" / "repeats.csv").read_text().splitlines()[-1] == "sd,,,,,nan,"
 
 
 # sha256 of repeats.csv for three repeats of the echo fixture (sigma = eps) on

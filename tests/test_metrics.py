@@ -15,7 +15,6 @@ from numpy.testing import assert_allclose
 from rotta.metrics import (
     _pearson,
     _shape_ratios,
-    AllStepsExcluded,
     ZeroTargetMax,
     evaluate_dataset,
     first_differences,
@@ -184,8 +183,7 @@ def test_first_differences():
     assert_allclose(first_differences([0.0, 1.0, 3.0]), [1.0, 2.0], rtol=0, atol=0)
     ramp = 0.7 * np.arange(6)
     assert_allclose(first_differences(ramp), np.full(5, 0.7), atol=1e-15)
-    with pytest.raises(ValueError):
-        first_differences([1.0])
+    assert first_differences([1.0]).shape == (0,)
 
 
 # ----------------------------------------------------------- correlation
@@ -262,9 +260,13 @@ def test_shape_ratio_matches_independent_computation():
     assert float(c_ratio) == pytest.approx((1.0 - r0) / (1.0 - rt), abs=1e-12)
 
 
-def test_shape_ratio_needs_three_steps():
-    with pytest.raises(ValueError):
-        _shape_ratios(*np.array([[1.0, 2.0]] * 3))
+def test_shape_ratios_of_short_paths_are_degenerate():
+    # one step difference or none: no correlation is defined
+    for steps in (1, 2):
+        paths = np.arange(3.0 * 2 * steps).reshape(3, 2, steps)
+        r_initial, r_aggregated, c_ratio, perfect, degenerate = _shape_ratios(*paths)
+        assert degenerate.tolist() == [True, True] and perfect.tolist() == [False, False]
+        assert np.isnan(np.stack([r_initial, r_aggregated, c_ratio])).all()
 
 
 def test_shape_report_flags_degenerate_channels():
@@ -346,8 +348,11 @@ def test_uncertainty_single_included_step_is_degenerate():
 
 
 def test_uncertainty_all_steps_excluded():
-    with pytest.raises(AllStepsExcluded):
-        uncertainty_curves(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3)))
+    report = uncertainty_curves(np.ones((1, 3)), np.ones((1, 3)), np.zeros((1, 3)))
+    assert report.n_excluded == 3
+    assert np.isnan(report.e_rel_curve).all() and np.isnan(report.sd_rel_curve).all()
+    assert math.isnan(report.r_rel) and report.r_rel_degenerate is True
+    assert report.r_abs_degenerate is True  # a constant spread curve
 
 
 def test_uncertainty_shape_mismatch():
